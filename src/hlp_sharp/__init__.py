@@ -50,8 +50,8 @@ from .quad import (
     hlp_constant_oracle,
     integrate_curve,
     mc_ball_integral,
+    polar_directions,
     radial_integral,
-    thread_count,
 )
 from .constants import (
     SharpConstant,
@@ -90,8 +90,9 @@ __all__ = [
     "ParamSet", "ExponentSet", "ValidationResult", "derive_exponents",
     "admissibility_violations", "validate",
     "QuadratureSpec", "MCSpec", "DivergenceError", "SamplingError",
-    "derive_seed", "thread_count", "integrate_curve", "radial_integral",
+    "derive_seed", "integrate_curve", "radial_integral",
     "hlp_constant_oracle", "hilbert_constant_oracle", "mc_ball_integral",
+    "polar_directions",
     "SharpConstant", "hlp_closed_form", "hilbert_closed_form",
     "beta_recursion_Im", "classical_anchors", "reconcile",
     "OperatorKind", "RadialProfile", "apply", "apply_radii",

@@ -503,8 +503,8 @@ def run(config: RunConfig, stream=None) -> int:
     """Execute the configured command and write its report file.
 
     Returns the exit status (0 all passed, 1 verification failure, 2 usage
-    error).  Reports are written by this single writer even when the
-    underlying estimators shard work across threads.
+    error).  Every record of a run goes through this single writer, in
+    command order.
     """
     out = stream if stream is not None else sys.stdout
     try:

@@ -104,16 +104,40 @@ def mul_arrays(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     out = X + Y
     xa, xb = X[..., :n], X[..., n : 2 * n]
     ya, yb = Y[..., :n], Y[..., n : 2 * n]
-    twist = 2.0 * (np.sum(ya * xb, axis=-1) - np.sum(xa * yb, axis=-1))
+    twist = 2.0 * (np.einsum("...i,...i->...", ya, xb) - np.einsum("...i,...i->...", xa, yb))
     out[..., 2 * n] += twist
     return out
 
 
+# Norms whose fourth powers are normal doubles, with margin.
+_NORM_SAFE = (1e-70, 1e70)
+
+
 def hnorm_arrays(X: np.ndarray, n: int) -> np.ndarray:
-    """Gauge norm [(sum_{i<=2n} x_i^2)^2 + x_{2n+1}^2]^(1/4) on arrays."""
+    """Gauge norm [(sum_{i<=2n} x_i^2)^2 + x_{2n+1}^2]^(1/4) on arrays.
+
+    Norms outside _NORM_SAFE (including 0) are recomputed on the dilate of
+    unit size, so tiny or huge points keep full relative precision instead
+    of losing it to subnormal or overflowing fourth powers.
+    """
     X = np.asarray(X, dtype=float)
-    horiz = np.sum(X[..., : 2 * n] ** 2, axis=-1)
-    return (horiz**2 + X[..., 2 * n] ** 2) ** 0.25
+    out = _hnorm_unscaled(X[..., : 2 * n], X[..., 2 * n])
+    if out.size and not (_NORM_SAFE[0] < out.min() and out.max() < _NORM_SAFE[1]):
+        scale = np.maximum(
+            np.max(np.abs(X[..., : 2 * n]), axis=-1), np.sqrt(np.abs(X[..., 2 * n]))
+        )
+        scale = np.where(scale > 0.0, scale, 1.0)
+        out = scale * _hnorm_unscaled(
+            X[..., : 2 * n] / scale[..., None], X[..., 2 * n] / scale / scale
+        )
+    return out
+
+
+def _hnorm_unscaled(horiz, vert):
+    """Gauge norm from the horizontal block and vertical coordinate."""
+    with np.errstate(over="ignore", under="ignore"):
+        h2 = np.einsum("...i,...i->...", horiz, horiz)
+        return np.sqrt(np.sqrt(h2 * h2 + vert * vert))
 
 
 def dilate_arrays(r, X: np.ndarray, n: int) -> np.ndarray:

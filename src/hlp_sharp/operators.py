@@ -27,8 +27,8 @@ from .quad import (
     QuadratureSpec,
     _eval_batch,
     _leggauss,
-    _polar_directions,
     integrate_curve,
+    polar_directions,
 )
 from .specfun import log_gamma
 
@@ -658,7 +658,7 @@ def radialize(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence((int(mc.seed), _PURPOSE_SPHERE, s)))
         )
-        xi = _polar_directions(rng, per_shard, gp.n)
+        xi = polar_directions(rng, per_shard, gp.n)
         for k, r in enumerate(rr):
             pts = dilate_arrays(float(r), xi, gp.n)
             shard_means[s, k] = float(np.mean(_eval_batch(f, pts)))

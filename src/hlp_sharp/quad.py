@@ -13,18 +13,17 @@ Three layers:
   decomposition of the max kernel and the iterated Beta-type reduction of
   the additive kernel — independent of the closed forms they certify;
 * Monte Carlo integration over gauge balls with stratified radial sampling
-  and importance sampling for origin singularities.
+  and importance sampling for origin singularities, drawing directions from
+  the exact polar law of the unit gauge sphere.
 
 Runs are reproducible: all randomness is derived from (seed, purpose,
-shard, stratum) via SeedSequence feeding a counter-based Philox generator,
-and reductions happen in fixed shard order regardless of threading.
+shard) via SeedSequence feeding a counter-based Philox generator, one
+stream per shard, and shards run and reduce serially in fixed order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,17 +86,6 @@ class MCSpec:
             raise ValueError("MCSpec.samples must be >= 1000")
         if self.shards < 1:
             raise ValueError("MCSpec.shards must be >= 1")
-
-
-def thread_count() -> int:
-    """Worker cap: HLP_SHARP_THREADS if set, else min(4, cpu count)."""
-    env = os.environ.get("HLP_SHARP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -430,57 +418,52 @@ _PURPOSE_BALL = 17
 
 
 def _eval_batch(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on an (N, 2n+1) batch; falls back to pointwise HPoint calls."""
+    """Evaluate f on an (N, 2n+1) batch.
+
+    An integrand that rejects the array or returns the wrong shape is called
+    pointwise on HPoints, but a rejection falls back only when f accepts the
+    first point: otherwise the batch call's own exception propagates, so a
+    fault inside a vectorized integrand is neither masked nor slowed down.
+    """
     try:
         vals = np.asarray(f(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except Exception:
-        pass
+    except Exception as batch_exc:
+        try:
+            first = float(f(HPoint(pts[0])))
+        except Exception:
+            raise batch_exc from None
+        rest = [float(f(HPoint(row))) for row in pts[1:]]
+        return np.array([first] + rest, dtype=float)
+    if vals.shape == (pts.shape[0],):
+        return vals
     return np.array([float(f(HPoint(row))) for row in pts], dtype=float)
 
 
-def _polar_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Unit-gauge-norm directions with the polar sphere density.
+def polar_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """count unit-gauge-norm points drawn from the polar sphere law.
 
-    Uniform box candidates are rejected to the unit ball and projected to the
-    unit sphere along dilations; the projected law is exactly the surface
-    measure of the polar decomposition.
+    In polar coordinates |z|^2 = N^2 cos(psi), t = N^2 sin(psi) the volume
+    element is N^(Q-1) cos^(n-1)(psi) dN dpsi dS^(2n-1) (Folland-Stein,
+    Hardy Spaces on Homogeneous Groups, 1982), so w = sin(psi) has
+    (w+1)/2 ~ Beta(n/2, n/2) and the horizontal direction is uniform on
+    S^(2n-1).  The sphere point is |z| = (1-w^2)^(1/4), t = w.  Returns an
+    (count, 2n+1) array.
     """
-    d = 2 * n + 1
-    out = np.empty((count, d))
-    have = 0
-    drawn = 0
-    accepted = 0
-    while have < count:
-        chunk = max(4096, int(1.3 * (count - have) * _box_ball_ratio(n)) + 64)
-        u = rng.uniform(-1.0, 1.0, size=(chunk, d))
-        norms = hnorm_arrays(u, n)
-        good = norms > 0
-        good &= norms < 1.0
-        drawn += chunk
-        accepted += int(np.count_nonzero(good))
-        if drawn >= 200_000 and accepted / drawn < _ACCEPT_FLOOR:
-            raise SamplingError(
-                f"ball rejection acceptance ratio {accepted / drawn:.2e} below {_ACCEPT_FLOOR}"
-            )
-        sel = u[good]
-        take = min(count - have, sel.shape[0])
-        if take:
-            block = sel[:take]
-            out[have : have + take] = dilate_arrays(
-                1.0 / hnorm_arrays(block, n), block, n
-            )
-            have += take
+    w = 2.0 * rng.beta(n / 2.0, n / 2.0, size=count) - 1.0
+    g = rng.standard_normal((count, 2 * n))
+    out = np.empty((count, 2 * n + 1))
+    out[:, : 2 * n] = g * np.sqrt(np.sqrt(1.0 - w * w) / np.einsum("ij,ij->i", g, g))[:, None]
+    out[:, 2 * n] = w
     return out
 
 
-@lru_cache(maxsize=8)
-def _box_ball_ratio(n: int) -> float:
-    """Rough acceptance count scaling helper: 2^(2n+1) / Omega_Q."""
-    from .hgroup import _unit_ball_volume
-
-    return 2.0 ** (2 * n + 1) / _unit_ball_volume(n)
+def _shard_rng(seed: int, shard: int) -> np.random.Generator:
+    """The single Philox stream of one shard of a ball integral.  The
+    trailing 0 is part of the stream key: changing it changes every
+    plain-path estimate."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((int(seed), _PURPOSE_BALL, shard, 0)))
+    )
 
 
 def _mc_shard_plain(f, center, radius, gp, seed, shard, count):
@@ -488,14 +471,11 @@ def _mc_shard_plain(f, center, radius, gp, seed, shard, count):
     accepted when |u|_h < 1, translated to center o z.
 
     The acceptance test never involves the ball-volume constant, so f = 1
-    yields a genuinely geometric volume estimate.  Returns (mean, var_of_mean).
+    yields a genuinely geometric volume estimate.  Returns (mean,
+    var_of_mean, accepted, drawn).
     """
     n = gp.n
-    d = gp.dim
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(seed), _PURPOSE_BALL, shard, 0)))
-    )
-    u = rng.uniform(-1.0, 1.0, size=(count, d))
+    u = _shard_rng(seed, shard).uniform(-1.0, 1.0, size=(count, gp.dim))
     acc = hnorm_arrays(u, n) < 1.0
     vbox = 2.0 ** (2 * n + 1) * radius**gp.Q
     w = np.zeros(count)
@@ -513,31 +493,26 @@ def _mc_shard_importance(
 ):
     """Polar shard with the radial law tilted to r^(Q-1+beta) on the window
     [w_lo, w_hi], stratified over radius shells; membership in
-    B(center, radius) is tested via hdist.  Returns (mean of block means,
+    B(center, radius) is tested via hdist.  All strata come from one draw:
+    stratum k takes u = (k + U)/strata.  Returns (mean of block means,
     variance part)."""
     n = gp.n
     p = gp.Q + beta
     lo_p = 0.0 if w_lo == 0.0 else w_lo**p
     span = w_hi**p - lo_p
     dens_c = p / (gp.omega_Q * span)  # density factor / r^beta
-    test_center = float(hnorm_arrays(true_center, n)) > 0.0
-    block_means = np.empty(strata)
-    block_vars = np.empty(strata)
-    for k in range(strata):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((int(seed), _PURPOSE_BALL, shard, k)))
-        )
-        u = (k + rng.random(per_block)) / strata
-        r = (lo_p + u * span) ** (1.0 / p)
-        xi = _polar_directions(rng, per_block, n)
-        pts = dilate_arrays(r, xi, n)
-        w = _eval_batch(f, pts) / (dens_c * r**beta)
-        if test_center:
-            offset = mul_arrays(-true_center, pts, n)
-            w = np.where(hnorm_arrays(offset, n) < radius, w, 0.0)
-        block_means[k] = w.mean()
-        block_vars[k] = w.var(ddof=1) / per_block if per_block > 1 else 0.0
-    return float(block_means.mean()), float(block_vars.sum())
+    rng = _shard_rng(seed, shard)
+    k = np.repeat(np.arange(strata), per_block)
+    u = (k + rng.random(strata * per_block)) / strata
+    r = (lo_p + u * span) ** (1.0 / p)
+    pts = dilate_arrays(r, polar_directions(rng, r.size, n), n)
+    w = _eval_batch(f, pts) / (dens_c * r**beta)
+    if float(hnorm_arrays(true_center, n)) > 0.0:
+        offset = mul_arrays(-true_center, pts, n)
+        w = np.where(hnorm_arrays(offset, n) < radius, w, 0.0)
+    blocks = w.reshape(strata, per_block)
+    block_vars = blocks.var(axis=1, ddof=1) / per_block
+    return float(blocks.mean(axis=1).mean()), float(block_vars.sum())
 
 
 def mc_ball_integral(
@@ -579,7 +554,6 @@ def mc_ball_integral(
 
     c_norm = float(hnorm_arrays(center.coords, gp.n))
     shards = mc.shards
-    workers = thread_count()
 
     use_polar = radial_window is not None or (beta < 0.0 and c_norm < radius)
     if use_polar:
@@ -592,15 +566,12 @@ def mc_ball_integral(
                 return 0.0, 0.0
         strata = max(1, min(16, mc.samples // (shards * 8)))
         per_block = max(2, mc.samples // (shards * strata))
-        args = [
-            (f, center.coords, radius, gp, mc.seed, s, strata, per_block, beta, w_lo, w_hi)
+        results = [
+            _mc_shard_importance(
+                f, center.coords, radius, gp, mc.seed, s, strata, per_block, beta, w_lo, w_hi
+            )
             for s in range(shards)
         ]
-        if workers > 1 and shards > 1:
-            with ThreadPoolExecutor(max_workers=min(workers, shards)) as ex:
-                results = list(ex.map(lambda a: _mc_shard_importance(*a), args))
-        else:
-            results = [_mc_shard_importance(*a) for a in args]
         means = np.array([r[0] for r in results])
         var_parts = np.array([r[1] for r in results])
         estimate = float(means.mean())
@@ -608,12 +579,10 @@ def mc_ball_integral(
         return estimate, stderr
 
     per_shard = max(2, mc.samples // shards)
-    args = [(f, center.coords, radius, gp, mc.seed, s, per_shard) for s in range(shards)]
-    if workers > 1 and shards > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, shards)) as ex:
-            results = list(ex.map(lambda a: _mc_shard_plain(*a), args))
-    else:
-        results = [_mc_shard_plain(*a) for a in args]
+    results = [
+        _mc_shard_plain(f, center.coords, radius, gp, mc.seed, s, per_shard)
+        for s in range(shards)
+    ]
     accepted = sum(r[2] for r in results)
     drawn = sum(r[3] for r in results)
     if drawn >= 100_000 and accepted / drawn < _ACCEPT_FLOOR:

@@ -47,10 +47,10 @@ from hlp_sharp.quad import (
     DivergenceError,
     MCSpec,
     QuadratureSpec,
-    _polar_directions,
     hilbert_constant_oracle,
     hlp_constant_oracle,
     mc_ball_integral,
+    polar_directions,
 )
 
 from conftest import make_admissible
@@ -308,7 +308,7 @@ def _mc_operator_estimate(kind, funcs, t, gp_n, samples, seed):
         for f in funcs:
             u = rng.random(per)
             r = (a**Q + u * (b**Q - a**Q)) ** (1.0 / Q)
-            xi = _polar_directions(rng, per, gp_n.n)
+            xi = polar_directions(rng, per, gp_n.n)
             y = dilate_arrays(r, xi, gp_n.n)
             w = w * f(y)
             radii.append(r)

@@ -58,6 +58,22 @@ def test_norm_homogeneity(x, r):
     assert hnorm(dilate(r, x)) == pytest.approx(r * hnorm(x), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize(
+    "coords, r",
+    [
+        ((0.0, 0.0, 0.0, 1.0715005625425723e-79, 0.0), 2.0),
+        ((0.0, 0.0, 0.0, 0.0, 9.921763710272477e-157), 0.5),
+        ((1e-170, 0.0, 0.0), 2.0),
+        ((1e100, 0.0, 1e200), 0.1),
+    ],
+)
+def test_norm_homogeneity_at_extreme_scales(coords, r):
+    # Fourth powers of these coordinates are subnormal or overflow.
+    x = HPoint(np.array(coords))
+    assert hnorm(dilate(r, x)) == pytest.approx(r * hnorm(x), rel=1e-12, abs=1e-300)
+    assert hnorm(x) > 0.0 and math.isfinite(hnorm(x))
+
+
 @given(hpoints(1), hpoints(1), st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=200, deadline=None)
 def test_dilation_is_a_morphism(x, y, r):

@@ -17,8 +17,8 @@ from hlp_sharp.quad import (
     hlp_constant_oracle,
     integrate_curve,
     mc_ball_integral,
+    polar_directions,
     radial_integral,
-    thread_count,
 )
 from hlp_sharp.specfun import beta as beta_fn
 
@@ -71,15 +71,6 @@ def test_derive_seed_is_deterministic_and_index_sensitive():
     assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
     assert derive_seed(7, 1) != derive_seed(8, 1)
     assert 0 <= derive_seed(0) < 2**63
-
-
-def test_thread_count_honors_env(monkeypatch):
-    monkeypatch.setenv("HLP_SHARP_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("HLP_SHARP_THREADS", "not-a-number")
-    assert thread_count() >= 1
-    monkeypatch.delenv("HLP_SHARP_THREADS")
-    assert 1 <= thread_count() <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +284,16 @@ def test_mc_ball_window_partial_overlap_is_honest(gp1, mc_small):
     assert abs(est - exact) <= 3.0 * se
 
 
-def test_mc_ball_determinism_and_thread_invariance(gp1, mc_small, monkeypatch):
+def test_mc_ball_determinism(gp1, mc_small):
     center = HPoint((0.2, 0.1, -0.3))
 
     def f(pts):
         return 1.0 + hnorm_arrays(pts, gp1.n)
 
-    first = mc_ball_integral(f, center, 1.5, gp1, mc_small)
-    second = mc_ball_integral(f, center, 1.5, gp1, mc_small)
-    assert first == second
-
-    monkeypatch.setenv("HLP_SHARP_THREADS", "1")
-    serial = mc_ball_integral(f, center, 1.5, gp1, mc_small)
-    monkeypatch.setenv("HLP_SHARP_THREADS", "4")
-    threaded = mc_ball_integral(f, center, 1.5, gp1, mc_small)
-    assert serial == threaded == first
+    for window in (None, (0.0, 2.0)):
+        first = mc_ball_integral(f, center, 1.5, gp1, mc_small, radial_window=window)
+        second = mc_ball_integral(f, center, 1.5, gp1, mc_small, radial_window=window)
+        assert first == second
 
 
 def test_mc_ball_rejects_bad_arguments(gp1, mc_small):
@@ -336,3 +322,57 @@ def test_mc_ball_pointwise_fallback(gp1):
     mc = MCSpec(samples=1000, seed=5, shards=2)
     est, se = mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc)
     assert abs(est - gp1.Omega_Q) <= 4.0 * se
+
+
+@pytest.mark.parametrize("window", [None, (0.0, 5.0)])
+def test_mc_ball_vectorized_integrand_fault_propagates(gp1, window):
+    # A fault inside an array integrand must surface as itself, not as the
+    # TypeError of an HPoint retry nor as a silent pointwise re-run.
+    calls = []
+
+    def f(pts):
+        calls.append(pts)
+        return pts[:, 0] * undefined_scale  # noqa: F821
+
+    mc = MCSpec(samples=1000, seed=5, shards=2)
+    with pytest.raises(NameError, match="undefined_scale"):
+        mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, radial_window=window)
+    assert len(calls) == 2  # the batch call and one HPoint probe
+
+
+# ---------------------------------------------------------------------------
+# Polar sphere sampler
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_sampler_points_have_unit_gauge_norm(n):
+    rng = np.random.default_rng(7)
+    xi = polar_directions(rng, 20_000, n)
+    assert xi.shape == (20_000, 2 * n + 1)
+    assert np.max(np.abs(hnorm_arrays(xi, n) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("n, mean_abs_t", [(1, 2.0 / math.pi), (2, 0.5), (3, 4.0 / (3.0 * math.pi))])
+def test_sphere_sampler_vertical_moment(n, mean_abs_t):
+    # (t+1)/2 ~ Beta(n/2, n/2) on the sphere, so E|t| has the closed forms
+    # 2/pi, 1/2 and 4/(3 pi) for n = 1, 2, 3.
+    count = 200_000
+    t = np.abs(polar_directions(np.random.default_rng(11), count, n)[:, -1])
+    se = t.std(ddof=1) / math.sqrt(count)
+    assert abs(t.mean() - mean_abs_t) <= 4.0 * se
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mc_ball_polar_volume_off_center(n):
+    # Polar path with a radial window covering the swept shell: the estimate
+    # of int 1 over an off-center ball is its volume Omega_Q R^Q.
+    gp = GroupParams(n=n)
+    coords = np.zeros(gp.dim)
+    coords[0], coords[-1] = 0.5, 0.3
+    R = 0.8
+    mc = MCSpec(samples=20_000, seed=13, shards=4)
+    est, se = mc_ball_integral(ones, HPoint(coords), R, gp, mc, radial_window=(0.0, 10.0))
+    exact = gp.Omega_Q * R**gp.Q
+    assert se > 0.0
+    assert abs(est - exact) <= 4.0 * se
