@@ -7,13 +7,12 @@ The package splits into layers:
 - hgroup: the group H^n = R^(2n+1) (law, dilations, gauge norm, polar
   geometry, Q = 2n+2, the unit-ball volume Omega_Q and sphere factor
   omega_Q = Q * Omega_Q).
-- specfun: Gamma/Beta/digamma in log space.
 - params: the exponent bookkeeping (ParamSet), derived scaling exponents
   sigma_j / sigma, and admissibility validation.
 - quad: deterministic 1-D quadrature, the two independent constant oracles,
   and seeded Monte Carlo ball integration.
-- constants: closed forms of the sharp constants and their reconciliation
-  against the oracles.
+- constants: closed forms of the sharp constants (log-Gamma from
+  math.lgamma) and their reconciliation against the oracles.
 - operators: radial profiles, the operators applied to them, extremizers,
   and radialization.
 - morrey: weighted Morrey norms over ball grids, the dilation law check,

@@ -25,7 +25,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,16 +34,16 @@ from .constants import beta_recursion_Im, hilbert_closed_form, reconcile
 from .hgroup import GroupParams, dilate_arrays, hnorm_arrays, identity, mul_arrays
 from .morrey import (
     BallGrid,
-    MorreySpaceSpec,
     default_grid,
     morrey_norm,
     sharpness_ratio,
+    source_space,
     verify_dilation,
 )
 from .operators import extremizer_profile
 from .params import ParamSet, derive_exponents, validate
 from .quad import MCSpec, QuadratureSpec, mc_ball_integral
-from .report import VerificationReport, compare, to_json_line
+from .report import VerificationReport, compare, write_reports
 
 __all__ = [
     "RunConfig",
@@ -118,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples per estimate")
     ap.add_argument("--panels", type=int, default=96, help="quadrature panels per segment")
-    ap.add_argument("--rel-target", type=float, default=1e-10, help="quadrature relative target")
     ap.add_argument("--out", type=str, default=None,
                     help="report path (default hlp_report.jsonl, or hlp_convergence.csv for csv)")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
@@ -201,6 +200,8 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     argv = _merge_negative_list_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     p = _params_from_args(args)
+    if p.n < 1:
+        raise UsageError(f"n>=1 violated: n = {p.n}")
     if args.format == "csv" and args.command != "verify-sharpness":
         raise UsageError(
             f"format=csv is reserved for the verify-sharpness convergence table, "
@@ -213,8 +214,6 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         raise UsageError(f"samples>=1000 violated: samples = {args.samples}")
     if args.panels < 1:
         raise UsageError(f"panels>=1 violated: panels = {args.panels}")
-    if not args.rel_target > 0.0:
-        raise UsageError(f"rel-target>0 violated: rel-target = {args.rel_target}")
     if not args.tolerance > 0.0:
         raise UsageError(f"tolerance>0 violated: tolerance = {args.tolerance}")
     if not (0.0 < args.rmin < args.rmax):
@@ -225,7 +224,7 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     return RunConfig(
         command=args.command,
         params=p,
-        quad=QuadratureSpec(panels=args.panels, rel_target=args.rel_target),
+        quad=QuadratureSpec(panels=args.panels),
         mc=MCSpec(samples=args.samples, seed=args.seed),
         grid=default_grid(args.n),
         output_path=out,
@@ -246,28 +245,9 @@ def _header_record(config: RunConfig) -> dict:
         "command": config.command,
         "format": config.format,
         "kind": config.kind,
-        "params": {
-            "m": config.params.m,
-            "n": config.params.n,
-            "q": config.params.q,
-            "q_list": list(config.params.q_list),
-            "lambda": config.params.lam,
-            "lambda_list": list(config.params.lam_list),
-            "gamma_list": list(config.params.gamma_list),
-            "alpha": config.params.alpha,
-        },
-        "quad": {
-            "scheme": config.quad.scheme,
-            "panels": config.quad.panels,
-            "nodes_per_panel": config.quad.nodes_per_panel,
-            "infinity_transform": config.quad.infinity_transform,
-            "rel_target": config.quad.rel_target,
-        },
-        "mc": {
-            "samples": config.mc.samples,
-            "seed": config.mc.seed,
-            "shards": config.mc.shards,
-        },
+        "params": config.params.to_dict(),
+        "quad": asdict(config.quad),
+        "mc": asdict(config.mc),
         "grid": {
             "center_radii": [float(v) for v in g.center_radii],
             "n_directions": len(g.center_directions),
@@ -280,18 +260,6 @@ def _header_record(config: RunConfig) -> dict:
         "truncation": list(config.truncation),
         "widths": [list(w) for w in config.widths],
     }
-
-
-def _source_space(p: ParamSet, j: int) -> MorreySpaceSpec:
-    """Factor space of index j (1-based): exponents (q_j, lambda_j), ball
-    weight |x|^alpha, content weight |x|^(q_j gamma_j / q)."""
-    qj = p.q_list[j - 1]
-    return MorreySpaceSpec(
-        q=qj,
-        lam=p.lam_list[j - 1],
-        alpha=p.alpha,
-        gamma_w=qj * p.gamma_list[j - 1] / p.q,
-    )
 
 
 def _validated(p: ParamSet, strict: bool = False) -> None:
@@ -341,7 +309,7 @@ def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
     gp = GroupParams(n=p.n)
     e = derive_exponents(p)
     f = extremizer_profile(e, 1)
-    space = _source_space(p, 1)
+    space = source_space(p, 1)
     return [
         verify_dilation(f, t, space, config.grid, gp, config.mc)
         for t in config.dilation_factors
@@ -366,7 +334,7 @@ def _cmd_morrey_norm(config: RunConfig) -> List[VerificationReport]:
     gp = GroupParams(n=p.n)
     e = derive_exponents(p)
     f = extremizer_profile(e, 1)
-    space = _source_space(p, 1)
+    space = source_space(p, 1)
     t0 = time.perf_counter()
     fq = f.power_q(space.q)
     w1 = gp.omega_Q / (gp.Q + space.alpha)
@@ -400,10 +368,7 @@ def _property_record(label: str, deviation: float, seed: int, ms: int, note: str
 
 def _cmd_group_check(config: RunConfig) -> List[VerificationReport]:
     """Group axioms on random triples plus a Monte Carlo ball volume check."""
-    p = config.params
-    n = p.n
-    if n < 1:
-        raise UsageError(f"n>=1 violated: n = {n}")
+    n = config.params.n
     gp = GroupParams(n=n)
     mc = config.mc
     d = gp.dim
@@ -524,11 +489,7 @@ def run(config: RunConfig, stream=None) -> int:
     except (ValueError, KeyError) as exc:
         raise UsageError(str(exc)) from exc
 
-    lines = [to_json_line(_header_record(config))]
-    lines.extend(to_json_line(r) for r in records)
-    with open(config.output_path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    write_reports(config.output_path, [_header_record(config), *records])
 
     ok = True
     for r in records:

@@ -18,9 +18,13 @@ from typing import Optional, Sequence, Tuple
 
 from .hgroup import GroupParams
 from .params import ExponentSet, ParamSet, admissibility_violations, derive_exponents
-from .quad import QuadratureSpec, hilbert_constant_oracle, hlp_constant_oracle
+from .quad import (
+    DivergenceError,
+    QuadratureSpec,
+    hilbert_constant_oracle,
+    hlp_constant_oracle,
+)
 from .report import VerificationReport, compare
-from .specfun import log_gamma
 
 __all__ = [
     "SharpConstant",
@@ -87,9 +91,9 @@ def hilbert_closed_form(e: ExponentSet, gp: GroupParams) -> SharpConstant:
         raise ValueError("hilbert_closed_form supports m < 170 (Gamma overflow)")
     log_value = m * math.log(gp.Omega_Q)
     for s_i in sorted(e.sigma_list):
-        log_value += log_gamma(1.0 + s_i / gp.Q)
-    log_value += log_gamma(-e.sigma / gp.Q)
-    log_value -= log_gamma(float(m))
+        log_value += math.lgamma(1.0 + s_i / gp.Q)
+    log_value += math.lgamma(-e.sigma / gp.Q)
+    log_value -= math.lgamma(float(m))
     return SharpConstant(
         kind="hilbert", value=math.exp(log_value), convention_note=_HILBERT_NOTE
     )
@@ -110,7 +114,7 @@ def beta_recursion_Im(exponents: Sequence[float], outer_power: float) -> float:
             raise ValueError(
                 f"nonpositive Beta argument in recursion: B({a}, {s - a})"
             )
-        log_value += log_gamma(a) + log_gamma(s - a) - log_gamma(s)
+        log_value += math.lgamma(a) + math.lgamma(s - a) - math.lgamma(s)
         s -= a
     return math.exp(log_value)
 
@@ -130,7 +134,12 @@ def reconcile(
     spec: Optional[QuadratureSpec] = None,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
-    """Compare the closed-form constant against its quadrature oracle."""
+    """Compare the closed-form constant against its quadrature oracle.
+
+    An admissible set whose oracle integral cannot be certified (near the
+    admissibility boundary the tail decays too slowly) yields a failed
+    record with a NaN oracle and the divergence message as its note.
+    """
     if gp is None:
         gp = GroupParams(n=p.n)
     if spec is None:
@@ -138,13 +147,16 @@ def reconcile(
     e = derive_exponents(p)
     start = time.perf_counter()
     if kind == "hlp":
-        const = hlp_closed_form(e, gp)
-        oracle = hlp_constant_oracle(e, gp, spec)
+        const, oracle_fn = hlp_closed_form(e, gp), hlp_constant_oracle
     elif kind == "hilbert":
-        const = hilbert_closed_form(e, gp)
-        oracle = hilbert_constant_oracle(e, gp, spec)
+        const, oracle_fn = hilbert_closed_form(e, gp), hilbert_constant_oracle
     else:
         raise ValueError(f"unknown constant kind {kind!r}")
+    note = const.convention_note
+    try:
+        oracle = oracle_fn(e, gp, spec)
+    except DivergenceError as exc:
+        oracle, note = math.nan, f"oracle could not certify: {exc}"
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     label = f"{kind}-constant m={e.m} n={gp.n}"
     return compare(
@@ -152,6 +164,6 @@ def reconcile(
         const.value,
         oracle,
         tolerance,
-        convention_note=const.convention_note,
+        convention_note=note,
         runtime_ms=runtime_ms,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "BallGrid",
     "MorreyEstimate",
     "default_grid",
+    "source_space",
     "morrey_norm",
     "morrey_norm_mc",
     "verify_dilation",
@@ -108,6 +109,18 @@ class BallGrid:
         )
 
 
+def source_space(p: ParamSet, j: int) -> MorreySpaceSpec:
+    """Factor space of index j (1-based): exponents (q_j, lambda_j), ball
+    weight |x|^alpha, content weight |x|^(q_j gamma_j / q)."""
+    qj = p.q_list[j - 1]
+    return MorreySpaceSpec(
+        q=qj,
+        lam=p.lam_list[j - 1],
+        alpha=p.alpha,
+        gamma_w=qj * p.gamma_list[j - 1] / p.q,
+    )
+
+
 def default_grid(n: int) -> BallGrid:
     """Center norms {0, 0.25, 1, 4}, one horizontal and the vertical
     direction, 17 log-spaced radii over [1e-2, 1e2]."""
@@ -155,6 +168,39 @@ def _cell_center(cr: float, direction: HPoint, n: int) -> HPoint:
     return HPoint(tuple(float(c) for c in coords))
 
 
+def _grid_cells(grid: BallGrid, n: int) -> Iterator[Tuple[int, int, int, float, HPoint, float]]:
+    """Every cell of the grid in fixed order as (ci, di, ri, cr, center, R).
+    The origin is visited with its first direction only, since all
+    directions coincide there."""
+    for ci, cr in enumerate(grid.center_radii):
+        for di, direction in enumerate(grid.center_directions):
+            if cr == 0.0 and di > 0:
+                continue
+            center = _cell_center(cr, direction, n)
+            for ri, R in enumerate(grid.radii):
+                yield ci, di, ri, cr, center, R
+
+
+def _cell_mc(mc: MCSpec, cell: Tuple[int, int, int], stream: int) -> MCSpec:
+    """Monte Carlo settings of one stream of the cell with indices
+    (ci, di, ri): the seed is keyed by the run seed, the cell and the stream,
+    so coupled runs over the same grid share their draws cell by cell."""
+    return MCSpec(
+        samples=mc.samples,
+        seed=derive_seed(derive_seed(mc.seed, *cell), stream),
+        shards=mc.shards,
+    )
+
+
+def _check_origin(exponent: float, Q: float) -> None:
+    """Raise when the cell integrand |x|^exponent is not integrable at the origin."""
+    if exponent <= -Q:
+        raise DivergenceError(
+            f"Morrey cell integral diverges at the origin: exponent {exponent:+.6g} <= -Q",
+            conditions=(f"Q+sigma_j>0 violated: q*sigma+gamma_w = {exponent:+.6g} <= -Q",),
+        )
+
+
 def _ball_weight(
     center: HPoint,
     cr: float,
@@ -162,7 +208,7 @@ def _ball_weight(
     alpha: float,
     gp: GroupParams,
     mc: MCSpec,
-    cell_seed: int,
+    cell: Tuple[int, int, int],
 ) -> Tuple[float, float]:
     """w_1(B(a, R)) = int_B |x|^alpha dx and its stderr (0 when exact)."""
     if alpha == 0.0:
@@ -175,12 +221,9 @@ def _ball_weight(
         r = hnorm_arrays(X, gp.n)
         return np.where(r > 0.0, r**alpha, 0.0)
 
-    w_mc = MCSpec(
-        samples=mc.samples,
-        seed=derive_seed(cell_seed, _STREAM_WEIGHT),
-        shards=mc.shards,
+    return mc_ball_integral(
+        h, center, R, gp, _cell_mc(mc, cell, _STREAM_WEIGHT), origin_exponent=beta
     )
-    return mc_ball_integral(h, center, R, gp, w_mc, origin_exponent=beta)
 
 
 def _profile_cell_integrand(fq: RadialProfile, gamma_w: float, n: int) -> Callable:
@@ -232,53 +275,38 @@ def _cell_values_profile(
     pref_exp = -(lam + 1.0 / q)
     fq = f.power_q(q) if not f.is_zero else f
     p0 = fq.origin_exponent()
-    if p0 is not None and p0 + gw + gp.Q <= 0.0:
-        raise DivergenceError(
-            f"Morrey cell integral diverges at the origin: exponent "
-            f"{p0 + gw:+.6g} <= -Q",
-            conditions=(f"Q+sigma_j>0 violated: q*sigma+gamma_w = {p0 + gw:+.6g} <= -Q",),
-        )
+    if p0 is not None:
+        _check_origin(p0 + gw, gp.Q)
     integrand = _profile_cell_integrand(fq, gw, gp.n)
     s_lo, s_hi = fq.support()
 
     cells: List[_Cell] = []
-    for ci, cr in enumerate(grid.center_radii):
-        for di, direction in enumerate(grid.center_directions):
-            if cr == 0.0 and di > 0:
-                continue  # all directions coincide at the origin
-            center = _cell_center(cr, direction, gp.n)
-            for ri, R in enumerate(grid.radii):
-                if cr == 0.0:
-                    w1 = gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
-                    try:
-                        integral = gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R)
-                    except DivergenceError as exc:
-                        raise DivergenceError(
-                            f"cell center |a|=0, R={R:g}: {exc}",
-                            conditions=exc.conditions,
-                        ) from exc
-                    se_i, se_w = 0.0, 0.0
-                else:
-                    cell_seed = derive_seed(mc.seed, ci, di, ri)
-                    cell_mc = MCSpec(
-                        samples=mc.samples,
-                        seed=derive_seed(cell_seed, _STREAM_INTEGRAL),
-                        shards=mc.shards,
-                    )
-                    beta = _cell_tilt(fq, gw, cr, R, s_lo, s_hi, gp.Q)
-                    integral, se_i = mc_ball_integral(
-                        integrand,
-                        center,
-                        R,
-                        gp,
-                        cell_mc,
-                        origin_exponent=beta,
-                        radial_window=(s_lo, s_hi),
-                    )
-                    w1, se_w = _ball_weight(center, cr, R, alpha, gp, mc, cell_seed)
-                cells.append(
-                    _Cell(ci, di, ri, cr, R, *_cell_value(integral, se_i, w1, se_w, q, pref_exp))
-                )
+    for ci, di, ri, cr, center, R in _grid_cells(grid, gp.n):
+        if cr == 0.0:
+            w1 = gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
+            try:
+                integral = gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"cell center |a|=0, R={R:g}: {exc}",
+                    conditions=exc.conditions,
+                ) from exc
+            se_i, se_w = 0.0, 0.0
+        else:
+            beta = _cell_tilt(fq, gw, cr, R, s_lo, s_hi, gp.Q)
+            integral, se_i = mc_ball_integral(
+                integrand,
+                center,
+                R,
+                gp,
+                _cell_mc(mc, (ci, di, ri), _STREAM_INTEGRAL),
+                origin_exponent=beta,
+                radial_window=(s_lo, s_hi),
+            )
+            w1, se_w = _ball_weight(center, cr, R, alpha, gp, mc, (ci, di, ri))
+        cells.append(
+            _Cell(ci, di, ri, cr, R, *_cell_value(integral, se_i, w1, se_w, q, pref_exp))
+        )
     return cells
 
 
@@ -336,11 +364,7 @@ def morrey_norm_mc(
     q, lam, alpha, gw = space.q, space.lam, space.alpha, space.gamma_w
     pref_exp = -(lam + 1.0 / q)
     beta = min(0.0, q * float(origin_exponent) + gw)
-    if beta <= -gp.Q:
-        raise DivergenceError(
-            f"Morrey cell integral diverges at the origin: exponent {beta:+.6g} <= -Q",
-            conditions=(f"Q+sigma_j>0 violated: q*sigma+gamma_w = {beta:+.6g} <= -Q",),
-        )
+    _check_origin(beta, gp.Q)
 
     def integrand(X):
         r = hnorm_arrays(X, gp.n)
@@ -352,25 +376,19 @@ def morrey_norm_mc(
         return out
 
     cells: List[_Cell] = []
-    for ci, cr in enumerate(grid.center_radii):
-        for di, direction in enumerate(grid.center_directions):
-            if cr == 0.0 and di > 0:
-                continue
-            center = _cell_center(cr, direction, gp.n)
-            for ri, R in enumerate(grid.radii):
-                cell_seed = derive_seed(mc.seed, ci, di, ri)
-                cell_mc = MCSpec(
-                    samples=mc.samples,
-                    seed=derive_seed(cell_seed, _STREAM_INTEGRAL),
-                    shards=mc.shards,
-                )
-                integral, se_i = mc_ball_integral(
-                    integrand, center, R, gp, cell_mc, origin_exponent=beta
-                )
-                w1, se_w = _ball_weight(center, cr, R, alpha, gp, mc, cell_seed)
-                cells.append(
-                    _Cell(ci, di, ri, cr, R, *_cell_value(integral, se_i, w1, se_w, q, pref_exp))
-                )
+    for ci, di, ri, cr, center, R in _grid_cells(grid, gp.n):
+        integral, se_i = mc_ball_integral(
+            integrand,
+            center,
+            R,
+            gp,
+            _cell_mc(mc, (ci, di, ri), _STREAM_INTEGRAL),
+            origin_exponent=beta,
+        )
+        w1, se_w = _ball_weight(center, cr, R, alpha, gp, mc, (ci, di, ri))
+        cells.append(
+            _Cell(ci, di, ri, cr, R, *_cell_value(integral, se_i, w1, se_w, q, pref_exp))
+        )
     return _reduce(cells)
 
 
@@ -476,13 +494,7 @@ def sharpness_ratio(
     ]
     denom = 1.0
     for j in range(p.m):
-        source = MorreySpaceSpec(
-            q=p.q_list[j],
-            lam=p.lam_list[j],
-            alpha=p.alpha,
-            gamma_w=p.q_list[j] * p.gamma_list[j] / p.q,
-        )
-        denom *= morrey_norm(extremizers[j], source, grid, gp, mc).value
+        denom *= morrey_norm(extremizers[j], source_space(p, j + 1), grid, gp, mc).value
 
     knots = _sharpness_knots(grid)
     tf = apply_radii(name, extremizers, knots, gp, spec)

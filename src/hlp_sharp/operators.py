@@ -30,7 +30,6 @@ from .quad import (
     integrate_curve,
     polar_directions,
 )
-from .specfun import log_gamma
 
 __all__ = [
     "OperatorKind",
@@ -454,13 +453,13 @@ def _hilbert_power_exact(
     Gamma-product identity give a closed form."""
     Q = gp.Q
     m = len(profiles)
-    log_val = m * math.log(gp.Omega_Q) - log_gamma(float(m))
+    log_val = m * math.log(gp.Omega_Q) - math.lgamma(float(m))
     sigma = 0.0
     for f in profiles:
         _, _, A, p = f.segments[0]
         sigma += p
-        log_val += math.log(A) + log_gamma(1.0 + p / Q)
-    log_val += log_gamma(-sigma / Q)
+        log_val += math.log(A) + math.lgamma(1.0 + p / Q)
+    log_val += math.lgamma(-sigma / Q)
     return math.exp(log_val) * t**sigma
 
 

@@ -50,19 +50,21 @@ class ParamSet:
     def gamma(self) -> float:
         return sum(self.gamma_list)
 
+    def to_dict(self) -> dict:
+        """Plain-JSON form; from_json reads it back."""
+        return {
+            "m": self.m,
+            "n": self.n,
+            "q": self.q,
+            "q_list": list(self.q_list),
+            "lambda": self.lam,
+            "lambda_list": list(self.lam_list),
+            "gamma_list": list(self.gamma_list),
+            "alpha": self.alpha,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "n": self.n,
-                "q": self.q,
-                "q_list": list(self.q_list),
-                "lambda": self.lam,
-                "lambda_list": list(self.lam_list),
-                "gamma_list": list(self.gamma_list),
-                "alpha": self.alpha,
-            }
-        )
+        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "ParamSet":

@@ -3,12 +3,11 @@
 Three layers:
 
 * a 1-D engine for integrals over (0, inf) of radial curves with possible
-  power singularities at the origin and power/exponential tails: composite
-  Gauss-Legendre on panels geometrically refined toward the singular
-  endpoint, with geometric-series extrapolation of the leftover mass, or a
-  tanh-sinh (double-exponential) rule per piece; infinite tails are folded
-  to (0, 1/2] by the rational map r = c(1-s)/s (or an exponential map as a
-  fallback for rapidly decaying tails);
+  power singularities at the origin and power or faster-decaying tails:
+  composite Gauss-Legendre on panels geometrically refined toward the
+  singular endpoint, with geometric-series extrapolation of the leftover
+  mass; infinite tails are folded to (0, 1/2] by the rational map
+  r = c(1-s)/s;
 * quadrature oracles for the two sharp constants, built on the region
   decomposition of the max kernel and the iterated Beta-type reduction of
   the additive kernel — independent of the closed forms they certify;
@@ -45,32 +44,15 @@ class SamplingError(RuntimeError):
     """Monte Carlo sampling failed (e.g. vanishing acceptance ratio)."""
 
 
-_SCHEMES = ("gauss_legendre_composite", "double_exponential")
-_TRANSFORMS = ("rational_map", "exp_map")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Settings for the deterministic integration engine."""
 
-    scheme: str = "gauss_legendre_composite"
     panels: int = 96
-    nodes_per_panel: int = 12
-    infinity_transform: str = "rational_map"
-    rel_target: float = 1e-10
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {_SCHEMES}")
-        if self.infinity_transform not in _TRANSFORMS:
-            raise ValueError(
-                f"unknown infinity_transform {self.infinity_transform!r}; "
-                f"expected one of {_TRANSFORMS}"
-            )
-        if self.panels < 1 or self.nodes_per_panel < 1:
-            raise ValueError("panels and nodes_per_panel must be positive")
-        if not (0.0 < self.rel_target <= 1e-2):
-            raise ValueError("rel_target must lie in (0, 1e-2]")
+        if self.panels < 1:
+            raise ValueError("panels must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,6 +79,9 @@ def derive_seed(seed: int, *indices: int) -> int:
 # ---------------------------------------------------------------------------
 # 1-D engine
 # ---------------------------------------------------------------------------
+
+_NODES_PER_PANEL = 12
+
 
 @lru_cache(maxsize=16)
 def _leggauss(k: int):
@@ -127,7 +112,7 @@ def _int_smooth(g, a: float, b: float, spec: QuadratureSpec) -> float:
     else:
         count = max(4, min(spec.panels, 16))
         edges = np.linspace(a, b, count + 1)
-    return float(np.sum(_panel_sums(g, edges, spec.nodes_per_panel)))
+    return float(np.sum(_panel_sums(g, edges, _NODES_PER_PANEL)))
 
 
 def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
@@ -145,7 +130,7 @@ def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
     # geometric-series extrapolation still handles the sub-panel mass exactly
     # for power behavior
     edges = b * np.exp2(-0.5 * np.arange(K + 1, dtype=float))[::-1]  # ascending
-    sums = _panel_sums(g, edges, spec.nodes_per_panel)[::-1]  # [0]=outermost
+    sums = _panel_sums(g, edges, _NODES_PER_PANEL)[::-1]  # [0]=outermost
     total = float(np.sum(sums))
     tail = sums[-1]
     scale = max(abs(total), float(np.max(np.abs(sums))), 1e-300)
@@ -169,104 +154,15 @@ def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
     return total + float(tail) * rho / (1.0 - rho)
 
 
-# -- tanh-sinh rule ---------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _ts_nodes(level: int):
-    """tanh-sinh nodes/weights on (0,1) at step h = 0.5/2^level.
-
-    Returns only the nodes new at this level (odd multiples of h for
-    level > 0), as (x, 1-x, weight) arrays.  The window |t| <= 4.6 keeps the
-    innermost nodes near 1e-68 from either endpoint, so power singularities
-    with exponent above ~1/4 integrate to full precision while integrand
-    composition stays inside double range; slower endpoint behavior is
-    rejected by the edge-mass check in the caller.
-    """
-    h = 0.5 / (1 << level)
-    tmax = 4.6
-    kmax = int(math.floor(tmax / h))
-    if level == 0:
-        ks = np.arange(-kmax, kmax + 1)
-    else:
-        ks = np.arange(-kmax, kmax + 1)
-        ks = ks[ks % 2 != 0]
-    t = ks * h
-    z = math.pi * np.sinh(t)
-    # sigmoid and its complement, stably
-    x = np.where(z >= 0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-    xm = np.where(z >= 0, np.exp(-z) / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z)))
-    w = h * math.pi * np.cosh(t) * x * xm
-    keep = (w > 0) & (x > 0) & (xm > 0)
-    return x[keep], xm[keep], w[keep]
-
-
-def _int_piece_de(g, a: float, b: float, spec: QuadratureSpec, where: str) -> float:
-    """tanh-sinh integration of g over (a, b); endpoint singularities allowed."""
-    if b <= a:
-        return 0.0
-    span = b - a
-    total = 0.0
-    prev = math.inf
-    edge_mass = 0.0
-    for level in range(10):
-        x, xm, w = _ts_nodes(level)
-        if a == 0.0:
-            r = b * x  # exact distance to the singular endpoint
-        else:
-            r = a + span * x
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            vals = np.asarray(g(r), dtype=float)
-        terms = w * vals
-        contrib = span * float(np.sum(terms))
-        if level == 0:
-            # mass carried by the outermost nodes; if it is not negligible the
-            # truncated tanh-sinh window cannot certify the endpoint behavior
-            edge_mass = span * float(np.sum(np.abs(terms[:3])) + np.sum(np.abs(terms[-3:])))
-        total = total / 2.0 + contrib if level > 0 else contrib
-        if not math.isfinite(total):
-            raise DivergenceError(
-                f"non-convergent integral near {where}: tanh-sinh sum overflowed",
-                conditions=(where,),
-            )
-        if level >= 2 and abs(total - prev) <= spec.rel_target * max(abs(total), 1e-300):
-            break
-        prev = total
-    else:
-        if abs(total - prev) > 1e-6 * max(abs(total), 1e-300):
-            raise DivergenceError(
-                f"non-convergent integral near {where}: tanh-sinh refinement stalled",
-                conditions=(where,),
-            )
-    if edge_mass > max(spec.rel_target, 1e-12) * max(abs(total), 1e-300):
-        raise DivergenceError(
-            f"non-convergent integral near {where}: endpoint decay too slow for "
-            f"the tanh-sinh window (edge mass {edge_mass:.2e})",
-            conditions=(where,),
-        )
-    return total
-
-
 def _int_piece(g, a: float, b: float, spec: QuadratureSpec, where: str) -> float:
-    if spec.scheme == "double_exponential":
-        return _int_piece_de(g, a, b, spec, where)
     if a == 0.0:
         return _int_singular0(g, b, spec, where)
     return _int_smooth(g, a, b, spec)
 
 
 def _int_tail(g, c: float, spec: QuadratureSpec) -> float:
-    """Integral of g over (c, inf), folded to a finite piece.
-
-    rational_map: r = c(1-s)/s, s in (0, 1/2]  (exact for power tails);
-    exp_map:      r = c(1 - ln s), s in (0, 1]  (for exponential tails).
-    """
-    if spec.infinity_transform == "exp_map":
-        def h(s):
-            vals = np.asarray(g(c * (1.0 - np.log(s))), dtype=float)
-            jac = np.where(vals == 0.0, 0.0, c / s)
-            return vals * jac
-
-        return _int_piece(h, 0.0, 1.0, spec, "tail")
+    """Integral of g over (c, inf), folded to (0, 1/2] by the rational map
+    r = c(1-s)/s, which is exact for power tails."""
 
     def h(s):
         vals = np.asarray(g(c * (1.0 - s) / s), dtype=float)
@@ -288,7 +184,7 @@ def integrate_curve(
 
     Splits at the supplied breakpoints (kernel kinks, support edges, knots),
     treats the origin endpoint as possibly power-singular, and folds an
-    infinite upper limit through the configured transform.
+    infinite upper limit through the rational map.
     """
     if upper <= lower:
         return 0.0

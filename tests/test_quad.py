@@ -20,7 +20,6 @@ from hlp_sharp.quad import (
     polar_directions,
     radial_integral,
 )
-from hlp_sharp.specfun import beta as beta_fn
 
 # Frozen reference values for the bilinear example (m=2, n=1, q=2, q_j=4,
 # lambda=-1/4, lambda_j=-1/8, gamma_j=0, alpha=0), obtained from an
@@ -50,13 +49,7 @@ def bilinear_exponents():
 
 def test_quadrature_spec_rejects_bad_settings():
     with pytest.raises(ValueError):
-        QuadratureSpec(scheme="simpson")
-    with pytest.raises(ValueError):
-        QuadratureSpec(infinity_transform="mobius")
-    with pytest.raises(ValueError):
         QuadratureSpec(panels=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_target=0.5)
 
 
 def test_mc_spec_rejects_bad_settings():
@@ -87,18 +80,8 @@ def test_integrate_curve_beta_integral(quad_spec):
             quad_spec,
             breakpoints=(1.0,),
         )
-        assert got == pytest.approx(beta_fn(a, b), rel=1e-9)
-
-
-def test_integrate_curve_double_exponential_scheme():
-    # mild endpoint singularity: the tanh-sinh edge-mass guard certifies it
-    spec = QuadratureSpec(scheme="double_exponential")
-    got = integrate_curve(
-        lambda t: t ** (0.7 - 1.0) * (1.0 + t) ** (-1.9),
-        spec,
-        breakpoints=(1.0,),
-    )
-    assert got == pytest.approx(beta_fn(0.7, 1.2), rel=1e-9)
+        beta_ab = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        assert got == pytest.approx(beta_ab, rel=1e-9)
 
 
 def test_integrate_curve_exponential_tail_both_transforms(quad_spec):
@@ -110,10 +93,6 @@ def test_integrate_curve_exponential_tail_both_transforms(quad_spec):
         return np.where(e == 0.0, 0.0, r**3 * e)
 
     assert integrate_curve(g, quad_spec, breakpoints=(1.0, 8.0)) == pytest.approx(
-        6.0, rel=1e-9
-    )
-    spec = QuadratureSpec(infinity_transform="exp_map")
-    assert integrate_curve(g, spec, breakpoints=(1.0, 8.0)) == pytest.approx(
         6.0, rel=1e-9
     )
 

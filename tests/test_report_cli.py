@@ -114,7 +114,7 @@ def test_config_defaults():
     assert p.lam == -0.25  # -1/(2q)
     assert p.lam_list == (-0.25,)
     assert p.gamma_list == (0.0,)
-    assert cfg.quad.panels == 96 and cfg.quad.rel_target == 1e-10
+    assert cfg.quad.panels == 96
     assert cfg.mc.samples == 100_000 and cfg.mc.seed == 0 and cfg.mc.shards == 8
     assert cfg.dilation_factors == (0.5, 2.0, 10.0)
     assert cfg.truncation == (1e-2, 1e2)
@@ -198,6 +198,7 @@ def test_constant_command_passes_and_writes_report(tmp_path):
     assert header["record"] == "header"
     assert header["command"] == "constant"
     assert header["mc"] == {"samples": 100_000, "seed": 0, "shards": 8}
+    assert header["quad"] == {"panels": 96}
     assert header["params"]["lambda"] == -0.25
     assert "timestamp" not in lines[0]
     record = json.loads(lines[1])
@@ -222,6 +223,28 @@ def test_usage_error_exit_code_names_condition(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage error" in err
     assert "lambda in [-1/q,0) violated" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_nonpositive_n_is_a_usage_error(n, tmp_path, capsys):
+    status, _ = run_main(["--command", "constant", "--n", n], tmp_path)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "n>=1 violated" in err
+
+
+def test_uncertifiable_oracle_is_a_failed_record(tmp_path, capsys):
+    # Admissible, but sigma is so close to 0 that the tail integral of the
+    # oracle decays too slowly to certify.
+    status, path = run_main(["--command", "constant", "--lambda", "-0.00002"], tmp_path)
+    assert status == 1
+    assert capsys.readouterr().err == ""
+    record = json.loads(path.read_text().splitlines()[1])
+    assert record["passed"] is False
+    assert record["oracle"] == "nan"
+    assert record["convention_note"].startswith("oracle could not certify: ")
+    assert "near tail" in record["convention_note"]
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
