@@ -64,8 +64,8 @@ print(f"  A_2 closed  {hlp_closed_form(e, gp).value:.10f}")
 print(f"  A_2 oracle  {hlp_constant_oracle(e, gp, spec):.10f}")
 print(f"  B_2 closed  {hilbert_closed_form(e, gp).value:.10f}")
 print(f"  B_2 oracle  {hilbert_constant_oracle(e, gp, spec):.10f}")
-a_list = [1.0 + s / gp.Q for s in e.sigma_list]
-print(f"  B_2 via Beta recursion  {gp.Omega_Q**2 * beta_recursion_Im(a_list, 2.0):.10f}")
+offsets = [s / gp.Q for s in e.sigma_list]
+print(f"  B_2 via Beta recursion  {gp.Omega_Q**2 * beta_recursion_Im(offsets, 2.0):.10f}")
 
 # ---------------------------------------------------------------------------
 # Random admissible sets: the oracle must agree with the closed form

@@ -287,8 +287,8 @@ def _cmd_oracle_compare(config: RunConfig) -> List[VerificationReport]:
     e = derive_exponents(p)
     t0 = time.perf_counter()
     closed = hilbert_closed_form(e, gp).value
-    a_list = [1.0 + s / gp.Q for s in e.sigma_list]
-    recursed = gp.Omega_Q**p.m * beta_recursion_Im(a_list, float(p.m))
+    offsets = [s / gp.Q for s in e.sigma_list]
+    recursed = gp.Omega_Q**p.m * beta_recursion_Im(offsets, float(p.m))
     ms = int(round((time.perf_counter() - t0) * 1000))
     records.append(
         compare(

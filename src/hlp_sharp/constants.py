@@ -99,23 +99,24 @@ def hilbert_closed_form(e: ExponentSet, gp: GroupParams) -> SharpConstant:
     )
 
 
-def beta_recursion_Im(exponents: Sequence[float], outer_power: float) -> float:
-    """Evaluate I_m by peeling one Beta factor per step.
+def beta_recursion_Im(offsets: Sequence[float], outer_power: float) -> float:
+    """Evaluate I_m(a_1..a_m; s), a_j = 1 + d_j, peeling one Beta per step.
 
     I_m(a_1..a_m; s) = B(a_m, s - a_m) * I_{m-1}(a_1..a_{m-1}; s - a_m) with
-    I_0 = 1, equal to prod Gamma(a_i) * Gamma(s - sum a_i) / Gamma(s).
-    Computed in log space; every peeled Beta must have positive arguments.
+    I_0 = 1, equal to prod Gamma(a_i) * Gamma(s - sum a_i) / Gamma(s).  Taking
+    the offsets d_j (sigma_j/Q for B_m) keeps the outer power as k + e with k
+    factors left, so the last argument s - m - sum d_j comes from the offsets,
+    not from a difference of numbers rounded near 1.  Computed in log space;
+    every peeled Beta must have positive arguments.
     """
-    a_list = [float(a) for a in exponents]
-    s = float(outer_power)
+    k, excess = len(offsets), float(outer_power) - len(offsets)
     log_value = 0.0
-    for a in reversed(a_list):
-        if a <= 0.0 or s - a <= 0.0:
-            raise ValueError(
-                f"nonpositive Beta argument in recursion: B({a}, {s - a})"
-            )
-        log_value += math.lgamma(a) + math.lgamma(s - a) - math.lgamma(s)
-        s -= a
+    for d in reversed([float(d) for d in offsets]):
+        a, s, rest = 1.0 + d, k + excess, (k - 1) + (excess - d)
+        k, excess = k - 1, excess - d
+        if a <= 0.0 or rest <= 0.0:
+            raise ValueError(f"nonpositive Beta argument in recursion: B({a}, {rest})")
+        log_value += math.lgamma(a) + math.lgamma(rest) - math.lgamma(s)
     return math.exp(log_value)
 
 

@@ -25,8 +25,8 @@ from .quad import (
     DivergenceError,
     MCSpec,
     QuadratureSpec,
-    _eval_batch,
     derive_seed,
+    eval_batch,
     mc_ball_integral,
 )
 from .report import VerificationReport, compare
@@ -368,7 +368,7 @@ def morrey_norm_mc(
 
     def integrand(X):
         r = hnorm_arrays(X, gp.n)
-        fv = np.abs(np.asarray(_eval_batch(f, X), dtype=float)) ** q
+        fv = np.abs(np.asarray(eval_batch(f, X), dtype=float)) ** q
         out = np.zeros_like(fv)
         mask = (fv > 0.0) & (r > 0.0)
         if np.any(mask):

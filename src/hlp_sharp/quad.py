@@ -84,14 +84,14 @@ _NODES_PER_PANEL = 12
 
 
 @lru_cache(maxsize=16)
-def _leggauss(k: int):
+def leggauss(k: int):
     x, w = np.polynomial.legendre.leggauss(k)
     return x, w
 
 
 def _panel_sums(g, edges: np.ndarray, nodes: int) -> np.ndarray:
     """Gauss-Legendre sums of g over consecutive panels [edges_i, edges_{i+1}]."""
-    x, w = _leggauss(nodes)
+    x, w = leggauss(nodes)
     a = edges[:-1]
     h = 0.5 * (edges[1:] - a)
     mid = a + h
@@ -313,7 +313,7 @@ _ACCEPT_FLOOR = 1e-4
 _PURPOSE_BALL = 17
 
 
-def _eval_batch(f, pts: np.ndarray) -> np.ndarray:
+def eval_batch(f, pts: np.ndarray) -> np.ndarray:
     """Evaluate f on an (N, 2n+1) batch.
 
     An integrand that rejects the array or returns the wrong shape is called
@@ -378,7 +378,7 @@ def _mc_shard_plain(f, center, radius, gp, seed, shard, count):
     if np.any(acc):
         z = dilate_arrays(radius, u[acc], n)
         pts = mul_arrays(center, z, n)
-        w[acc] = _eval_batch(f, pts) * vbox
+        w[acc] = eval_batch(f, pts) * vbox
     mean = float(w.mean())
     var = float(w.var(ddof=1) / count) if count > 1 else 0.0
     return mean, var, int(np.count_nonzero(acc)), count
@@ -402,7 +402,7 @@ def _mc_shard_importance(
     u = (k + rng.random(strata * per_block)) / strata
     r = (lo_p + u * span) ** (1.0 / p)
     pts = dilate_arrays(r, polar_directions(rng, r.size, n), n)
-    w = _eval_batch(f, pts) / (dens_c * r**beta)
+    w = eval_batch(f, pts) / (dens_c * r**beta)
     if float(hnorm_arrays(true_center, n)) > 0.0:
         offset = mul_arrays(-true_center, pts, n)
         w = np.where(hnorm_arrays(offset, n) < radius, w, 0.0)

@@ -33,7 +33,15 @@ from hlp_sharp.hgroup import (
     identity,
     mul_arrays,
 )
-from hlp_sharp.morrey import BallGrid, MorreySpaceSpec, morrey_norm, morrey_norm_mc, verify_dilation
+from hlp_sharp.morrey import (
+    BallGrid,
+    MorreySpaceSpec,
+    default_grid,
+    morrey_norm,
+    morrey_norm_mc,
+    sharpness_ratio,
+    verify_dilation,
+)
 from hlp_sharp.cli import emit_convergence_table
 from hlp_sharp.operators import RadialProfile, apply, radialize
 from hlp_sharp.params import (
@@ -133,8 +141,8 @@ def test_criterion_4_hilbert_constant_reconciliation(random_paramsets, spec):
         rel = abs(closed - oracle) / max(closed, oracle)
         assert rel <= 1e-6, f"{p} rel={rel:.3e}"
         # the nested Beta recursion must reproduce the Gamma-product form
-        a_list = [1.0 + s / gp_n.Q for s in e.sigma_list]
-        recursed = gp_n.Omega_Q**p.m * beta_recursion_Im(a_list, float(p.m))
+        offsets = [s / gp_n.Q for s in e.sigma_list]
+        recursed = gp_n.Omega_Q**p.m * beta_recursion_Im(offsets, float(p.m))
         assert abs(recursed - closed) <= 1e-12 * closed
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"criterion 4 took {elapsed:.2f}s"
@@ -198,6 +206,18 @@ def test_criterion_6_sharpness_ratio_convergence():
             assert narrow <= 1.0 + 1e-3 and wide <= 1.0 + 1e-3
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0, f"criterion 6 took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_hilbert_sharpness_ratio_beyond_m2(m):
+    # The sum kernel's bounded-support path at m = 3, 4 on a thinned grid.
+    g = default_grid(1)
+    grid = BallGrid(g.center_radii, g.center_directions, g.radii[::8])
+    rep = sharpness_ratio(
+        "hilbert", sharp_params(m), (1e-2, 1e2), grid, QuadratureSpec(), MCSpec(samples=20000)
+    )
+    rel = rep.oracle / rep.closed_form
+    assert 0.90 <= rel <= 1.0 + 1e-3, f"m={m}: ratio/constant {rel:.4f}"
 
 
 @pytest.mark.parametrize("n", [1, 2])

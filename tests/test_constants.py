@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,9 +111,9 @@ def test_hilbert_rejects_huge_m(gp1):
 
 
 def test_beta_recursion_unrolls_to_beta_factors():
-    # m = 2 with a = (7/8, 7/8), s = 2:
+    # m = 2 with a = (7/8, 7/8), i.e. offsets -1/8, and s = 2:
     # I_2 = B(7/8, 2 - 7/8) * B(7/8, (2 - 7/8) - 7/8)
-    got = beta_recursion_Im((0.875, 0.875), 2.0)
+    got = beta_recursion_Im((-0.125, -0.125), 2.0)
     expected = (math.gamma(0.875) * math.gamma(1.125) / math.gamma(2.0)) * (
         math.gamma(0.875) * math.gamma(0.25) / math.gamma(1.125)
     )
@@ -125,7 +126,7 @@ def test_beta_recursion_matches_gamma_product_identity():
         m = int(rng.integers(1, 5))
         a = rng.uniform(0.05, 0.95, size=m)
         s = float(a.sum() + rng.uniform(0.05, 2.0))
-        got = beta_recursion_Im(tuple(a), s)
+        got = beta_recursion_Im(tuple(a - 1.0), s)
         log_expected = (
             sum(math.lgamma(v) for v in a)
             + math.lgamma(s - float(a.sum()))
@@ -136,9 +137,32 @@ def test_beta_recursion_matches_gamma_product_identity():
 
 def test_beta_recursion_rejects_nonpositive_arguments():
     with pytest.raises(ValueError, match="nonpositive Beta argument"):
-        beta_recursion_Im((1.5, 1.0), 2.0)
+        beta_recursion_Im((0.5, 0.0), 2.0)  # a = (1.5, 1.0)
     with pytest.raises(ValueError, match="nonpositive Beta argument"):
-        beta_recursion_Im((-0.5,), 2.0)
+        beta_recursion_Im((-1.5,), 2.0)  # a = -0.5
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("gap", [1e-2, 1e-5])
+def test_beta_recursion_near_sigma_zero_matches_mpmath(gp1, m, gap):
+    # -sigma/Q = gap, split unevenly over the factors; mpmath at 30 digits
+    # referees the recursion and the closed form on the same double inputs.
+    Q = gp1.Q
+    sigma = -gap * Q
+    shares = (0.8, 0.2) if m == 2 else (2.0, -1.5, 0.5)
+    e = ExponentSet(sigma_list=tuple(c * sigma for c in shares), sigma=sigma)
+    offsets = [s / Q for s in e.sigma_list]
+    with mpmath.workdps(30):
+        exact = mpmath.mpf(gp1.Omega_Q) ** m / mpmath.gamma(m)
+        for d in offsets:
+            exact *= mpmath.gamma(1 + mpmath.mpf(d))
+        exact *= mpmath.gamma(-mpmath.fsum(mpmath.mpf(d) for d in offsets))
+        exact = float(exact)
+    recursed = gp1.Omega_Q**m * beta_recursion_Im(offsets, float(m))
+    closed = hilbert_closed_form(e, gp1).value
+    assert recursed == pytest.approx(exact, rel=1e-14)
+    assert closed == pytest.approx(exact, rel=1e-14)
+    assert abs(recursed - closed) <= 1e-12 * closed
 
 
 def test_reconcile_produces_passing_reports(gp1, quad_spec):

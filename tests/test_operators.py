@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hlp_sharp.hgroup import hnorm_arrays
+from hlp_sharp.hgroup import GroupParams, hnorm_arrays
 from hlp_sharp.operators import (
     OperatorKind,
     RadialProfile,
+    _axis_rule,
+    _hilbert_power_exact,
     apply,
     apply_radii,
     extremizer_profile,
@@ -381,6 +383,48 @@ def test_apply_radii_matches_pointwise_apply(gp1, quad_spec):
         vec = apply_radii(kind, [f1, f2], radii, gp1, quad_spec)
         point = np.array([apply(kind, [f1, f2], t, gp1, quad_spec) for t in radii])
         assert vec == pytest.approx(point, rel=1e-10)
+        assert apply_radii(kind, [f1, f2], [], gp1, quad_spec).size == 0
+
+
+def _hilbert_tensor_sum(profiles, radii, gp):
+    """Direct N^m sum of the sum kernel on the _axis_rule nodes."""
+    Q, m = gp.Q, len(profiles)
+    rules = [_axis_rule(f, gp) for f in profiles]
+    u = sum(np.ix_(*[r**Q for r, _ in rules]))
+    w = np.ones(())
+    for _, wj in rules:
+        w = np.multiply.outer(w, wj)
+    return np.array([gp.omega_Q**m * np.sum(w * (t**Q + u) ** (-float(m))) for t in radii])
+
+
+@pytest.mark.parametrize(
+    "sigmas",
+    [(-0.5, -0.8), (-0.3, -0.6, -0.9)],
+    ids=["m2", "m3"],
+)
+def test_hilbert_contraction_matches_tensor_sum(gp1, sigmas):
+    profiles = [
+        RadialProfile.truncated_power(s, 0.2 + 0.1 * j, 5.0 - j, amplitude=1.0 + 0.5 * j)
+        for j, s in enumerate(sigmas)
+    ]
+    radii = np.array([1e-3, 0.1, 0.7, 1.0, 3.0, 40.0])
+    got = apply_radii("hilbert", profiles, radii, gp1)
+    ref = _hilbert_tensor_sum(profiles, radii, gp1)
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-13)
+
+
+def test_hilbert_contraction_wide_truncation_stays_finite():
+    # n = 3 (Q = 8), m = 4 over (1e-6, 1e6): the kernel and the weights span
+    # ~100 decades, and the truncated integral is the untruncated one to 1e-12.
+    gp3 = GroupParams(n=3)
+    sigmas = (-0.5, -0.8, -1.1, -0.6)
+    radii = np.array([0.3, 1.0, 3.0])
+    got = apply_radii(
+        "hilbert", [RadialProfile.truncated_power(s, 1e-6, 1e6) for s in sigmas], radii, gp3
+    )
+    exact = [_hilbert_power_exact([RadialProfile.power(s) for s in sigmas], t, gp3) for t in radii]
+    assert np.all(np.isfinite(got))
+    assert got == pytest.approx(exact, rel=1e-5)
 
 
 def test_apply_hilbert_rejects_mixed_profiles(gp1):

@@ -294,7 +294,7 @@ def test_mc_ball_sampling_error_on_vanishing_acceptance(gp1, monkeypatch):
 
 
 def test_mc_ball_pointwise_fallback(gp1):
-    # A scalar-only integrand exercises the HPoint fallback in _eval_batch.
+    # A scalar-only integrand exercises the HPoint fallback in eval_batch.
     def f(x):
         return 1.0 if x.coords[0] > 0 else 1.0
 

@@ -247,6 +247,17 @@ def test_uncertifiable_oracle_is_a_failed_record(tmp_path, capsys):
     assert "near tail" in record["convention_note"]
 
 
+def test_recursion_identity_passes_near_sigma_zero(tmp_path):
+    # The oracles cannot certify this set, but the Beta recursion must still
+    # reproduce the Gamma product within its 1e-12 tolerance.
+    status, path = run_main(["--command", "oracle-compare", "--lambda", "-0.00002"], tmp_path)
+    assert status == 1
+    record = json.loads(path.read_text().splitlines()[3])
+    assert record["label"] == "hilbert-recursion-identity m=1 n=1"
+    assert record["tolerance"] == 1e-12
+    assert record["passed"] is True
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     status = main(
         ["--command", "constant", "--out", str(tmp_path / "missing" / "r.jsonl")]
@@ -336,6 +347,17 @@ def test_verify_sharpness_json(tmp_path):
     assert record["label"] == "sharpness hlp m=1 truncation=(0.01,100)"
     assert record["passed"] is True
     assert "ratio/constant" in record["convention_note"]
+
+
+def test_verify_sharpness_hilbert_m3(tmp_path):
+    status, path = run_main(
+        ["--command", "verify-sharpness", "--kind", "hilbert", "--m", "3", "--samples", "20000"],
+        tmp_path,
+    )
+    assert status == 0
+    record = json.loads(path.read_text().splitlines()[1])
+    assert record["label"] == "sharpness hilbert m=3 truncation=(0.01,100)"
+    assert record["passed"] is True
 
 
 def test_verify_sharpness_csv_table(tmp_path):
