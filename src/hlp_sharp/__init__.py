@@ -61,7 +61,6 @@ from .constants import (
     reconcile,
 )
 from .operators import (
-    OperatorKind,
     RadialProfile,
     apply,
     apply_radii,
@@ -94,7 +93,7 @@ __all__ = [
     "polar_directions",
     "SharpConstant", "hlp_closed_form", "hilbert_closed_form",
     "beta_recursion_Im", "classical_anchors", "reconcile",
-    "OperatorKind", "RadialProfile", "apply", "apply_radii",
+    "RadialProfile", "apply", "apply_radii",
     "extremizer_profile", "radialize",
     "MorreySpaceSpec", "BallGrid", "MorreyEstimate", "default_grid",
     "morrey_norm", "morrey_norm_mc", "verify_dilation", "sharpness_ratio",

@@ -82,11 +82,6 @@ def _unit_ball_volume(n: int) -> float:
     )
 
 
-def ball_volume_constant(n: int) -> GroupParams:
-    """Group parameters (Q, Omega_Q, omega_Q) for H^n."""
-    return GroupParams(n=n)
-
-
 def identity(n: int) -> HPoint:
     """The group identity, the origin of R^(2n+1)."""
     return HPoint(np.zeros(2 * n + 1))

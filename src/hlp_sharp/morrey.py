@@ -45,6 +45,7 @@ __all__ = [
 
 _STREAM_INTEGRAL = 0
 _STREAM_WEIGHT = 1
+_CLOSED_FORMS = {"hlp": hlp_closed_form, "hilbert": hilbert_closed_form}
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,6 @@ class MorreySpaceSpec:
             raise ValueError(f"alpha must exceed -Q = {-Q}")
         if not self.gamma_w > -Q:
             raise ValueError(f"gamma_w must exceed -Q = {-Q}")
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
 
 
 @dataclass(frozen=True)
@@ -469,7 +465,9 @@ def sharpness_ratio(
 
     Builds f_j = r^{sigma_j} on [r_min, r_max], tabulates T(f_1..f_m) on a
     dense radial net, and evaluates all Morrey norms on the shared grid with
-    cell-coupled random streams.  Both numerator and denominators are
+    cell-coupled random streams, one denominator per distinct pair of
+    extremizer and source space (coincident factors give the same value
+    from the same streams).  Both numerator and denominators are
     certified lower bounds of their sups, so the reported ratio is an
     estimate, not a bound, of the norm ratio; it converges to 1 from below
     as the truncation widens.
@@ -481,23 +479,24 @@ def sharpness_ratio(
     gp = GroupParams(n=p.n)
     e = derive_exponents(p)
     r_min, r_max = float(truncation[0]), float(truncation[1])
-    name = kind.kind if hasattr(kind, "kind") else str(kind)
-    if name == "hlp":
-        constant = hlp_closed_form(e, gp)
-    elif name == "hilbert":
-        constant = hilbert_closed_form(e, gp)
-    else:
-        raise ValueError(f"unknown operator kind {name!r}")
+    if kind not in _CLOSED_FORMS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    constant = _CLOSED_FORMS[kind](e, gp)
 
     extremizers = [
         extremizer_profile(e, j + 1, truncation=(r_min, r_max)) for j in range(p.m)
     ]
+    norms = {}
     denom = 1.0
-    for j in range(p.m):
-        denom *= morrey_norm(extremizers[j], source_space(p, j + 1), grid, gp, mc).value
+    for j, f in enumerate(extremizers):
+        space = source_space(p, j + 1)
+        key = (f.segments, space)
+        if key not in norms:
+            norms[key] = morrey_norm(f, space, grid, gp, mc).value
+        denom *= norms[key]
 
     knots = _sharpness_knots(grid)
-    tf = apply_radii(name, extremizers, knots, gp, spec)
+    tf = apply_radii(kind, extremizers, knots, gp, spec)
     numerator_profile = RadialProfile.tabulated(knots, tf, cutoff=(0.0, math.inf))
     target = MorreySpaceSpec(q=p.q, lam=p.lam, alpha=p.alpha, gamma_w=p.gamma)
     num = morrey_norm(numerator_profile, target, grid, gp, mc).value
@@ -505,7 +504,7 @@ def sharpness_ratio(
     ratio = num / denom
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     return compare(
-        f"sharpness {name} m={p.m} truncation=({r_min:g},{r_max:g})",
+        f"sharpness {kind} m={p.m} truncation=({r_min:g},{r_max:g})",
         constant.value,
         ratio,
         0.1,

@@ -4,14 +4,17 @@ P*_m (sum kernel), plus extremizer profiles and Monte Carlo radialization.
 Profiles are stored canonically as disjoint power segments A*r^p on
 [lo, hi), which makes q-th powers, dilations, moments and cumulative
 integrals closed-form.  Operator application reduces each y_j integral to a
-radial one (factor omega_Q r^(Q-1)); the max kernel is then handled by the
-region decomposition over which variable realizes the max, and the sum
-kernel by a Gamma-product identity (pure powers) or, for bounded supports,
-a Laplace contraction that sums over each variable separately.
+radial one (factor omega_Q r^(Q-1)) and tabulates every output radius in
+one pass per kernel.  The max kernel integrates the product of the
+cumulatives by parts: Gauss-Legendre panels between edges, a closed-form
+tail.  The sum kernel uses a Gamma-product identity (pure powers) or, for
+bounded supports, a Laplace contraction that sums over each variable
+separately.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,13 +29,11 @@ from .quad import (
     MCSpec,
     QuadratureSpec,
     eval_batch,
-    integrate_curve,
     leggauss,
     polar_directions,
 )
 
 __all__ = [
-    "OperatorKind",
     "RadialProfile",
     "apply",
     "apply_radii",
@@ -43,24 +44,6 @@ __all__ = [
 OPERATOR_KINDS = ("hlp", "hilbert")
 _PURPOSE_SPHERE = 23
 _DEFAULT_RADII = tuple(np.geomspace(1e-2, 1e2, 33))
-
-
-@dataclass(frozen=True)
-class OperatorKind:
-    """Tag selecting the max kernel ("hlp") or the sum kernel ("hilbert")."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-
-
-def _kind_str(kind) -> str:
-    name = kind.kind if isinstance(kind, OperatorKind) else str(kind)
-    if name not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator kind {name!r}")
-    return name
 
 
 def _segment_moment(lo: float, hi: float, A: float, p: float, k: float) -> float:
@@ -322,42 +305,6 @@ class RadialProfile:
         segs = tuple((lo / t, hi / t, A * t**p, p) for lo, hi, A, p in self.segments)
         return RadialProfile(kind="piecewise", segments=segs)
 
-    # -- serialization -----------------------------------------------------------
-    def to_text(self) -> str:
-        lines = [f"radial_profile {self.kind} {len(self.segments)}"]
-        for lo, hi, A, p in self.segments:
-            lines.append(f"segment {lo!r} {hi!r} {A!r} {p!r}")
-        if self.knots:
-            lines.append(f"knots {len(self.knots)}")
-            for k, v in zip(self.knots, self.values):
-                lines.append(f"knot {k!r} {v!r}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "RadialProfile":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "radial_profile":
-            raise ValueError("not a radial profile serialization")
-        kind, nseg = head[1], int(head[2])
-        segs = []
-        for ln in lines[1 : 1 + nseg]:
-            parts = ln.split()
-            segs.append(tuple(float(x) for x in parts[1:5]))
-        knots, values = [], []
-        rest = lines[1 + nseg :]
-        if rest and rest[0].startswith("knots"):
-            for ln in rest[1:]:
-                parts = ln.split()
-                knots.append(float(parts[1]))
-                values.append(float(parts[2]))
-        return RadialProfile(
-            kind=kind,
-            segments=tuple(segs),
-            knots=tuple(knots),
-            values=tuple(values),
-        )
-
 
 def extremizer_profile(
     e: ExponentSet, j: int, truncation: Optional[Tuple[float, float]] = None
@@ -386,10 +333,12 @@ def _check_convergence(profiles: Sequence[RadialProfile], gp: GroupParams) -> No
             conditions.append(
                 f"Q+sigma_j>0 violated: Q+sigma_{j + 1} = {Q + p0:+.6g} is not positive"
             )
+    # a cumulative grows like r^(Q+p) at infinity, or tends to a constant
+    # when Q+p < 0 or the support is bounded
     growth = []
     for f in profiles:
         pt = f.tail_exponent()
-        growth.append(Q + pt if pt is not None else 0.0)
+        growth.append(max(Q + pt, 0.0) if pt is not None else 0.0)
     for i, f in enumerate(profiles):
         pt = f.tail_exponent()
         if pt is None:
@@ -407,50 +356,89 @@ def _check_convergence(profiles: Sequence[RadialProfile], gp: GroupParams) -> No
         )
 
 
-def _apply_hlp(
-    profiles: Sequence[RadialProfile],
-    t: float,
-    gp: GroupParams,
-    spec: QuadratureSpec,
-) -> float:
-    """Region decomposition over the argmax of (t, r_1, ..., r_m)."""
-    Q = gp.Q
-    m = len(profiles)
+def _log_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights for int g(r) dr between consecutive edges:
+    12-point Gauss-Legendre on max(2, ceil(8 * decades)) log-uniform panels
+    per interval.  Also returns the interval index of each node."""
+    x, w = leggauss(12)
+    la = np.log(edges)
+    width = np.diff(la)
+    counts = np.maximum(2, np.ceil(8.0 * width / math.log(10.0)).astype(int))
+    interval = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(interval.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # panel bounds as np.linspace(la[k], la[k + 1], counts[k] + 1) rounds
+    # them: j * step + start, with the last bound pinned to the end
+    step = (width / counts)[interval]
+    pa = j * step + la[interval]
+    last = j + 1 == counts[interval]
+    pb = np.where(last, la[interval + 1], (j + 1) * step + la[interval])
+    mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+    r = np.exp(mid[:, None] + half[:, None] * x)
+    return r.ravel(), (w * half[:, None] * r).ravel(), np.repeat(interval, x.size)
+
+
+def _hlp_tail(profiles: Sequence[RadialProfile], b: float, gp: GroupParams) -> float:
+    """int_b^inf r^(-mQ-1) prod_j G_j(r) dr for b at or past every breakpoint.
+
+    There G_j = c_j + a_j r^(e_j), e_j = Q + p_j, on an unbounded last
+    segment (G_j(b) + A_j log(r/b) when e_j = 0) and G_j(b) otherwise.  Each
+    choice of one part per factor is c b^(-s) L!/s^(L+1), with s = mQ minus
+    the chosen exponents and L the number of chosen logs; every part carries
+    a factor b^(-Q) so the product stays in range.
+    """
+    Q, m = gp.Q, len(profiles)
     k = Q - 1.0
-    total = t ** (-m * Q)
+    bq = b**-Q
+    parts = []  # per factor: (value at b times b^-Q, exponent, log power)
     for f in profiles:
-        total *= f.moment(k, 0.0, t)
-    brk = sorted({b for f in profiles for b in f.breakpoints() if b > t})
-    for i, f_i in enumerate(profiles):
-        lo_i, hi_i = f_i.support()
-        if hi_i <= t:
-            continue
-        others = [profiles[j] for j in range(m) if j != i]
-
-        def g(r, f_i=f_i, others=others):
-            fv = f_i(r)
-            out = np.zeros_like(fv)
-            mask = fv > 0.0
-            if np.any(mask):
-                rm = r[mask]
-                # multiply the large cumulative factors before the strongly
-                # decaying kernel power to stay inside the double range
-                acc = fv[mask]
-                for other in others:
-                    acc = acc * other.cumulative(k, rm)
-                out[mask] = acc * rm ** (Q - 1.0 - m * Q)
-            return out
-
-        upper = hi_i if math.isfinite(hi_i) else math.inf
-        total += integrate_curve(g, spec, breakpoints=tuple(brk), lower=t, upper=upper)
-    return gp.omega_Q**m * total
+        lo, hi, A, p = f.segments[-1]
+        e = Q + p
+        if math.isfinite(hi):
+            parts.append([(f.cumulative(k, b)[0] * bq, 0.0, 0)])
+        elif e == 0.0:
+            parts.append([(f.cumulative(k, b)[0] * bq, 0.0, 0), (A * bq, 0.0, 1)])
+        else:
+            c = f.cumulative(k, lo)[0] - A * lo**e / e
+            parts.append([(c * bq, 0.0, 0), (A * b**p / e, e, 0)])
+    total = 0.0
+    for choice in itertools.product(*parts):
+        s = m * Q - sum(e for _, e, _ in choice)
+        logs = sum(L for _, _, L in choice)
+        total += math.prod(v for v, _, _ in choice) * math.factorial(logs) / s ** (logs + 1)
+    return total
 
 
-def _hilbert_power_exact(
-    profiles: Sequence[RadialProfile], t: float, gp: GroupParams
-) -> float:
-    """Sum kernel with pure powers A_j r^{p_j}: dilation plus the
-    Gamma-product identity give a closed form."""
+def _apply_hlp(
+    profiles: Sequence[RadialProfile], radii: np.ndarray, gp: GroupParams
+) -> np.ndarray:
+    """Max kernel at every radius in one pass.
+
+    The regions of the decomposition over the argmax of (t, r_1, ..., r_m)
+    sum to omega_Q^m (t^(-mQ) F(t) + int_t^inf r^(-mQ) F'(r) dr), with
+    F = prod_j G_j and G_j(r) = int_0^r f_j(s) s^(Q-1) ds.  On convergent
+    inputs r^(-mQ) F -> 0, so by parts
+    T(t) = mQ omega_Q^m int_t^inf r^(-mQ-1) F(r) dr.  Between edges (the
+    radii and the breakpoints above the smallest one) the integrand is
+    smooth and takes the _log_panels rule; beyond the last edge _hlp_tail is
+    exact; a reverse cumulative sum gives every radius.
+    """
+    Q, m = gp.Q, len(profiles)
+    brk = [b for f in profiles for b in f.breakpoints() if b > radii.min()]
+    edges = np.array(sorted({*radii.tolist(), *brk}))
+    r, w, interval = _log_panels(edges)
+    rq = r**-Q
+    F = np.prod([f.cumulative(Q - 1.0, r) * rq for f in profiles], axis=0) / r
+    pieces = np.append(
+        np.bincount(interval, w * F, minlength=edges.size - 1),
+        _hlp_tail(profiles, float(edges[-1]), gp),
+    )
+    above = np.cumsum(pieces[::-1])[::-1]
+    return m * Q * gp.omega_Q**m * above[np.searchsorted(edges, radii)]
+
+
+def _hilbert_power_exact(profiles: Sequence[RadialProfile], t, gp: GroupParams):
+    """Sum kernel with pure powers A_j r^{p_j} at radius (or radii) t:
+    dilation plus the Gamma-product identity give a closed form."""
     Q = gp.Q
     m = len(profiles)
     log_val = m * math.log(gp.Omega_Q) - math.lgamma(float(m))
@@ -470,25 +458,12 @@ def _compact(profiles: Sequence[RadialProfile]) -> bool:
 
 def _axis_rule(f: RadialProfile, gp: GroupParams) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed nodes/weights for int f(r) r^(Q-1) h(r) dr over the bounded
-    support of f: log-uniform Gauss-Legendre panels between breakpoints."""
+    support of f: the _log_panels rule between breakpoints."""
     if not _compact([f]):
         raise ValueError("axis rule requires bounded support away from 0")
     lo, hi = f.support()
-    edges = sorted({lo, hi, *f.breakpoints()})
-    x, w = leggauss(12)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        la, lb = math.log(a), math.log(b)
-        panels = max(2, int(math.ceil(8.0 * (lb - la) / math.log(10.0))))
-        bounds = np.linspace(la, lb, panels + 1)
-        for pa, pb in zip(bounds[:-1], bounds[1:]):
-            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-            r = np.exp(mid + half * x)
-            nodes.append(r)
-            weights.append(w * half * r)
-    r = np.concatenate(nodes)
-    wt = np.concatenate(weights) * f(r) * r ** (gp.Q - 1.0)
-    return r, wt
+    r, w, _ = _log_panels(np.array(sorted({lo, hi, *f.breakpoints()})))
+    return r, w * f(r) * r ** (gp.Q - 1.0)
 
 
 def _apply_hilbert_bounded(
@@ -522,43 +497,6 @@ def _apply_hilbert_bounded(
     return gp.omega_Q**m * (np.exp(-np.outer(tq, lam)) @ factor)
 
 
-def _apply_hilbert(
-    profiles: Sequence[RadialProfile],
-    t: float,
-    gp: GroupParams,
-    spec: QuadratureSpec,
-) -> float:
-    Q = gp.Q
-    m = len(profiles)
-    if m == 1:
-        f = profiles[0]
-        tq = t**Q
-
-        def g(r):
-            fv = f(r)
-            out = np.zeros_like(fv)
-            mask = fv > 0.0
-            if np.any(mask):
-                rm = r[mask]
-                out[mask] = fv[mask] * rm ** (Q - 1.0) / (tq + rm**Q)
-            return out
-
-        lo, hi = f.support()
-        upper = hi if math.isfinite(hi) else math.inf
-        brk = tuple(b for b in {*f.breakpoints(), t} if 0.0 < b < upper)
-        val = integrate_curve(g, spec, breakpoints=brk, lower=0.0, upper=upper)
-        return gp.omega_Q * val
-    if all(f.is_pure_power for f in profiles):
-        return _hilbert_power_exact(profiles, t, gp)
-    if _compact(profiles):
-        return float(_apply_hilbert_bounded(profiles, np.array([t]), gp)[0])
-    raise ValueError(
-        "hilbert apply with m >= 2 supports pure-power profiles or profiles "
-        "with bounded support away from 0 (mixes are ambiguous to resolve "
-        "accurately); truncate the unbounded profiles"
-    )
-
-
 def apply(
     kind,
     profiles: Sequence[RadialProfile],
@@ -566,31 +504,15 @@ def apply(
     gp: GroupParams,
     spec: Optional[QuadratureSpec] = None,
 ) -> float:
-    """Value of the m-linear operator at any point with |x|_h = x_radius.
-
-    The output is radial because both kernels depend only on norms.  The
-    max kernel uses the exact region decomposition with closed-form
-    cumulatives; the sum kernel uses adaptive quadrature (m = 1), the
-    Gamma closed form (pure powers) or, for bounded supports, the Laplace
-    contraction: one exponential sum per factor on its own radial rule,
-    combined over a trapezoid rule in log lambda.  Divergent inputs raise
-    DivergenceError; m <= 4.
-    """
-    name = _kind_str(kind)
-    if spec is None:
-        spec = QuadratureSpec()
+    """Value of the m-linear operator at any point with |x|_h = x_radius:
+    apply_radii at one radius, for 1 <= m <= 4."""
     t = float(x_radius)
     if not t > 0.0:
         raise ValueError("x_radius must be positive")
     profiles = list(profiles)
     if not 1 <= len(profiles) <= 4:
         raise ValueError("apply supports 1 <= m <= 4 profiles")
-    if any(f.is_zero for f in profiles):
-        return 0.0
-    _check_convergence(profiles, gp)
-    if name == "hlp":
-        return _apply_hlp(profiles, t, gp, spec)
-    return _apply_hilbert(profiles, t, gp, spec)
+    return float(apply_radii(kind, profiles, [t], gp, spec)[0])
 
 
 def apply_radii(
@@ -600,10 +522,19 @@ def apply_radii(
     gp: GroupParams,
     spec: Optional[QuadratureSpec] = None,
 ) -> np.ndarray:
-    """Vectorized apply over many output radii (used to tabulate Tf)."""
-    name = _kind_str(kind)
-    if spec is None:
-        spec = QuadratureSpec()
+    """The m-linear operator at every output radius |x|_h in radii.
+
+    The output is radial because both kernels depend only on norms.  The
+    max kernel integrates the product of the closed-form cumulatives by
+    parts over all radii at once (Gauss-Legendre between edges, an exact
+    tail).  The sum kernel uses the Gamma closed form on pure powers and,
+    on supports bounded away from 0 and infinity, the Laplace contraction:
+    one exponential sum per factor on its own radial rule, combined over a
+    trapezoid rule in log lambda; other sum-kernel inputs raise ValueError.
+    Divergent inputs raise DivergenceError.  spec is not used.
+    """
+    if kind not in OPERATOR_KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
     rr = np.asarray(radii, dtype=float)
     if not np.all(rr > 0.0):
         raise ValueError("radii must be positive")
@@ -611,15 +542,19 @@ def apply_radii(
     if any(f.is_zero for f in profiles):
         return np.zeros(rr.size)
     _check_convergence(profiles, gp)
-    if name == "hilbert" and len(profiles) >= 2 and rr.size and _compact(profiles):
+    if rr.size == 0:
+        return rr
+    if kind == "hlp":
+        return _apply_hlp(profiles, rr, gp)
+    if all(f.is_pure_power for f in profiles):
+        return _hilbert_power_exact(profiles, rr, gp)
+    if _compact(profiles):
         return _apply_hilbert_bounded(profiles, rr, gp)
-    out = np.empty(rr.size)
-    for i, t in enumerate(rr):
-        if name == "hlp":
-            out[i] = _apply_hlp(profiles, float(t), gp, spec)
-        else:
-            out[i] = _apply_hilbert(profiles, float(t), gp, spec)
-    return out
+    raise ValueError(
+        "hilbert apply supports pure-power profiles or profiles with bounded "
+        "support away from 0 (mixes are ambiguous to resolve accurately); "
+        "truncate the unbounded profiles"
+    )
 
 
 # --------------------------------------------------------------------------

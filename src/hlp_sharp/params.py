@@ -16,7 +16,6 @@ can be matched to the oracle's divergence report.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -51,7 +50,7 @@ class ParamSet:
         return sum(self.gamma_list)
 
     def to_dict(self) -> dict:
-        """Plain-JSON form; from_json reads it back."""
+        """Plain-JSON form, as reports record it."""
         return {
             "m": self.m,
             "n": self.n,
@@ -62,23 +61,6 @@ class ParamSet:
             "gamma_list": list(self.gamma_list),
             "alpha": self.alpha,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(text: str) -> "ParamSet":
-        d = json.loads(text)
-        return ParamSet(
-            m=int(d["m"]),
-            n=int(d["n"]),
-            q=float(d["q"]),
-            q_list=tuple(d["q_list"]),
-            lam=float(d["lambda"]),
-            lam_list=tuple(d["lambda_list"]),
-            gamma_list=tuple(d["gamma_list"]),
-            alpha=float(d.get("alpha", 0.0)),
-        )
 
 
 @dataclass(frozen=True)

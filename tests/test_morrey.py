@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hlp_sharp.hgroup import HPoint, hnorm_arrays
+import hlp_sharp.morrey as morrey
 from hlp_sharp.morrey import (
     BallGrid,
     MorreyEstimate,
@@ -48,13 +49,6 @@ def test_space_spec_validation():
         MorreySpaceSpec(q=2.0, lam=-0.25, alpha=-4.0).check_weights(4.0)
     with pytest.raises(ValueError):
         MorreySpaceSpec(q=2.0, lam=-0.25, gamma_w=-5.0).check_weights(4.0)
-
-
-def test_space_spec_to_json_uses_lambda_key():
-    d = MorreySpaceSpec(q=2.0, lam=-0.25, alpha=1.0, gamma_w=0.5).to_json()
-    assert d["lambda"] == -0.25
-    assert "lam" not in d
-    assert d["q"] == 2.0 and d["alpha"] == 1.0 and d["gamma_w"] == 0.5
 
 
 def test_ball_grid_validation():
@@ -253,3 +247,27 @@ def test_sharpness_rejects_unknown_kind(mc_small, quad_spec):
         sharpness_ratio(
             "other", strict_params_m1(), (1e-1, 1e1), default_grid(1), quad_spec, mc_small
         )
+
+
+@pytest.mark.parametrize(
+    "q_list, lam_list, calls",
+    [((4.0, 4.0), (-0.125, -0.125), 2), ((3.0, 6.0), (-1.0 / 6.0, -1.0 / 12.0), 3)],
+    ids=["identical", "distinct"],
+)
+def test_sharpness_ratio_one_norm_per_distinct_factor(
+    monkeypatch, mc_small, quad_spec, q_list, lam_list, calls
+):
+    # the numerator takes one call; coincident denominators share one more
+    seen = []
+
+    def counting_norm(f, space, grid, gp, mc):
+        seen.append(space)
+        return MorreyEstimate(value=1.0, argmax_center_radius=0.0, argmax_R=1.0, stderr=0.0)
+
+    monkeypatch.setattr(morrey, "morrey_norm", counting_norm)
+    p = ParamSet(
+        m=2, n=1, q=2.0, q_list=q_list, lam=-0.25, lam_list=lam_list,
+        gamma_list=(0.0, 0.0), alpha=0.0,
+    )
+    sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), quad_spec, mc_small)
+    assert len(seen) == calls

@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from hlp_sharp.cli import config_from_args
 from hlp_sharp.hgroup import GroupParams, hnorm_arrays
+from hlp_sharp.morrey import _sharpness_knots, default_grid
 from hlp_sharp.operators import (
-    OperatorKind,
     RadialProfile,
     _axis_rule,
     _hilbert_power_exact,
@@ -14,8 +16,8 @@ from hlp_sharp.operators import (
     extremizer_profile,
     radialize,
 )
-from hlp_sharp.params import ExponentSet
-from hlp_sharp.quad import DivergenceError, MCSpec
+from hlp_sharp.params import ExponentSet, derive_exponents
+from hlp_sharp.quad import DivergenceError, MCSpec, integrate_curve
 
 from test_quad import FROZEN_A2, FROZEN_B2, bilinear_exponents
 from hlp_sharp.constants import hilbert_closed_form, hlp_closed_form
@@ -229,25 +231,6 @@ def test_dilated_is_exact_on_segment_data():
         assert a_A == pytest.approx(b_A, rel=1e-15)
 
 
-def test_text_round_trip():
-    f = RadialProfile(
-        kind="piecewise", segments=((0.25, 1.0, 2.0, -0.5), (1.0, 4.0, 3.0, 0.75))
-    )
-    assert RadialProfile.from_text(f.to_text()) == f
-
-    knots = np.geomspace(0.1, 10.0, 8)
-    values = knots**-0.5
-    g = RadialProfile.tabulated(knots, values, knot_stderr=np.full(8, 1e-3))
-    h = RadialProfile.from_text(g.to_text())
-    assert h.segments == g.segments
-    assert h.knots == g.knots
-    assert h.values == g.values
-    assert h.knot_stderr is None  # stderr is not serialized
-
-    with pytest.raises(ValueError):
-        RadialProfile.from_text("something else entirely")
-
-
 def test_extremizer_profile():
     e = bilinear_exponents()
     f = extremizer_profile(e, 1)
@@ -265,12 +248,6 @@ def test_extremizer_profile():
 # ---------------------------------------------------------------------------
 # Operator application
 # ---------------------------------------------------------------------------
-
-
-def test_operator_kind_validation():
-    assert OperatorKind("hlp").kind == "hlp"
-    with pytest.raises(ValueError):
-        OperatorKind("maximal")
 
 
 def test_apply_argument_validation(gp1):
@@ -300,7 +277,7 @@ def test_apply_m1_extremizer_reproduces_the_constants(gp1, quad_spec):
         assert apply("hlp", [f], t, gp1, quad_spec) == pytest.approx(
             a1 * t**sigma, rel=1e-9
         )
-        assert apply(OperatorKind("hilbert"), [f], t, gp1, quad_spec) == pytest.approx(
+        assert apply("hilbert", [f], t, gp1, quad_spec) == pytest.approx(
             b1 * t**sigma, rel=1e-8
         )
 
@@ -386,6 +363,113 @@ def test_apply_radii_matches_pointwise_apply(gp1, quad_spec):
         assert apply_radii(kind, [f1, f2], [], gp1, quad_spec).size == 0
 
 
+def _hlp_region_sum(profiles, t, gp, spec):
+    """Region decomposition over the argmax of (t, r_1, ..., r_m), one
+    integrate_curve per region and radius: the reference for the one-pass
+    max kernel."""
+    Q, m = gp.Q, len(profiles)
+    k = Q - 1.0
+    total = t ** (-m * Q)
+    for f in profiles:
+        total *= f.moment(k, 0.0, t)
+    brk = sorted({b for f in profiles for b in f.breakpoints() if b > t})
+    for i, f_i in enumerate(profiles):
+        if f_i.support()[1] <= t:
+            continue
+        others = [profiles[j] for j in range(m) if j != i]
+
+        def g(r, f_i=f_i, others=others):
+            fv = f_i(r)
+            out = np.zeros_like(fv)
+            mask = fv > 0.0
+            if np.any(mask):
+                rm = r[mask]
+                acc = fv[mask]
+                for other in others:
+                    acc = acc * other.cumulative(k, rm)
+                out[mask] = acc * rm ** (Q - 1.0 - m * Q)
+            return out
+
+        total += integrate_curve(g, spec, breakpoints=tuple(brk), lower=t, upper=f_i.support()[1])
+    return gp.omega_Q**m * total
+
+
+def _default_exponents(m, n):
+    p = config_from_args(["--command", "verify-sharpness", "--m", str(m), "--n", str(n)]).params
+    return derive_exponents(p)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 2), (4, 3)])
+def test_hlp_tabulation_matches_region_sum_on_sharpness_net(m, n, quad_spec):
+    gp = GroupParams(n=n)
+    e = _default_exponents(m, n)
+    profiles = [extremizer_profile(e, j + 1, truncation=(1e-2, 1e2)) for j in range(m)]
+    knots = _sharpness_knots(default_grid(n))
+    assert knots.size == 291
+    got = apply_radii("hlp", profiles, knots, gp)
+    ref = np.array([_hlp_region_sum(profiles, t, gp, quad_spec) for t in knots])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("p_tail", [-6.5, -4.0], ids=["negative-growth", "log"])
+def test_hlp_tabulation_matches_region_sum_on_unbounded_tails(gp1, quad_spec, p_tail):
+    # Q + p_tail < 0 leaves the tail cumulative bounded; p_tail = -Q makes it a log
+    tail = RadialProfile(kind="piecewise", segments=((1.0, math.inf, 1.0, p_tail),))
+    trunc = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
+    radii = np.geomspace(0.05, 50.0, 23)
+    for profiles in ([trunc, tail], [tail, tail], [tail, trunc, RadialProfile.power(-0.7)]):
+        got = apply_radii("hlp", profiles, radii, gp1)
+        ref = np.array([_hlp_region_sum(profiles, t, gp1, quad_spec) for t in radii])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-12
+
+
+def test_hlp_piecewise_matches_mpmath(gp1):
+    f1 = RadialProfile(kind="piecewise", segments=((0.2, 1.0, 1.0, -0.5), (1.0, 3.0, 2.0, 0.7)))
+    f2 = RadialProfile.truncated_power(-1.2, 0.5, 4.0, amplitude=1.3)
+    radii = [0.1, 0.7, 2.0, 5.0]
+    got = apply_radii("hlp", [f1, f2], radii, gp1)
+    Q = gp1.Q
+
+    def value(f, r):
+        return sum(A * r**p for lo, hi, A, p in f.segments if lo <= r < hi)
+
+    def cumulative(f, r):
+        return sum(
+            A * (min(r, hi) ** (p + Q) - mpmath.mpf(lo) ** (p + Q)) / (p + Q)
+            for lo, hi, A, p in f.segments
+            if r > lo
+        )
+
+    with mpmath.workdps(30):
+        for t, g in zip(radii, got):
+            t = mpmath.mpf(t)
+            edges = [t] + sorted({b for f in (f1, f2) for b in f.breakpoints() if b > t})
+
+            def region(r):
+                return (value(f1, r) * cumulative(f2, r) + value(f2, r) * cumulative(f1, r)) * r ** (
+                    -Q - 1
+                )
+
+            tail = mpmath.quad(region, edges) if len(edges) > 1 else 0
+            exact = mpmath.mpf(gp1.omega_Q) ** 2 * (
+                t ** (-2 * Q) * cumulative(f1, t) * cumulative(f2, t) + tail
+            )
+            assert abs(g / exact - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_apply_pure_extremizers_give_closed_form(m, n):
+    gp = GroupParams(n=n)
+    e = _default_exponents(m, n)
+    profiles = [extremizer_profile(e, j + 1) for j in range(m)]
+    for kind, closed_form in (("hlp", hlp_closed_form), ("hilbert", hilbert_closed_form)):
+        constant = closed_form(e, gp).value
+        for t in (0.3, 1.0, 7.0):
+            got = apply(kind, profiles, t, gp)
+            assert got == pytest.approx(constant * t**e.sigma, rel=1e-12), (kind, t)
+
+
 def _hilbert_tensor_sum(profiles, radii, gp):
     """Direct N^m sum of the sum kernel on the _axis_rule nodes."""
     Q, m = gp.Q, len(profiles)
@@ -446,6 +530,21 @@ def test_apply_divergence_tokens(gp1):
     with pytest.raises(DivergenceError) as exc:
         apply("hilbert", [RadialProfile.power(0.0)], 1.0, gp1)
     assert any("sigma<0 violated" in c for c in exc.value.conditions)
+
+
+def test_divergent_tail_behind_a_bounded_cumulative_is_caught(gp1):
+    # Q + p = -5 < 0: the second cumulative tends to a constant, so the first
+    # factor's r^6 tail diverges against the kernel alone
+    grow = RadialProfile.power(6.0)
+    tail = RadialProfile(kind="piecewise", segments=((1.0, math.inf, 1.0, -9.0),))
+    for profiles in ([grow, tail], [tail, grow]):
+        for call in (
+            lambda: apply("hlp", profiles, 1.0, gp1),
+            lambda: apply_radii("hlp", profiles, [0.5, 2.0], gp1),
+        ):
+            with pytest.raises(DivergenceError) as exc:
+                call()
+            assert any("sigma<0 violated" in c for c in exc.value.conditions)
 
 
 # ---------------------------------------------------------------------------

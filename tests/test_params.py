@@ -129,31 +129,6 @@ def test_strict_sharpness_adds_coupling_and_open_interval():
     assert any("q*lambda=q_j*lambda_j violated" in s for s in rs.violations)
 
 
-def test_json_round_trip_is_exact():
-    p = ParamSet(
-        m=3,
-        n=2,
-        q=1.75,
-        q_list=(5.25, 5.25, 5.25),
-        lam=-0.3,
-        lam_list=(-0.1, -0.1, -0.1),
-        gamma_list=(0.25, -0.5, 0.125),
-        alpha=0.875,
-    )
-    text = p.to_json()
-    assert '"lambda"' in text and '"lambda_list"' in text
-    q = ParamSet.from_json(text)
-    assert q == p
-
-    # alpha is optional on input.
-    import json
-
-    d = json.loads(text)
-    del d["alpha"]
-    q2 = ParamSet.from_json(json.dumps(d))
-    assert q2.alpha == 0.0
-
-
 def test_random_admissible_generator_yields_valid_sets():
     rng = np.random.default_rng(2024)
     for _ in range(25):
