@@ -8,7 +8,7 @@ The package splits into layers:
   geometry, Q = 2n+2, the unit-ball volume Omega_Q and sphere factor
   omega_Q = Q * Omega_Q).
 - params: the exponent bookkeeping (ParamSet), derived scaling exponents
-  sigma_j / sigma, and admissibility validation.
+  sigma_j / sigma, admissibility validation, and DivergenceError.
 - quad: deterministic 1-D quadrature, the two independent constant oracles,
   and seeded Monte Carlo ball integration.
 - constants: closed forms of the sharp constants (log-Gamma from
@@ -32,15 +32,16 @@ from .hgroup import (
     identity,
 )
 from .params import (
+    DivergenceError,
     ExponentSet,
     ParamSet,
     ValidationResult,
     admissibility_violations,
     derive_exponents,
+    require_admissible,
     validate,
 )
 from .quad import (
-    DivergenceError,
     MCSpec,
     QuadratureSpec,
     SamplingError,
@@ -86,8 +87,8 @@ __all__ = [
     "GroupParams", "HPoint", "identity", "group_mul", "group_inv",
     "dilate", "hnorm", "hdist",
     "ParamSet", "ExponentSet", "ValidationResult", "derive_exponents",
-    "admissibility_violations", "validate",
-    "QuadratureSpec", "MCSpec", "DivergenceError", "SamplingError",
+    "admissibility_violations", "require_admissible", "validate", "DivergenceError",
+    "QuadratureSpec", "MCSpec", "SamplingError",
     "derive_seed", "integrate_curve", "radial_integral",
     "hlp_constant_oracle", "hilbert_constant_oracle", "mc_ball_integral",
     "polar_directions",

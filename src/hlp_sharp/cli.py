@@ -41,7 +41,7 @@ from .morrey import (
     verify_dilation,
 )
 from .operators import extremizer_profile
-from .params import ParamSet, derive_exponents, validate
+from .params import DivergenceError, ParamSet, derive_exponents, validate, violated
 from .quad import MCSpec, QuadratureSpec, mc_ball_integral
 from .report import VerificationReport, compare, write_reports
 
@@ -180,9 +180,9 @@ def _width_list(text: str) -> Tuple[Tuple[float, float], ...]:
 def _params_from_args(args) -> ParamSet:
     m, q = args.m, args.q
     if not (isinstance(m, int) and m >= 1):
-        raise UsageError(f"m>=1 violated: m = {m}")
+        raise UsageError(violated("m>=1", f"m = {m}"))
     if not (math.isfinite(q) and q > 0.0):
-        raise UsageError(f"q>0 violated: q = {q}")
+        raise UsageError(violated("q>0", f"q = {q}"))
     q_list = _float_list(args.qj, "--qj") if args.qj else tuple(m * q for _ in range(m))
     lam = args.lam if args.lam is not None else -1.0 / (2.0 * q)
     if args.lambdaj:
@@ -201,7 +201,7 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     args = build_parser().parse_args(argv)
     p = _params_from_args(args)
     if p.n < 1:
-        raise UsageError(f"n>=1 violated: n = {p.n}")
+        raise UsageError(violated("n>=1", f"n = {p.n}"))
     if args.format == "csv" and args.command != "verify-sharpness":
         raise UsageError(
             f"format=csv is reserved for the verify-sharpness convergence table, "
@@ -211,13 +211,13 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if out is None:
         out = "hlp_convergence.csv" if args.format == "csv" else "hlp_report.jsonl"
     if args.samples < 1000:
-        raise UsageError(f"samples>=1000 violated: samples = {args.samples}")
+        raise UsageError(violated("samples>=1000", f"samples = {args.samples}"))
     if args.panels < 1:
-        raise UsageError(f"panels>=1 violated: panels = {args.panels}")
+        raise UsageError(violated("panels>=1", f"panels = {args.panels}"))
     if not args.tolerance > 0.0:
-        raise UsageError(f"tolerance>0 violated: tolerance = {args.tolerance}")
+        raise UsageError(violated("tolerance>0", f"tolerance = {args.tolerance}"))
     if not (0.0 < args.rmin < args.rmax):
-        raise UsageError(f"0<rmin<rmax violated: rmin = {args.rmin}, rmax = {args.rmax}")
+        raise UsageError(violated("0<rmin<rmax", f"rmin = {args.rmin}, rmax = {args.rmax}"))
     factors = _float_list(args.t, "--t")
     if any(not t > 0.0 for t in factors):
         raise UsageError(f"--t factors must be positive: {args.t!r}")
@@ -317,7 +317,6 @@ def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
 
 
 def _cmd_verify_sharpness(config: RunConfig) -> List[VerificationReport]:
-    _validated(config.params, strict=True)
     return [
         sharpness_ratio(
             config.kind, config.params, config.truncation, config.grid, config.quad, config.mc
@@ -437,10 +436,7 @@ def emit_convergence_table(
 ) -> List[Tuple[float, float, float, float, float]]:
     """Sharpness convergence rows (r_min, r_max, ratio, constant,
     ratio/constant), one per truncation width.  The ratio column is
-    nondecreasing as the windows widen."""
-    res = validate(p, strict_sharpness=True)
-    if not res.ok:
-        raise UsageError("; ".join(res.violations))
+    nondecreasing as the windows widen.  sharpness_ratio validates p."""
     if grid is None:
         grid = default_grid(p.n)
     if spec is None:
@@ -468,7 +464,9 @@ def run(config: RunConfig, stream=None) -> int:
     """Execute the configured command and write its report file.
 
     Returns the exit status (0 all passed, 1 verification failure, 2 usage
-    error).  Every record of a run goes through this single writer, in
+    error).  Invalid parameters and divergent integrals raise UsageError
+    naming the violated conditions, so no input ends in a traceback.  Every
+    record of a run goes through this single writer, in
     command order.
     """
     out = stream if stream is not None else sys.stdout
@@ -486,6 +484,8 @@ def run(config: RunConfig, stream=None) -> int:
         records = _DISPATCH[config.command](config)
     except UsageError:
         raise
+    except DivergenceError as exc:
+        raise UsageError(f"{exc} [{'; '.join(exc.conditions)}]") from exc
     except (ValueError, KeyError) as exc:
         raise UsageError(str(exc)) from exc
 

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .hgroup import GroupParams
-from .params import ExponentSet, ParamSet, admissibility_violations, derive_exponents
-from .quad import (
-    DivergenceError,
-    QuadratureSpec,
-    hilbert_constant_oracle,
-    hlp_constant_oracle,
-)
+from .params import DivergenceError, ExponentSet, ParamSet, derive_exponents, require_admissible
+from .quad import QuadratureSpec, hilbert_constant_oracle, hlp_constant_oracle
 from .report import VerificationReport, compare
 
 __all__ = [
@@ -61,15 +56,9 @@ class SharpConstant:
             raise ValueError("sharp constant must be positive and finite")
 
 
-def _require_admissible(e: ExponentSet, Q: float) -> None:
-    violations = admissibility_violations(e, Q)
-    if violations:
-        raise ValueError("inadmissible exponents: " + "; ".join(violations))
-
-
 def hlp_closed_form(e: ExponentSet, gp: GroupParams) -> SharpConstant:
     """A_m = m*Q*omega_Q^m / ((-sigma) * prod(Q + sigma_i))."""
-    _require_admissible(e, gp.Q)
+    require_admissible(e, gp.Q)
     m = e.m
     # Sorting the factors makes the product bitwise permutation-invariant.
     denom = -e.sigma
@@ -85,7 +74,7 @@ def hilbert_closed_form(e: ExponentSet, gp: GroupParams) -> SharpConstant:
     Evaluated in log-Gamma space so intermediate Gamma values cannot
     overflow; m >= 170 is rejected outright (Gamma(m) overflow).
     """
-    _require_admissible(e, gp.Q)
+    require_admissible(e, gp.Q)
     m = e.m
     if m >= 170:
         raise ValueError("hilbert_closed_form supports m < 170 (Gamma overflow)")

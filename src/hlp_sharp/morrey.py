@@ -20,15 +20,8 @@ import numpy as np
 from .constants import hilbert_closed_form, hlp_closed_form
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
 from .operators import RadialProfile, apply_radii, extremizer_profile
-from .params import ParamSet, derive_exponents, validate
-from .quad import (
-    DivergenceError,
-    MCSpec,
-    QuadratureSpec,
-    derive_seed,
-    eval_batch,
-    mc_ball_integral,
-)
+from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
+from .quad import MCSpec, QuadratureSpec, derive_seed, eval_batch, mc_ball_integral
 from .report import VerificationReport, compare
 
 __all__ = [
@@ -193,7 +186,7 @@ def _check_origin(exponent: float, Q: float) -> None:
     if exponent <= -Q:
         raise DivergenceError(
             f"Morrey cell integral diverges at the origin: exponent {exponent:+.6g} <= -Q",
-            conditions=(f"Q+sigma_j>0 violated: q*sigma+gamma_w = {exponent:+.6g} <= -Q",),
+            conditions=(violated(Q_PLUS_SIGMA_J, f"q*sigma+gamma_w = {exponent:+.6g} <= -Q"),),
         )
 
 
@@ -280,13 +273,7 @@ def _cell_values_profile(
     for ci, di, ri, cr, center, R in _grid_cells(grid, gp.n):
         if cr == 0.0:
             w1 = gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
-            try:
-                integral = gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R)
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"cell center |a|=0, R={R:g}: {exc}",
-                    conditions=exc.conditions,
-                ) from exc
+            integral = gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R)
             se_i, se_w = 0.0, 0.0
         else:
             beta = _cell_tilt(fq, gw, cr, R, s_lo, s_hi, gp.Q)

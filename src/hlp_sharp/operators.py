@@ -23,15 +23,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .hgroup import GroupParams, dilate_arrays
-from .params import ExponentSet
-from .quad import (
-    DivergenceError,
-    MCSpec,
-    QuadratureSpec,
-    eval_batch,
-    leggauss,
-    polar_directions,
-)
+from .params import Q_PLUS_SIGMA_J, SIGMA_NEG, DivergenceError, ExponentSet, violated
+from .quad import MCSpec, QuadratureSpec, eval_batch, leggauss, polar_directions
 
 __all__ = [
     "RadialProfile",
@@ -46,18 +39,23 @@ _PURPOSE_SPHERE = 23
 _DEFAULT_RADII = tuple(np.geomspace(1e-2, 1e2, 33))
 
 
+def _check_origin_power(lo: float, e: float) -> None:
+    """Raise when r^e on a segment starting at lo is not integrable at 0."""
+    if lo == 0.0 and e <= -1.0:
+        raise DivergenceError(
+            f"segment integral diverges at 0: exponent {e:+.6g} <= -1",
+            conditions=(violated(Q_PLUS_SIGMA_J, f"segment exponent {e:+.6g} <= -1 at 0"),),
+        )
+
+
 def _segment_moment(lo: float, hi: float, A: float, p: float, k: float) -> float:
     """Closed form of int_lo^hi A r^(p+k) dr; raises on divergence."""
     e = p + k
-    if lo == 0.0 and e <= -1.0:
-        raise DivergenceError(
-            f"moment diverges at 0: exponent {e:+.6g} <= -1",
-            conditions=(f"Q+sigma_j>0 violated: segment exponent {e:+.6g} <= -1 at 0",),
-        )
+    _check_origin_power(lo, e)
     if math.isinf(hi) and e >= -1.0:
         raise DivergenceError(
             f"moment diverges at infinity: exponent {e:+.6g} >= -1",
-            conditions=(f"sigma<0 violated: segment exponent {e:+.6g} >= -1 at infinity",),
+            conditions=(violated(SIGMA_NEG, f"segment exponent {e:+.6g} >= -1 at infinity"),),
         )
     if e == -1.0:
         return A * math.log(hi / lo)
@@ -265,13 +263,7 @@ class RadialProfile:
             if np.any(mask):
                 upper = np.minimum(arr[mask], hi)
                 e = p + k
-                if lo == 0.0 and e <= -1.0:
-                    raise DivergenceError(
-                        f"cumulative diverges at 0: exponent {e:+.6g} <= -1",
-                        conditions=(
-                            f"Q+sigma_j>0 violated: segment exponent {e:+.6g} <= -1 at 0",
-                        ),
-                    )
+                _check_origin_power(lo, e)
                 if e == -1.0:
                     out[mask] += A * np.log(upper / lo)
                 else:
@@ -331,7 +323,7 @@ def _check_convergence(profiles: Sequence[RadialProfile], gp: GroupParams) -> No
         p0 = f.origin_exponent()
         if p0 is not None and Q + p0 <= 0.0:
             conditions.append(
-                f"Q+sigma_j>0 violated: Q+sigma_{j + 1} = {Q + p0:+.6g} is not positive"
+                violated(Q_PLUS_SIGMA_J, f"Q+sigma_{j + 1} = {Q + p0:+.6g} is not positive")
             )
     # a cumulative grows like r^(Q+p) at infinity, or tends to a constant
     # when Q+p < 0 or the support is bounded
@@ -346,8 +338,10 @@ def _check_convergence(profiles: Sequence[RadialProfile], gp: GroupParams) -> No
         e_i = pt + (Q - 1.0 - m * Q) + (sum(growth) - growth[i])
         if e_i >= -1.0:
             conditions.append(
-                f"sigma<0 violated: joint tail exponent {e_i + 1.0:+.6g} of factor "
-                f"{i + 1} is not negative"
+                violated(
+                    SIGMA_NEG,
+                    f"joint tail exponent {e_i + 1.0:+.6g} of factor {i + 1} is not negative",
+                )
             )
     if conditions:
         raise DivergenceError(

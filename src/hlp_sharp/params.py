@@ -7,11 +7,14 @@ exponent alpha.  From these the scaling exponents
     sigma_j = Q*lambda_j - gamma_j/q + alpha*(lambda_j + 1/q_j)
     sigma   = Q*lambda   - gamma/q   + alpha*(lambda   + 1/q)
 
-are derived (Q = 2n+2, gamma = sum gamma_j).  Admissibility of the sharp
+are derived (Q = 2n+2, gamma = sum gamma_j).  Under the scaling balance
+1/q = sum 1/q_j and lambda = sum lambda_j, which validate() checks, sigma
+is sum sigma_j, and it is computed as that sum.  Admissibility of the sharp
 constants is convergence of the defining integrals: sigma < 0 and
-Q + sigma_j > 0 for every j.  The violation strings produced here carry the
-same condition tokens the quadrature oracles raise with, so a rejected set
-can be matched to the oracle's divergence report.
+Q + sigma_j > 0 for every j.  This module owns that decision: every violated
+condition is a "<token> violated: <detail>" string from violated(), and
+every divergence a DivergenceError carrying such strings as its conditions
+(quad re-exports the class).
 """
 
 from __future__ import annotations
@@ -21,6 +24,23 @@ from dataclasses import dataclass, field
 
 
 _COUPLING_TOL = 1e-12
+
+SIGMA_NEG = "sigma<0"
+Q_PLUS_SIGMA_J = "Q+sigma_j>0"
+
+
+class DivergenceError(ValueError, ArithmeticError):
+    """The requested integral does not converge (or cannot be certified);
+    conditions names the violated conditions."""
+
+    def __init__(self, message: str, conditions: tuple = ()):
+        super().__init__(message)
+        self.conditions = tuple(conditions)
+
+
+def violated(token: str, detail: str) -> str:
+    """The named form of a violated condition: "<token> violated: <detail>"."""
+    return f"{token} violated: {detail}"
 
 
 @dataclass(frozen=True)
@@ -90,31 +110,38 @@ class ValidationResult:
 
 
 def derive_exponents(p: ParamSet) -> ExponentSet:
-    """Compute sigma_j and sigma from a ParamSet (Q = 2n+2)."""
+    """Compute sigma_j and sigma = fsum(sigma_j) from a ParamSet (Q = 2n+2)."""
     Q = p.Q
     sig = tuple(
         Q * lj - gj / p.q + p.alpha * (lj + 1.0 / qj)
         for qj, lj, gj in zip(p.q_list, p.lam_list, p.gamma_list)
     )
-    sigma = Q * p.lam - p.gamma / p.q + p.alpha * (p.lam + 1.0 / p.q)
-    return ExponentSet(sigma_list=sig, sigma=sigma)
+    return ExponentSet(sigma_list=sig, sigma=math.fsum(sig))
 
 
 def admissibility_violations(e: ExponentSet, Q: float) -> list:
     """Convergence conditions for the constant integrals, as violation strings."""
     out = []
     if not e.sigma < 0.0:
-        out.append(f"sigma<0 violated: sigma = {e.sigma:.6g} is not negative")
+        out.append(violated(SIGMA_NEG, f"sigma = {e.sigma:.6g} is not negative"))
     for j, sj in enumerate(e.sigma_list, start=1):
         if not Q + sj > 0.0:
             out.append(
-                f"Q+sigma_j>0 violated: Q + sigma_{j} = {Q + sj:.6g} is not positive"
+                violated(Q_PLUS_SIGMA_J, f"Q + sigma_{j} = {Q + sj:.6g} is not positive")
             )
     return out
 
 
+def require_admissible(e: ExponentSet, Q: float) -> None:
+    """Raise DivergenceError naming every violated convergence condition."""
+    bad = admissibility_violations(e, Q)
+    if bad:
+        raise DivergenceError("inadmissible exponents: " + "; ".join(bad), conditions=bad)
+
+
 def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
-    """Check all ParamSet invariants plus admissibility of the derived exponents.
+    """Check all ParamSet invariants, the scaling balance 1/q = sum 1/q_j and
+    lambda = sum lambda_j, and admissibility of the derived exponents.
 
     With strict_sharpness, additionally require lambda_j strictly inside
     (-1/q_j, 0) and the coupling q*lambda = q_j*lambda_j.  Returns a
@@ -122,37 +149,40 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
     """
     v = []
     if not (isinstance(p.m, int) and p.m >= 1):
-        v.append(f"m>=1 violated: m = {p.m}")
+        v.append(violated("m>=1", f"m = {p.m}"))
     if not (isinstance(p.n, int) and p.n >= 1):
-        v.append(f"n>=1 violated: n = {p.n}")
+        v.append(violated("n>=1", f"n = {p.n}"))
     if not (len(p.q_list) == len(p.lam_list) == len(p.gamma_list) == p.m):
         v.append(
-            "list lengths violated: q_list, lambda_list, gamma_list must all have m entries"
+            violated("list lengths", "q_list, lambda_list, gamma_list must all have m entries")
         )
         return ValidationResult(ok=False, violations=tuple(v))
     if not (math.isfinite(p.q) and p.q >= 1.0):
-        v.append(f"q>=1 violated: q = {p.q}")
+        v.append(violated("q>=1", f"q = {p.q}"))
     for j, qj in enumerate(p.q_list, start=1):
         if not (math.isfinite(qj) and qj > 1.0):
-            v.append(f"q_j>1 violated: q_{j} = {qj}")
+            v.append(violated("q_j>1", f"q_{j} = {qj}"))
     if v:
         return ValidationResult(ok=False, violations=tuple(v))
 
-    if abs(1.0 / p.q - sum(1.0 / qj for qj in p.q_list)) > _COUPLING_TOL:
+    inv_sum = sum(1.0 / qj for qj in p.q_list)
+    if abs(1.0 / p.q - inv_sum) > _COUPLING_TOL:
+        v.append(violated("1/q=sum(1/q_j)", f"1/q = {1.0 / p.q:.12g}, sum = {inv_sum:.12g}"))
+    lam_sum = math.fsum(p.lam_list)
+    if not abs(p.lam - lam_sum) <= _COUPLING_TOL:
         v.append(
-            f"1/q=sum(1/q_j) violated: 1/q = {1.0 / p.q:.12g}, "
-            f"sum = {sum(1.0 / qj for qj in p.q_list):.12g}"
+            violated("lambda=sum(lambda_j)", f"lambda = {p.lam:.12g}, sum = {lam_sum:.12g}")
         )
     if not (-1.0 / p.q <= p.lam < 0.0):
-        v.append(f"lambda in [-1/q,0) violated: lambda = {p.lam}, -1/q = {-1.0 / p.q}")
+        v.append(violated("lambda in [-1/q,0)", f"lambda = {p.lam}, -1/q = {-1.0 / p.q}"))
     for j, (qj, lj) in enumerate(zip(p.q_list, p.lam_list), start=1):
         if not (-1.0 / qj <= lj < 0.0):
             v.append(
-                f"lambda_j in [-1/q_j,0) violated: lambda_{j} = {lj}, -1/q_{j} = {-1.0 / qj}"
+                violated("lambda_j in [-1/q_j,0)", f"lambda_{j} = {lj}, -1/q_{j} = {-1.0 / qj}")
             )
     Q = p.Q
     if not p.alpha > -Q:
-        v.append(f"alpha>-Q violated: alpha = {p.alpha}, -Q = {-Q}")
+        v.append(violated("alpha>-Q", f"alpha = {p.alpha}, -Q = {-Q}"))
 
     e = derive_exponents(p)
     v.extend(admissibility_violations(e, Q))
@@ -165,8 +195,10 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
                 )
             if abs(p.q * p.lam - qj * lj) > _COUPLING_TOL:
                 v.append(
-                    f"q*lambda=q_j*lambda_j violated: q*lambda = {p.q * p.lam:.12g}, "
-                    f"q_{j}*lambda_{j} = {qj * lj:.12g}"
+                    violated(
+                        "q*lambda=q_j*lambda_j",
+                        f"q*lambda = {p.q * p.lam:.12g}, q_{j}*lambda_{j} = {qj * lj:.12g}",
+                    )
                 )
 
     return ValidationResult(ok=not v, violations=tuple(v))

@@ -18,6 +18,8 @@ Three layers:
 Runs are reproducible: all randomness is derived from (seed, purpose,
 shard) via SeedSequence feeding a counter-based Philox generator, one
 stream per shard, and shards run and reduce serially in fixed order.
+DivergenceError lives in params, next to the admissibility conditions;
+quad re-exports it.
 """
 
 from __future__ import annotations
@@ -29,15 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays, mul_arrays
-from .params import ExponentSet, admissibility_violations
-
-
-class DivergenceError(ArithmeticError):
-    """The requested integral does not converge (or cannot be certified)."""
-
-    def __init__(self, message: str, conditions: tuple = ()):
-        super().__init__(message)
-        self.conditions = tuple(conditions)
+from .params import DivergenceError, ExponentSet, require_admissible
 
 
 class SamplingError(RuntimeError):
@@ -230,14 +224,6 @@ def radial_integral(f, gp: GroupParams, spec: QuadratureSpec) -> float:
     return gp.omega_Q * integrate_curve(g, spec, breakpoints=(1.0,))
 
 
-def _require_admissible(e: ExponentSet, gp: GroupParams):
-    bad = admissibility_violations(e, gp.Q)
-    if bad:
-        raise DivergenceError(
-            "constant integral diverges: " + "; ".join(bad), conditions=tuple(bad)
-        )
-
-
 def hlp_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpec) -> float:
     """Quadrature value of the max-kernel constant integral.
 
@@ -245,10 +231,12 @@ def hlp_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpec) -
     radii below 1) the kernel is 1 and the integral is a product of power
     integrals in closed form; on E_i the inner variables integrate in closed
     form below the outer radius, leaving one residual 1-D integral over
-    (1, inf) evaluated numerically.  The sum never touches the closed-form
+    (1, inf) evaluated numerically.  Each residual integrand is one combined
+    power times one coefficient: separate factors would underflow at the
+    folded radii for large mQ.  The sum never touches the closed-form
     constant it certifies.
     """
-    _require_admissible(e, gp)
+    require_admissible(e, gp.Q)
     if e.m > 4:
         raise ValueError("constant oracle supports m <= 4")
     Q = gp.Q
@@ -260,15 +248,9 @@ def hlp_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpec) -
         total *= 1.0 / (Q + sj)  # E_0: prod int_0^1 r^(Q-1+sigma_j) dr
 
     for i, si in enumerate(sig):
-        others = [sj for k, sj in enumerate(sig) if k != i]
-
-        def g(r, si=si, others=others):
-            vals = r ** (Q - 1.0 + si - m * Q)
-            for sj in others:
-                vals = vals * r ** (Q + sj) / (Q + sj)
-            return vals
-
-        total += _int_tail(g, 1.0, spec)
+        others = [Q + sj for k, sj in enumerate(sig) if k != i]
+        power = Q - 1.0 + si - m * Q + sum(others)
+        total += _int_tail(lambda r, power=power: r**power, 1.0, spec) / math.prod(others)
 
     return gp.omega_Q**m * total
 
@@ -282,7 +264,7 @@ def hilbert_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpe
     int_0^inf u^(a-1) (1+u)^(-s) du is evaluated numerically, keeping the
     oracle independent of the Gamma implementation.
     """
-    _require_admissible(e, gp)
+    require_admissible(e, gp.Q)
     if e.m > 4:
         raise ValueError("constant oracle supports m <= 4")
     Q = gp.Q

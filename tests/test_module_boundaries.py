@@ -1,4 +1,5 @@
-"""No module of the package reaches into another module's private names."""
+"""No module of the package reaches into another module's private names,
+and only params spells out the admissibility conditions."""
 
 import ast
 from pathlib import Path
@@ -46,3 +47,34 @@ def test_no_module_imports_another_modules_private_names():
 def test_private_import_detector_flags_both_forms():
     tree = ast.parse("from .quad import _leggauss\nfrom . import quad\nquad._eval_batch(1)\n")
     assert list(_private_uses(tree)) == ["from .quad import _leggauss", "quad._eval_batch"]
+
+
+_ADMISSIBILITY_TOKENS = ("sigma<0 violated", "Q+sigma_j>0 violated")
+
+
+def _condition_literals(tree: ast.Module):
+    """String literals (f-string parts included) that spell out an
+    admissibility violation instead of asking params to build it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if any(tok in node.value for tok in _ADMISSIBILITY_TOKENS):
+                yield node.value
+
+
+def test_admissibility_conditions_are_spelled_only_in_params():
+    offences = [
+        f"{path.name}: {text!r}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "params.py"
+        for text in _condition_literals(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offences, offences
+
+
+def test_condition_literal_detector_flags_plain_and_f_strings():
+    tree = ast.parse(
+        'a = "sigma<0 violated: x"\n'
+        'b = f"Q+sigma_j>0 violated: {y}"\n'
+        'c = violated(Q_PLUS_SIGMA_J, f"{y}")\n'
+    )
+    assert list(_condition_literals(tree)) == ["sigma<0 violated: x", "Q+sigma_j>0 violated: "]

@@ -1,12 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
+import hlp_sharp
+from hlp_sharp import quad
 from hlp_sharp.params import (
+    DivergenceError,
     ExponentSet,
     ParamSet,
     ValidationResult,
     admissibility_violations,
     derive_exponents,
+    require_admissible,
     validate,
 )
 
@@ -60,6 +66,27 @@ def test_alpha_and_gamma_enter_the_exponents():
     assert e.sigma == pytest.approx(e.sigma_list[0], rel=1e-15)
 
 
+def test_sigma_is_the_sum_of_sigma_j_and_balance_has_a_tolerance():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        p = make_admissible(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 4)))
+        e = derive_exponents(p)
+        assert e.sigma == math.fsum(e.sigma_list)
+        # q*lambda/q_j rounds, so sum(lambda_j) misses lambda by an ulp or so
+        assert validate(p).ok
+
+
+def test_require_admissible_raises_one_error_type():
+    e = ExponentSet(sigma_list=(-0.5, -4.5), sigma=0.25)
+    with pytest.raises(DivergenceError) as exc:
+        require_admissible(e, 4.0)
+    assert isinstance(exc.value, ValueError) and isinstance(exc.value, ArithmeticError)
+    assert exc.value.conditions == tuple(admissibility_violations(e, 4.0))
+    assert len(exc.value.conditions) == 2
+    require_admissible(ExponentSet(sigma_list=(-1.0,), sigma=-1.0), 4.0)
+    assert quad.DivergenceError is DivergenceError is hlp_sharp.DivergenceError
+
+
 def test_validation_result_is_truthy_iff_ok():
     assert bool(ValidationResult(ok=True)) is True
     assert bool(ValidationResult(ok=False, violations=("x",))) is False
@@ -107,6 +134,10 @@ def test_validate_rejects_out_of_range_inputs():
     r = validate(bad_alpha)
     assert not r.ok and any("alpha>-Q violated" in s for s in r.violations)
 
+    bad_balance = ParamSet(**{**base.__dict__, "lam_list": (-0.2, -0.2)})
+    r = validate(bad_balance)
+    assert not r.ok and any("lambda=sum(lambda_j) violated" in s for s in r.violations)
+
     bad_gamma = ParamSet(**{**base.__dict__, "gamma_list": (-3.0, -3.0)})
     r = validate(bad_gamma)
     assert not r.ok and any("sigma<0 violated" in s for s in r.violations)
@@ -119,7 +150,7 @@ def test_validate_rejects_out_of_range_inputs():
 def test_strict_sharpness_adds_coupling_and_open_interval():
     base = bilinear_example()
     # Endpoint lambda_j = -1/q_j passes the default check but not strict.
-    p = ParamSet(**{**base.__dict__, "lam_list": (-0.25, -0.125), "lam": -0.1875,
+    p = ParamSet(**{**base.__dict__, "lam_list": (-0.25, -0.125), "lam": -0.375,
                     "gamma_list": (0.0, 0.0)})
     r = validate(p)
     assert r.ok

@@ -166,6 +166,19 @@ def test_oracles_match_frozen_bilinear_values(gp1, quad_spec):
     )
 
 
+def test_hlp_oracle_keeps_steep_tails_at_large_mQ(quad_spec):
+    # m=4, n=3 (mQ = 32): the tail integrand r^(Q-1+sigma_i-mQ) alone would
+    # underflow at the folded radii, truncating the tail.
+    from hlp_sharp.constants import hlp_closed_form
+
+    gp = GroupParams(n=3)
+    p = ParamSet(m=4, n=3, q=2.0, q_list=(8.0,) * 4, lam=-0.01,
+                 lam_list=(-0.0025,) * 4, gamma_list=(0.0,) * 4)
+    e = derive_exponents(p)
+    closed = hlp_closed_form(e, gp).value
+    assert hlp_constant_oracle(e, gp, quad_spec) == pytest.approx(closed, rel=1e-10)
+
+
 def test_oracles_reject_inadmissible_exponents(gp1, quad_spec):
     bad_sigma = ExponentSet(sigma_list=(-0.5,), sigma=0.5)
     for oracle in (hlp_constant_oracle, hilbert_constant_oracle):

@@ -234,6 +234,23 @@ def test_nonpositive_n_is_a_usage_error(n, tmp_path, capsys):
     assert "n>=1 violated" in err
 
 
+def test_divergent_morrey_cell_is_a_usage_error(tmp_path, capsys):
+    # lambda = -1/q is admissible, but |f|^q = r^-Q of the extremizer is not
+    # integrable at the origin: exit 2 naming the condition, no traceback.
+    argv = ["--command", "verify-dilation", "--lambda", "-0.5", "--t", "2", "--samples", "1000"]
+    status, _ = run_main(argv, tmp_path)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Q+sigma_j>0 violated" in err
+
+
+def test_unbalanced_lambda_is_a_usage_error(tmp_path, capsys):
+    argv = ["--command", "constant", "--m", "2", "--qj", "4,4", "--lambdaj", "-0.2,-0.2"]
+    status, _ = run_main(argv, tmp_path)
+    assert status == 2
+    assert "lambda=sum(lambda_j) violated" in capsys.readouterr().err
+
+
 def test_uncertifiable_oracle_is_a_failed_record(tmp_path, capsys):
     # Admissible, but sigma is so close to 0 that the tail integral of the
     # oracle decays too slowly to certify.
