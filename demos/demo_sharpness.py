@@ -11,7 +11,7 @@ window widens.  This demo sweeps the window and watches the ratio
 converge -- the numerical face of the sharpness argument.
 """
 
-from hlp_sharp.cli import CSV_HEADER, emit_convergence_table
+from hlp_sharp.cli import CSV_HEADER
 from hlp_sharp.morrey import default_grid, sharpness_ratio
 from hlp_sharp.params import ParamSet
 from hlp_sharp.quad import MCSpec, QuadratureSpec
@@ -38,13 +38,13 @@ print(f"  ratio/constant = {rep.oracle / rep.closed_form:.4f}  (never exceeds 1)
 # increases monotonically toward 1 as the window widens.
 # ---------------------------------------------------------------------------
 widths = ((1e-1, 1e1), (1e-2, 1e2), (1e-3, 1e3))
-rows = emit_convergence_table("hlp", p, widths, mc=mc)
 
 print()
 print(",".join(CSV_HEADER))
-for row in rows:
-    r_min, r_max, ratio, constant, frac = row
-    print(f"{r_min:g},{r_max:g},{ratio:.8f},{constant:.8f},{frac:.6f}")
+for r_min, r_max in widths:
+    rep = sharpness_ratio("hlp", p, (r_min, r_max), default_grid(1), QuadratureSpec(), mc)
+    ratio, constant = rep.oracle, rep.closed_form
+    print(f"{r_min:g},{r_max:g},{ratio:.8f},{constant:.8f},{ratio / constant:.6f}")
 
 # the same sweep is available from the command line:
 #   hlp-sharp --command verify-sharpness --m 2 --format csv \

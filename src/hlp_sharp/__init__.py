@@ -79,7 +79,7 @@ from .morrey import (
     verify_dilation,
 )
 from .report import VerificationReport, compare, to_json_line, write_reports
-from .cli import RunConfig, emit_convergence_table, main, run
+from .cli import RunConfig, main, run
 
 __version__ = "0.1.0"
 
@@ -99,6 +99,6 @@ __all__ = [
     "MorreySpaceSpec", "BallGrid", "MorreyEstimate", "default_grid",
     "morrey_norm", "morrey_norm_mc", "verify_dilation", "sharpness_ratio",
     "VerificationReport", "compare", "to_json_line", "write_reports",
-    "RunConfig", "run", "main", "emit_convergence_table",
+    "RunConfig", "run", "main",
     "__version__",
 ]

@@ -9,8 +9,9 @@ returns a three-way exit status:
     1   at least one record failed (reports are still written)
     2   usage or validation error, with the violated condition named
 
-CSV output is reserved for the sharpness convergence table; its header row
-is exactly `r_min,r_max,ratio,constant,ratio_over_constant`.
+CSV output is reserved for the sharpness convergence table: one row per
+`--widths` entry, written from the same records and with the same exit
+status.  Its header row is exactly `r_min,r_max,ratio,constant,ratio_over_constant`.
 
 Reports are bit-reproducible for a fixed configuration (including the seed)
 apart from the runtime_ms fields: all randomness flows from mc.seed through
@@ -50,7 +51,6 @@ __all__ = [
     "UsageError",
     "build_parser",
     "config_from_args",
-    "emit_convergence_table",
     "run",
     "main",
     "CSV_HEADER",
@@ -218,6 +218,10 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         raise UsageError(violated("tolerance>0", f"tolerance = {args.tolerance}"))
     if not (0.0 < args.rmin < args.rmax):
         raise UsageError(violated("0<rmin<rmax", f"rmin = {args.rmin}, rmax = {args.rmax}"))
+    widths = _width_list(args.widths)
+    for lo, hi in widths:
+        if not (0.0 < lo < hi):
+            raise UsageError(violated("0<rmin<rmax", f"--widths entry {lo:g}:{hi:g}"))
     factors = _float_list(args.t, "--t")
     if any(not t > 0.0 for t in factors):
         raise UsageError(f"--t factors must be positive: {args.t!r}")
@@ -233,7 +237,7 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         tolerance=args.tolerance,
         dilation_factors=factors,
         truncation=(args.rmin, args.rmax),
-        widths=_width_list(args.widths),
+        widths=widths,
     )
 
 
@@ -317,17 +321,19 @@ def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
 
 
 def _cmd_verify_sharpness(config: RunConfig) -> List[VerificationReport]:
+    """One record per --widths entry for the csv table, else one for
+    (--rmin, --rmax)."""
+    truncations = config.widths if config.format == "csv" else (config.truncation,)
     return [
-        sharpness_ratio(
-            config.kind, config.params, config.truncation, config.grid, config.quad, config.mc
-        )
+        sharpness_ratio(config.kind, config.params, t, config.grid, config.quad, config.mc)
+        for t in truncations
     ]
 
 
 def _cmd_morrey_norm(config: RunConfig) -> List[VerificationReport]:
     """Estimate the first extremizer's norm in its factor space and compare
-    against the exact origin-cell value, which the matched content weight
-    makes independent of the ball radius."""
+    against the exact value of the origin cell of radius 1, which the
+    matched content weight makes independent of the ball radius."""
     _validated(config.params, strict=True)
     p = config.params
     gp = GroupParams(n=p.n)
@@ -335,10 +341,8 @@ def _cmd_morrey_norm(config: RunConfig) -> List[VerificationReport]:
     f = extremizer_profile(e, 1)
     space = source_space(p, 1)
     t0 = time.perf_counter()
-    fq = f.power_q(space.q)
-    w1 = gp.omega_Q / (gp.Q + space.alpha)
-    integral = gp.omega_Q * fq.moment(space.gamma_w + gp.Q - 1.0, 0.0, 1.0)
-    closed = w1 ** -(space.lam + 1.0 / space.q) * integral ** (1.0 / space.q)
+    origin = BallGrid((0.0,), config.grid.center_directions, (1.0,))
+    closed = morrey_norm(f, space, origin, gp, config.mc).value
     est = morrey_norm(f, space, config.grid, gp, config.mc)
     ms = int(round((time.perf_counter() - t0) * 1000))
     note = (
@@ -426,30 +430,6 @@ def _cmd_group_check(config: RunConfig) -> List[VerificationReport]:
     return records
 
 
-def emit_convergence_table(
-    kind,
-    p: ParamSet,
-    truncations: Sequence[Tuple[float, float]],
-    grid: Optional[BallGrid] = None,
-    spec: Optional[QuadratureSpec] = None,
-    mc: Optional[MCSpec] = None,
-) -> List[Tuple[float, float, float, float, float]]:
-    """Sharpness convergence rows (r_min, r_max, ratio, constant,
-    ratio/constant), one per truncation width.  The ratio column is
-    nondecreasing as the windows widen.  sharpness_ratio validates p."""
-    if grid is None:
-        grid = default_grid(p.n)
-    if spec is None:
-        spec = QuadratureSpec()
-    if mc is None:
-        mc = MCSpec()
-    rows = []
-    for lo, hi in truncations:
-        rep = sharpness_ratio(kind, p, (lo, hi), grid, spec, mc)
-        rows.append((lo, hi, rep.oracle, rep.closed_form, rep.oracle / rep.closed_form))
-    return rows
-
-
 _DISPATCH = {
     "constant": _cmd_constant,
     "verify-dilation": _cmd_verify_dilation,
@@ -471,16 +451,6 @@ def run(config: RunConfig, stream=None) -> int:
     """
     out = stream if stream is not None else sys.stdout
     try:
-        if config.format == "csv":
-            rows = emit_convergence_table(
-                config.kind, config.params, config.widths, config.grid, config.quad, config.mc
-            )
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER)
-                writer.writerows(rows)
-            print(f"wrote {len(rows)} convergence rows to {config.output_path}", file=out)
-            return 0
         records = _DISPATCH[config.command](config)
     except UsageError:
         raise
@@ -489,7 +459,14 @@ def run(config: RunConfig, stream=None) -> int:
     except (ValueError, KeyError) as exc:
         raise UsageError(str(exc)) from exc
 
-    write_reports(config.output_path, [_header_record(config), *records])
+    if config.format == "csv":
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for (lo, hi), r in zip(config.widths, records):
+                writer.writerow((lo, hi, r.oracle, r.closed_form, r.oracle / r.closed_form))
+    else:
+        write_reports(config.output_path, [_header_record(config), *records])
 
     ok = True
     for r in records:

@@ -2,10 +2,11 @@
 truncated-extremizer sharpness experiment.
 
 The norm estimator evaluates w_1(B)^{-(lambda+1/q)} (int_B |f|^q w_2)^{1/q}
-over a finite grid of balls and reports the maximum as a certified lower
-bound of the supremum.  Origin-centered cells reduce to exact 1-D piecewise
-power integrals; off-center cells use Monte Carlo with one fixed random
-stream per cell, so coupled runs (dilation, sharpness) share their noise.
+over a finite grid of balls and reports the largest cell estimate.
+Origin-centered cells reduce to exact 1-D piecewise power integrals;
+off-center cells use Monte Carlo with one fixed random stream per cell and
+carry its stderr, so the maximum is an estimate of the grid sup, not a
+certified bound.  Coupled runs (dilation, sharpness) share their noise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -127,8 +128,9 @@ def default_grid(n: int) -> BallGrid:
 
 @dataclass(frozen=True)
 class MorreyEstimate:
-    """Certified lower bound of the Morrey sup over the evaluated grid;
-    stderr is the Monte Carlo error of the argmax cell alone."""
+    """Largest cell estimate of the Morrey sup over the evaluated grid;
+    stderr is the Monte Carlo error of the argmax cell alone (0 when that
+    cell is exact)."""
 
     value: float
     argmax_center_radius: float
@@ -141,9 +143,6 @@ class MorreyEstimate:
 
 @dataclass(frozen=True)
 class _Cell:
-    ci: int
-    di: int
-    ri: int
     center_radius: float
     R: float
     value: float
@@ -157,17 +156,34 @@ def _cell_center(cr: float, direction: HPoint, n: int) -> HPoint:
     return HPoint(tuple(float(c) for c in coords))
 
 
-def _grid_cells(grid: BallGrid, n: int) -> Iterator[Tuple[int, int, int, float, HPoint, float]]:
-    """Every cell of the grid in fixed order as (ci, di, ri, cr, center, R).
-    The origin is visited with its first direction only, since all
-    directions coincide there."""
+def _cells(
+    space: MorreySpaceSpec, grid: BallGrid, gp: GroupParams, mc: MCSpec, integral: Callable
+) -> List[_Cell]:
+    """Every cell of the grid in fixed order, valued as
+    w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with first-order error
+    propagation from the two Monte Carlo factors.  integral(cell, cr,
+    center, R) is the content integral and its stderr; cell = (ci, di, ri)
+    keys the random streams.  The origin is visited with its first
+    direction only, since all directions coincide there."""
+    q = space.q
+    pref_exp = -(space.lam + 1.0 / q)
+    cells: List[_Cell] = []
     for ci, cr in enumerate(grid.center_radii):
         for di, direction in enumerate(grid.center_directions):
             if cr == 0.0 and di > 0:
                 continue
-            center = _cell_center(cr, direction, n)
+            center = _cell_center(cr, direction, gp.n)
             for ri, R in enumerate(grid.radii):
-                yield ci, di, ri, cr, center, R
+                cell = (ci, di, ri)
+                content, se_i = integral(cell, cr, center, R)
+                w1, se_w = _ball_weight(center, cr, R, space.alpha, gp, mc, cell)
+                if content <= 0.0 or w1 <= 0.0:
+                    cells.append(_Cell(cr, R, 0.0, 0.0))
+                    continue
+                value = w1**pref_exp * content ** (1.0 / q)
+                rel_sq = (se_i / (q * content)) ** 2 + (pref_exp * se_w / w1) ** 2
+                cells.append(_Cell(cr, R, value, value * math.sqrt(rel_sq)))
+    return cells
 
 
 def _cell_mc(mc: MCSpec, cell: Tuple[int, int, int], stream: int) -> MCSpec:
@@ -200,10 +216,10 @@ def _ball_weight(
     cell: Tuple[int, int, int],
 ) -> Tuple[float, float]:
     """w_1(B(a, R)) = int_B |x|^alpha dx and its stderr (0 when exact)."""
-    if alpha == 0.0:
-        return gp.Omega_Q * R**gp.Q, 0.0
     if cr == 0.0:
         return gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha), 0.0
+    if alpha == 0.0:
+        return gp.Omega_Q * R**gp.Q, 0.0
     beta = min(0.0, alpha)
 
     def h(X):
@@ -213,19 +229,6 @@ def _ball_weight(
     return mc_ball_integral(
         h, center, R, gp, _cell_mc(mc, cell, _STREAM_WEIGHT), origin_exponent=beta
     )
-
-
-def _profile_cell_integrand(fq: RadialProfile, gamma_w: float, n: int) -> Callable:
-    def h(X):
-        r = hnorm_arrays(X, n)
-        fv = fq(r)
-        out = np.zeros_like(fv)
-        mask = fv > 0.0
-        if np.any(mask):
-            out[mask] = fv[mask] * r[mask] ** gamma_w
-        return out
-
-    return h
 
 
 def _cell_tilt(
@@ -260,64 +263,44 @@ def _cell_values_profile(
     """All grid-cell values for a radial profile: exact origin cells,
     Monte Carlo off-center cells keyed by cell index."""
     space.check_weights(gp.Q)
-    q, lam, alpha, gw = space.q, space.lam, space.alpha, space.gamma_w
-    pref_exp = -(lam + 1.0 / q)
-    fq = f.power_q(q) if not f.is_zero else f
+    gw = space.gamma_w
+    fq = f.power_q(space.q) if not f.is_zero else f
     p0 = fq.origin_exponent()
     if p0 is not None:
         _check_origin(p0 + gw, gp.Q)
-    integrand = _profile_cell_integrand(fq, gw, gp.n)
     s_lo, s_hi = fq.support()
 
-    cells: List[_Cell] = []
-    for ci, di, ri, cr, center, R in _grid_cells(grid, gp.n):
+    def integrand(X):
+        r = hnorm_arrays(X, gp.n)
+        fv = fq(r)
+        out = np.zeros_like(fv)
+        mask = fv > 0.0
+        if np.any(mask):
+            out[mask] = fv[mask] * r[mask] ** gw
+        return out
+
+    def integral(cell, cr, center, R):
         if cr == 0.0:
-            w1 = gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
-            integral = gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R)
-            se_i, se_w = 0.0, 0.0
-        else:
-            beta = _cell_tilt(fq, gw, cr, R, s_lo, s_hi, gp.Q)
-            integral, se_i = mc_ball_integral(
-                integrand,
-                center,
-                R,
-                gp,
-                _cell_mc(mc, (ci, di, ri), _STREAM_INTEGRAL),
-                origin_exponent=beta,
-                radial_window=(s_lo, s_hi),
-            )
-            w1, se_w = _ball_weight(center, cr, R, alpha, gp, mc, (ci, di, ri))
-        cells.append(
-            _Cell(ci, di, ri, cr, R, *_cell_value(integral, se_i, w1, se_w, q, pref_exp))
+            return gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R), 0.0
+        return mc_ball_integral(
+            integrand,
+            center,
+            R,
+            gp,
+            _cell_mc(mc, cell, _STREAM_INTEGRAL),
+            origin_exponent=_cell_tilt(fq, gw, cr, R, s_lo, s_hi, gp.Q),
+            radial_window=(s_lo, s_hi),
         )
-    return cells
 
-
-def _cell_value(
-    integral: float, se_i: float, w1: float, se_w: float, q: float, pref_exp: float
-) -> Tuple[float, float]:
-    """Cell value w1^pref_exp * integral^(1/q) with first-order error
-    propagation from the two Monte Carlo factors."""
-    if integral <= 0.0 or w1 <= 0.0:
-        return 0.0, 0.0
-    value = w1**pref_exp * integral ** (1.0 / q)
-    rel_sq = (se_i / (q * integral)) ** 2 + (pref_exp * se_w / w1) ** 2
-    return value, value * math.sqrt(rel_sq)
+    return _cells(space, grid, gp, mc, integral)
 
 
 def _reduce(cells: Sequence[_Cell]) -> MorreyEstimate:
+    """The first cell of largest value."""
     if not cells:
         raise ValueError("empty grid")
-    best = cells[0]
-    for c in cells[1:]:
-        if c.value > best.value:
-            best = c
-    return MorreyEstimate(
-        value=best.value,
-        argmax_center_radius=best.center_radius,
-        argmax_R=best.R,
-        stderr=best.stderr,
-    )
+    best = max(cells, key=lambda c: c.value)
+    return MorreyEstimate(best.value, best.center_radius, best.R, best.stderr)
 
 
 def morrey_norm(
@@ -327,7 +310,9 @@ def morrey_norm(
     gp: GroupParams,
     mc: MCSpec,
 ) -> MorreyEstimate:
-    """Grid lower bound of the weighted Morrey norm of a radial profile."""
+    """Largest grid-cell estimate of the weighted Morrey norm of a radial
+    profile; origin cells are exact, off-center cells carry Monte Carlo
+    stderr."""
     return _reduce(_cell_values_profile(f, space, grid, gp, mc))
 
 
@@ -339,13 +324,13 @@ def morrey_norm_mc(
     mc: MCSpec,
     origin_exponent: float = 0.0,
 ) -> MorreyEstimate:
-    """Morrey norm lower bound for a general (possibly non-radial) function,
-    every cell estimated by Monte Carlo.  origin_exponent is the power
-    behavior of |f| at the origin, used to importance-tilt singular cells.
+    """Largest grid-cell estimate of the Morrey norm of a general (possibly
+    non-radial) function, every cell a Monte Carlo estimate with its
+    stderr.  origin_exponent is the power behavior of |f| at the origin,
+    used to importance-tilt singular cells.
     """
     space.check_weights(gp.Q)
-    q, lam, alpha, gw = space.q, space.lam, space.alpha, space.gamma_w
-    pref_exp = -(lam + 1.0 / q)
+    q, gw = space.q, space.gamma_w
     beta = min(0.0, q * float(origin_exponent) + gw)
     _check_origin(beta, gp.Q)
 
@@ -358,21 +343,12 @@ def morrey_norm_mc(
             out[mask] = fv[mask] * r[mask] ** gw
         return out
 
-    cells: List[_Cell] = []
-    for ci, di, ri, cr, center, R in _grid_cells(grid, gp.n):
-        integral, se_i = mc_ball_integral(
-            integrand,
-            center,
-            R,
-            gp,
-            _cell_mc(mc, (ci, di, ri), _STREAM_INTEGRAL),
-            origin_exponent=beta,
+    def integral(cell, cr, center, R):
+        return mc_ball_integral(
+            integrand, center, R, gp, _cell_mc(mc, cell, _STREAM_INTEGRAL), origin_exponent=beta
         )
-        w1, se_w = _ball_weight(center, cr, R, alpha, gp, mc, (ci, di, ri))
-        cells.append(
-            _Cell(ci, di, ri, cr, R, *_cell_value(integral, se_i, w1, se_w, q, pref_exp))
-        )
-    return _reduce(cells)
+
+    return _reduce(_cells(space, grid, gp, mc, integral))
 
 
 def verify_dilation(
@@ -447,17 +423,17 @@ def sharpness_ratio(
     spec: QuadratureSpec,
     mc: MCSpec,
 ) -> VerificationReport:
-    """Truncated-extremizer lower bound for the operator norm, divided by
+    """Truncated-extremizer estimate of the operator norm, divided by
     the closed-form constant.
 
     Builds f_j = r^{sigma_j} on [r_min, r_max], tabulates T(f_1..f_m) on a
     dense radial net, and evaluates all Morrey norms on the shared grid with
     cell-coupled random streams, one denominator per distinct pair of
     extremizer and source space (coincident factors give the same value
-    from the same streams).  Both numerator and denominators are
-    certified lower bounds of their sups, so the reported ratio is an
-    estimate, not a bound, of the norm ratio; it converges to 1 from below
-    as the truncation widens.
+    from the same streams).  Numerator and denominators are each the
+    largest cell estimate on the grid, with Monte Carlo noise in the
+    off-center cells, so the reported ratio is an estimate, not a bound, of
+    the norm ratio; it converges to 1 from below as the truncation widens.
     """
     vr = validate(p, strict_sharpness=True)
     if not vr:

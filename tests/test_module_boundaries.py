@@ -1,10 +1,14 @@
 """No module of the package reaches into another module's private names,
-and only params spells out the admissibility conditions."""
+only params spells out the admissibility conditions, and every package
+name a demo imports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hlp_sharp"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hlp_sharp"
+DEMOS = ROOT / "demos"
 
 
 def _private(name: str) -> bool:
@@ -78,3 +82,44 @@ def test_condition_literal_detector_flags_plain_and_f_strings():
         'c = violated(Q_PLUS_SIGMA_J, f"{y}")\n'
     )
     assert list(_condition_literals(tree)) == ["sigma<0 violated: x", "Q+sigma_j>0 violated: "]
+
+
+def _missing_package_names(tree: ast.Module):
+    """`from hlp_sharp... import X` statements whose X the imported module
+    lacks; the modules are imported, the demo itself is never run."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module):
+            continue
+        if node.module.split(".")[0] != "hlp_sharp":
+            continue
+        try:
+            module = importlib.import_module(node.module)
+        except ImportError:
+            module = None
+        for alias in node.names:
+            if not hasattr(module, alias.name):
+                yield f"from {node.module} import {alias.name}"
+
+
+def test_demos_import_only_existing_package_names():
+    files = sorted(DEMOS.glob("*.py"))
+    assert files
+    offences = [
+        f"{path.name}: {use}"
+        for path in files
+        for use in _missing_package_names(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offences, offences
+
+
+def test_demo_import_detector_flags_missing_names_and_modules():
+    tree = ast.parse(
+        "from hlp_sharp.cli import run, emit_convergence_table\n"
+        "from hlp_sharp import morrey\n"
+        "from hlp_sharp.no_such_module import x\n"
+        "from numpy import no_such_name\n"
+    )
+    assert list(_missing_package_names(tree)) == [
+        "from hlp_sharp.cli import emit_convergence_table",
+        "from hlp_sharp.no_such_module import x",
+    ]

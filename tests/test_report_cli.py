@@ -18,7 +18,6 @@ from hlp_sharp.cli import (
     RunConfig,
     UsageError,
     config_from_args,
-    emit_convergence_table,
     main,
     run,
 )
@@ -170,6 +169,10 @@ def test_config_usage_errors():
         config_from_args(["--command", "constant", "--t", "-1,2"])
     with pytest.raises(UsageError, match="--widths"):
         config_from_args(["--command", "constant", "--widths", "1:2:3"])
+    with pytest.raises(UsageError, match="0<rmin<rmax violated: --widths entry 100:0.01"):
+        config_from_args(["--command", "verify-sharpness", "--widths", "1e2:1e-2"])
+    with pytest.raises(UsageError, match="0<rmin<rmax violated: --widths entry 0:1"):
+        config_from_args(["--command", "verify-sharpness", "--widths", "1e-1:1e1,0:1"])
     with pytest.raises(UsageError, match="--qj"):
         config_from_args(["--command", "constant", "--qj", "a,b"])
     with pytest.raises(SystemExit):
@@ -406,6 +409,35 @@ def test_verify_sharpness_csv_table(tmp_path):
         assert 0.5 < row[4] <= 1.0 + 1e-3
 
 
+def test_verify_sharpness_csv_failing_width_exits_1(tmp_path, capsys):
+    # A narrow window falls outside the sharpness tolerance: the table is
+    # still written, and the exit status is the JSON run's.
+    path = tmp_path / "table.csv"
+    status = main(
+        [
+            "--command",
+            "verify-sharpness",
+            "--format",
+            "csv",
+            "--widths",
+            "0.5:2",
+            "--samples",
+            "2000",
+            "--out",
+            str(path),
+        ]
+    )
+    assert status == 1
+    assert "FAILED" in capsys.readouterr().out
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_HEADER)
+    assert len(lines) == 2
+    lo, hi, ratio, constant, rel = (float(v) for v in lines[1].split(","))
+    assert (lo, hi) == (0.5, 2.0)
+    assert rel == pytest.approx(ratio / constant, rel=1e-12)
+    assert rel < 0.9
+
+
 def test_verify_sharpness_csv_empty_widths(tmp_path):
     path = tmp_path / "table.csv"
     status = main(
@@ -534,22 +566,3 @@ def test_console_script_entry_point():
         pyproject.read_text(),
         re.MULTILINE,
     )
-
-
-def test_emit_convergence_table_rows(tmp_path):
-    cfg = config_from_args(
-        ["--command", "verify-sharpness", "--samples", "20000"]
-    )
-    rows = emit_convergence_table(
-        "hlp",
-        cfg.params,
-        ((1e-1, 1e1),),
-        grid=cfg.grid,
-        spec=cfg.quad,
-        mc=cfg.mc,
-    )
-    assert len(rows) == 1
-    lo, hi, ratio, constant, rel = rows[0]
-    assert (lo, hi) == (1e-1, 1e1)
-    assert rel == ratio / constant
-    assert 0.5 < rel <= 1.0 + 1e-3
