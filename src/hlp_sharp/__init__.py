@@ -49,9 +49,9 @@ from .quad import (
     hilbert_constant_oracle,
     hlp_constant_oracle,
     integrate_curve,
+    keyed_rng,
     mc_ball_integral,
     polar_directions,
-    radial_integral,
 )
 from .constants import (
     SharpConstant,
@@ -89,7 +89,7 @@ __all__ = [
     "ParamSet", "ExponentSet", "ValidationResult", "derive_exponents",
     "admissibility_violations", "require_admissible", "validate", "DivergenceError",
     "QuadratureSpec", "MCSpec", "SamplingError",
-    "derive_seed", "integrate_curve", "radial_integral",
+    "derive_seed", "keyed_rng", "integrate_curve",
     "hlp_constant_oracle", "hilbert_constant_oracle", "mc_ball_integral",
     "polar_directions",
     "SharpConstant", "hlp_closed_form", "hilbert_closed_form",

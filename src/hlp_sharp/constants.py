@@ -22,6 +22,7 @@ from .quad import QuadratureSpec, hilbert_constant_oracle, hlp_constant_oracle
 from .report import VerificationReport, compare
 
 __all__ = [
+    "KINDS",
     "SharpConstant",
     "hlp_closed_form",
     "hilbert_closed_form",
@@ -45,12 +46,12 @@ _HILBERT_NOTE = (
 class SharpConstant:
     """A sharp operator-norm constant carrying its sign-convention note."""
 
-    kind: str  # "hlp" | "hilbert"
+    kind: str  # a key of KINDS
     value: float
     convention_note: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("hlp", "hilbert"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown constant kind {self.kind!r}")
         if not (math.isfinite(self.value) and self.value > 0.0):
             raise ValueError("sharp constant must be positive and finite")
@@ -86,6 +87,13 @@ def hilbert_closed_form(e: ExponentSet, gp: GroupParams) -> SharpConstant:
     return SharpConstant(
         kind="hilbert", value=math.exp(log_value), convention_note=_HILBERT_NOTE
     )
+
+
+# Each constant kind: its closed form and the quadrature oracle certifying it.
+KINDS = {
+    "hlp": (hlp_closed_form, hlp_constant_oracle),
+    "hilbert": (hilbert_closed_form, hilbert_constant_oracle),
+}
 
 
 def beta_recursion_Im(offsets: Sequence[float], outer_power: float) -> float:
@@ -136,12 +144,10 @@ def reconcile(
         spec = QuadratureSpec()
     e = derive_exponents(p)
     start = time.perf_counter()
-    if kind == "hlp":
-        const, oracle_fn = hlp_closed_form(e, gp), hlp_constant_oracle
-    elif kind == "hilbert":
-        const, oracle_fn = hilbert_closed_form(e, gp), hilbert_constant_oracle
-    else:
+    if kind not in KINDS:
         raise ValueError(f"unknown constant kind {kind!r}")
+    closed_form, oracle_fn = KINDS[kind]
+    const = closed_form(e, gp)
     note = const.convention_note
     try:
         oracle = oracle_fn(e, gp, spec)

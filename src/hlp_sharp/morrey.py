@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .constants import hilbert_closed_form, hlp_closed_form
+from .constants import KINDS
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
 from .operators import RadialProfile, apply_radii, extremizer_profile
 from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
@@ -39,7 +39,6 @@ __all__ = [
 
 _STREAM_INTEGRAL = 0
 _STREAM_WEIGHT = 1
-_CLOSED_FORMS = {"hlp": hlp_closed_form, "hilbert": hilbert_closed_form}
 
 
 @dataclass(frozen=True)
@@ -442,9 +441,9 @@ def sharpness_ratio(
     gp = GroupParams(n=p.n)
     e = derive_exponents(p)
     r_min, r_max = float(truncation[0]), float(truncation[1])
-    if kind not in _CLOSED_FORMS:
+    if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    constant = _CLOSED_FORMS[kind](e, gp)
+    constant = KINDS[kind][0](e, gp)
 
     extremizers = [
         extremizer_profile(e, j + 1, truncation=(r_min, r_max)) for j in range(p.m)

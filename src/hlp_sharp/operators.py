@@ -24,7 +24,8 @@ import numpy as np
 
 from .hgroup import GroupParams, dilate_arrays
 from .params import Q_PLUS_SIGMA_J, SIGMA_NEG, DivergenceError, ExponentSet, violated
-from .quad import MCSpec, QuadratureSpec, eval_batch, leggauss, polar_directions
+from .constants import KINDS
+from .quad import MCSpec, QuadratureSpec, eval_batch, keyed_rng, leggauss, polar_directions
 
 __all__ = [
     "RadialProfile",
@@ -34,7 +35,6 @@ __all__ = [
     "radialize",
 ]
 
-OPERATOR_KINDS = ("hlp", "hilbert")
 _PURPOSE_SPHERE = 23
 _DEFAULT_RADII = tuple(np.geomspace(1e-2, 1e2, 33))
 
@@ -527,7 +527,7 @@ def apply_radii(
     trapezoid rule in log lambda; other sum-kernel inputs raise ValueError.
     Divergent inputs raise DivergenceError.  spec is not used.
     """
-    if kind not in OPERATOR_KINDS:
+    if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
     rr = np.asarray(radii, dtype=float)
     if not np.all(rr > 0.0):
@@ -578,10 +578,7 @@ def radialize(
     per_shard = max(16, mc.samples // (shards * rr.size))
     shard_means = np.empty((shards, rr.size))
     for s in range(shards):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((int(mc.seed), _PURPOSE_SPHERE, s)))
-        )
-        xi = polar_directions(rng, per_shard, gp.n)
+        xi = polar_directions(keyed_rng(mc.seed, _PURPOSE_SPHERE, s), per_shard, gp.n)
         for k, r in enumerate(rr):
             pts = dilate_arrays(float(r), xi, gp.n)
             shard_means[s, k] = float(np.mean(eval_batch(f, pts)))

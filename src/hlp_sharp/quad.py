@@ -15,11 +15,12 @@ Three layers:
   and importance sampling for origin singularities, drawing directions from
   the exact polar law of the unit gauge sphere.
 
-Runs are reproducible: all randomness is derived from (seed, purpose,
-shard) via SeedSequence feeding a counter-based Philox generator, one
-stream per shard, and shards run and reduce serially in fixed order.
-DivergenceError lives in params, next to the admissibility conditions;
-quad re-exports it.
+Runs are reproducible: every random draw of the package comes from
+keyed_rng(seed, *key), a counter-based Philox generator seeded by
+SeedSequence((seed, *key)), with keys (17, shard, 0) for a ball-integral
+shard, (23, shard) for a radialization shard and (29,) for group-check;
+shards run and reduce serially in fixed order.  DivergenceError lives in
+params, next to the admissibility conditions; quad re-exports it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def derive_seed(seed: int, *indices: int) -> int:
     """Stable 63-bit stream seed derived from a base seed and index tuple."""
     ss = np.random.SeedSequence((int(seed),) + tuple(int(i) for i in indices))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
+
+
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """The package's one random generator: Philox seeded by
+    SeedSequence((seed, *key)); the module docstring lists the keys in use."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *key))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,35 +201,8 @@ def integrate_curve(
 
 
 # ---------------------------------------------------------------------------
-# Radial integrals and constant oracles
+# Constant oracles
 # ---------------------------------------------------------------------------
-
-def radial_integral(f, gp: GroupParams, spec: QuadratureSpec) -> float:
-    """omega_Q * int_0^inf f(r) r^(Q-1) dr for a radial profile or callable f.
-
-    f may be a RadialProfile (its support and knot structure guide the panel
-    split) or any vectorized callable on positive radii.
-    """
-    Q = gp.Q
-
-    if hasattr(f, "segments"):
-        lo, hi = f.support()
-        if hi <= lo:
-            return 0.0
-        breaks = f.breakpoints()
-
-        def g(r):
-            return f(r) * r ** (Q - 1)
-
-        return gp.omega_Q * integrate_curve(g, spec, breakpoints=breaks, upper=hi)
-
-    def g(r):
-        vals = np.asarray(f(r), dtype=float)
-        pw = np.where(vals == 0.0, 0.0, r)  # avoid 0 * inf at huge folded radii
-        return vals * pw ** (Q - 1)
-
-    return gp.omega_Q * integrate_curve(g, spec, breakpoints=(1.0,))
-
 
 def hlp_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpec) -> float:
     """Quadrature value of the max-kernel constant integral.
@@ -335,25 +315,14 @@ def polar_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray
     return out
 
 
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    """The single Philox stream of one shard of a ball integral.  The
-    trailing 0 is part of the stream key: changing it changes every
-    plain-path estimate."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(seed), _PURPOSE_BALL, shard, 0)))
-    )
-
-
-def _mc_shard_plain(f, center, radius, gp, seed, shard, count):
-    """Box-rejection shard: z = delta_R(u) for u uniform in the unit box,
-    accepted when |u|_h < 1, translated to center o z.
-
-    The acceptance test never involves the ball-volume constant, so f = 1
-    yields a genuinely geometric volume estimate.  Returns (mean,
-    var_of_mean, accepted, drawn).
-    """
+def _plain_blocks(rng, f, center, radius, gp, count):
+    """Box-rejection draw: z = delta_R(u) for u uniform in the unit box,
+    accepted when |u|_h < 1, translated to center o z.  The acceptance test
+    never involves the ball-volume constant, so f = 1 yields a genuinely
+    geometric volume estimate.  Returns one (1, count) block of weights and
+    the accepted count."""
     n = gp.n
-    u = _shard_rng(seed, shard).uniform(-1.0, 1.0, size=(count, gp.dim))
+    u = rng.uniform(-1.0, 1.0, size=(count, gp.dim))
     acc = hnorm_arrays(u, n) < 1.0
     vbox = 2.0 ** (2 * n + 1) * radius**gp.Q
     w = np.zeros(count)
@@ -361,36 +330,29 @@ def _mc_shard_plain(f, center, radius, gp, seed, shard, count):
         z = dilate_arrays(radius, u[acc], n)
         pts = mul_arrays(center, z, n)
         w[acc] = eval_batch(f, pts) * vbox
-    mean = float(w.mean())
-    var = float(w.var(ddof=1) / count) if count > 1 else 0.0
-    return mean, var, int(np.count_nonzero(acc)), count
+    return w[None, :], int(np.count_nonzero(acc))
 
 
-def _mc_shard_importance(
-    f, true_center, radius, gp, seed, shard, strata, per_block, beta, w_lo, w_hi
-):
-    """Polar shard with the radial law tilted to r^(Q-1+beta) on the window
+def _polar_blocks(rng, f, center, radius, gp, strata, per_block, beta, w_lo, w_hi):
+    """Polar draw with the radial law tilted to r^(Q-1+beta) on the window
     [w_lo, w_hi], stratified over radius shells; membership in
     B(center, radius) is tested via hdist.  All strata come from one draw:
-    stratum k takes u = (k + U)/strata.  Returns (mean of block means,
-    variance part)."""
+    stratum k takes u = (k + U)/strata.  Returns the weights as
+    (strata, per_block) blocks and their count (every draw is kept)."""
     n = gp.n
     p = gp.Q + beta
     lo_p = 0.0 if w_lo == 0.0 else w_lo**p
     span = w_hi**p - lo_p
     dens_c = p / (gp.omega_Q * span)  # density factor / r^beta
-    rng = _shard_rng(seed, shard)
     k = np.repeat(np.arange(strata), per_block)
     u = (k + rng.random(strata * per_block)) / strata
     r = (lo_p + u * span) ** (1.0 / p)
     pts = dilate_arrays(r, polar_directions(rng, r.size, n), n)
     w = eval_batch(f, pts) / (dens_c * r**beta)
-    if float(hnorm_arrays(true_center, n)) > 0.0:
-        offset = mul_arrays(-true_center, pts, n)
+    if float(hnorm_arrays(center, n)) > 0.0:
+        offset = mul_arrays(-center, pts, n)
         w = np.where(hnorm_arrays(offset, n) < radius, w, 0.0)
-    blocks = w.reshape(strata, per_block)
-    block_vars = blocks.var(axis=1, ddof=1) / per_block
-    return float(blocks.mean(axis=1).mean()), float(block_vars.sum())
+    return w.reshape(strata, per_block), w.size
 
 
 def mc_ball_integral(
@@ -418,57 +380,49 @@ def mc_ball_integral(
     ball (the gauge norm satisfies the triangle inequality), which removes
     the volume-dilution variance when the support is much smaller than the
     ball.  An empty intersection returns (0.0, 0.0) exactly.
+
+    Both paths run one shard loop: shard s draws one weight block per radial
+    stratum (the plain path is the one-stratum case) from
+    keyed_rng(seed, 17, s, 0), and one reduction averages the block means.
     """
     radius = float(radius)
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     if center.coords.size != gp.dim:
         raise ValueError("center dimension does not match GroupParams")
-    beta = float(origin_exponent)
-    if beta > 0.0:
-        beta = 0.0
+    beta = min(float(origin_exponent), 0.0)
     if beta <= -gp.Q:
         raise ValueError("origin_exponent must exceed -Q")
 
     c_norm = float(hnorm_arrays(center.coords, gp.n))
     shards = mc.shards
 
-    use_polar = radial_window is not None or (beta < 0.0 and c_norm < radius)
-    if use_polar:
-        if radial_window is None:
-            w_lo, w_hi = 0.0, c_norm + radius
-        else:
-            w_lo = max(float(radial_window[0]), c_norm - radius, 0.0)
-            w_hi = min(float(radial_window[1]), c_norm + radius)
-            if not w_hi > w_lo:
-                return 0.0, 0.0
+    if radial_window is not None or (beta < 0.0 and c_norm < radius):
+        lo, hi = (0.0, math.inf) if radial_window is None else radial_window
+        w_lo = max(float(lo), c_norm - radius, 0.0)
+        w_hi = min(float(hi), c_norm + radius)
+        if not w_hi > w_lo:
+            return 0.0, 0.0
         strata = max(1, min(16, mc.samples // (shards * 8)))
         per_block = max(2, mc.samples // (shards * strata))
-        results = [
-            _mc_shard_importance(
-                f, center.coords, radius, gp, mc.seed, s, strata, per_block, beta, w_lo, w_hi
-            )
-            for s in range(shards)
-        ]
-        means = np.array([r[0] for r in results])
-        var_parts = np.array([r[1] for r in results])
-        estimate = float(means.mean())
-        stderr = float(math.sqrt(var_parts.sum()) / (shards * strata))
-        return estimate, stderr
+        draw = lambda rng: _polar_blocks(
+            rng, f, center.coords, radius, gp, strata, per_block, beta, w_lo, w_hi
+        )
+    else:
+        per_shard = max(2, mc.samples // shards)
+        draw = lambda rng: _plain_blocks(rng, f, center.coords, radius, gp, per_shard)
 
-    per_shard = max(2, mc.samples // shards)
-    results = [
-        _mc_shard_plain(f, center.coords, radius, gp, mc.seed, s, per_shard)
-        for s in range(shards)
-    ]
-    accepted = sum(r[2] for r in results)
-    drawn = sum(r[3] for r in results)
+    means, var_parts, accepted = [], [], 0
+    for s in range(shards):
+        blocks, kept = draw(keyed_rng(mc.seed, _PURPOSE_BALL, s, 0))
+        means.append(float(blocks.mean(axis=1).mean()))
+        var_parts.append(float((blocks.var(axis=1, ddof=1) / blocks.shape[1]).sum()))
+        accepted += kept
+    drawn = shards * blocks.size
     if drawn >= 100_000 and accepted / drawn < _ACCEPT_FLOOR:
         raise SamplingError(
             f"ball rejection acceptance ratio {accepted / drawn:.2e} below {_ACCEPT_FLOOR}"
         )
-    means = np.array([r[0] for r in results])
-    var_parts = np.array([r[1] for r in results])
-    estimate = float(means.mean())
-    stderr = float(math.sqrt(var_parts.sum()) / shards)
+    estimate = float(np.array(means).mean())
+    stderr = float(math.sqrt(np.array(var_parts).sum()) / (shards * blocks.shape[0]))
     return estimate, stderr

@@ -52,9 +52,14 @@ def test_associativity(x, y, z):
 
 
 @given(hpoints(2), st.floats(min_value=0.05, max_value=20.0))
+@example(HPoint(np.array([0.0, 0.0, 0.0, 0.0, 2.225073858507e-311])), 0.25)
 @settings(max_examples=200, deadline=None)
 def test_norm_homogeneity(x, r):
-    assert hnorm(dilate(r, x)) == pytest.approx(r * hnorm(x), rel=1e-12, abs=1e-300)
+    # A subnormal vertical coordinate loses bits when dilate rounds (t*r)*r
+    # twice, by at most (r + 1) ulp(0) / 2, and the norm's square root turns
+    # that into an absolute error of at most sqrt((r + 1) ulp(0)).
+    floor = math.sqrt((r + 1.0) * math.ulp(0.0))
+    assert hnorm(dilate(r, x)) == pytest.approx(r * hnorm(x), rel=1e-12, abs=floor)
 
 
 @pytest.mark.parametrize(

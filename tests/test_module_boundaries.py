@@ -1,6 +1,6 @@
 """No module of the package reaches into another module's private names,
-only params spells out the admissibility conditions, and every package
-name a demo imports exists."""
+only params spells out the admissibility conditions, only quad builds
+random generators, and every package name a demo imports exists."""
 
 import ast
 import importlib
@@ -82,6 +82,50 @@ def test_condition_literal_detector_flags_plain_and_f_strings():
         'c = violated(Q_PLUS_SIGMA_J, f"{y}")\n'
     )
     assert list(_condition_literals(tree)) == ["sigma<0 violated: x", "Q+sigma_j>0 violated: "]
+
+
+def _numpy_random_uses(tree: ast.Module):
+    """Reads of np.random (or numpy.random) and imports of numpy's random
+    module: every draw must come from quad.keyed_rng."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield f"{node.value.id}.random"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = [a.name for a in node.names]
+            if node.module.startswith("numpy.random") or "random" in names:
+                yield f"from {node.module} import {', '.join(names)}"
+
+
+def test_only_quad_names_numpy_random():
+    offences = [
+        f"{path.name}: {use}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "quad.py"
+        for use in _numpy_random_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offences, offences
+
+
+def test_numpy_random_detector_flags_attributes_and_imports():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "rng = np.random.Generator(np.random.Philox(1))\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random\n"
+        "from numpy import zeros\n"
+        "x = self.random()\n"
+    )
+    assert sorted(_numpy_random_uses(tree)) == [
+        "from numpy import random",
+        "from numpy.random import default_rng",
+        "np.random",
+        "np.random",
+    ]
 
 
 def _missing_package_names(tree: ast.Module):

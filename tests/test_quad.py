@@ -5,7 +5,6 @@ import pytest
 
 import hlp_sharp.quad as quad
 from hlp_sharp.hgroup import GroupParams, HPoint, hnorm_arrays, identity
-from hlp_sharp.operators import RadialProfile
 from hlp_sharp.params import ExponentSet, ParamSet, derive_exponents
 from hlp_sharp.quad import (
     DivergenceError,
@@ -18,7 +17,6 @@ from hlp_sharp.quad import (
     integrate_curve,
     mc_ball_integral,
     polar_directions,
-    radial_integral,
 )
 
 # Frozen reference values for the bilinear example (m=2, n=1, q=2, q_j=4,
@@ -118,27 +116,6 @@ def test_integrate_curve_flags_tail_divergence(quad_spec):
     with pytest.raises(DivergenceError) as exc:
         integrate_curve(lambda r: 1.0 / (1.0 + np.asarray(r)), quad_spec)
     assert "tail" in exc.value.conditions
-
-
-def test_radial_integral_callable(gp1, quad_spec):
-    # omega_Q int_0^inf e^(-r^4) r^3 dr = omega_Q / 4 (= pi^2/2 on H^1)
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            e = np.exp(-(r**4))
-        return np.where(r > 50.0, 0.0, e)
-
-    assert radial_integral(f, gp1, quad_spec) == pytest.approx(
-        gp1.omega_Q / 4.0, rel=1e-8
-    )
-
-
-def test_radial_integral_profile(gp1, quad_spec):
-    f = RadialProfile.truncated_power(-1.0, 0.5, 2.0)
-    exact = gp1.omega_Q * (2.0**3 - 0.5**3) / 3.0
-    assert radial_integral(f, gp1, quad_spec) == pytest.approx(exact, rel=1e-10)
-    zero = RadialProfile.power(-1.0).scaled(0.0)
-    assert radial_integral(zero, gp1, quad_spec) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +251,22 @@ def test_mc_ball_window_partial_overlap_is_honest(gp1, mc_small):
     exact = gp1.Omega_Q * 0.5**gp1.Q
     assert se > 0.0
     assert abs(est - exact) <= 3.0 * se
+
+
+def test_mc_ball_unwindowed_polar_is_the_infinite_window(gp1, mc_small):
+    # An interior origin singularity without a window takes the polar path
+    # on (0, inf) clipped to the ball, bit for bit.
+    center = HPoint((0.2, 0.1, -0.3))
+
+    def f(pts):
+        return hnorm_arrays(pts, gp1.n) ** -1.5
+
+    args = (f, center, 1.5, gp1, mc_small)
+    plain = mc_ball_integral(*args)
+    bare = mc_ball_integral(*args, origin_exponent=-1.5)
+    windowed = mc_ball_integral(*args, origin_exponent=-1.5, radial_window=(0.0, math.inf))
+    assert bare == windowed
+    assert bare != plain
 
 
 def test_mc_ball_determinism(gp1, mc_small):
