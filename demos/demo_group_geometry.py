@@ -74,6 +74,6 @@ print(f"\n||f||_Morrey (grid lower bound) = {norm.value:.8f}")
 print(f"attained at center radius {norm.argmax_center_radius}, R = {norm.argmax_R}")
 
 print("\ndilation covariance, cell by cell")
-for t in (0.5, 2.0, 10.0):
-    rep = verify_dilation(f, t, space, grid, gp, mc)
+factors = (0.5, 2.0, 10.0)
+for t, rep in zip(factors, verify_dilation(f, factors, space, grid, gp, mc)):
     print(f"  t={t:>4}: max cell deviation {rep.rel_err:.3e}  passed={rep.passed}")

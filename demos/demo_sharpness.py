@@ -14,7 +14,7 @@ converge -- the numerical face of the sharpness argument.
 from hlp_sharp.cli import CSV_HEADER
 from hlp_sharp.morrey import default_grid, sharpness_ratio
 from hlp_sharp.params import ParamSet
-from hlp_sharp.quad import MCSpec, QuadratureSpec
+from hlp_sharp.quad import MCSpec
 
 # a bilinear max-kernel example on H^1 with the coupled exponents
 p = ParamSet(
@@ -26,7 +26,7 @@ p = ParamSet(
 # one full report for a single window: the ratio is an honest quotient
 # of a Monte Carlo operator norm bound and the closed-form constant
 mc = MCSpec(samples=40_000, seed=1, shards=8)
-rep = sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), QuadratureSpec(), mc)
+rep = sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), mc)
 print(rep.label)
 print(f"  ratio      {rep.oracle:.6f}")
 print(f"  constant   {rep.closed_form:.6f}")
@@ -42,7 +42,7 @@ widths = ((1e-1, 1e1), (1e-2, 1e2), (1e-3, 1e3))
 print()
 print(",".join(CSV_HEADER))
 for r_min, r_max in widths:
-    rep = sharpness_ratio("hlp", p, (r_min, r_max), default_grid(1), QuadratureSpec(), mc)
+    rep = sharpness_ratio("hlp", p, (r_min, r_max), default_grid(1), mc)
     ratio, constant = rep.oracle, rep.closed_form
     print(f"{r_min:g},{r_max:g},{ratio:.8f},{constant:.8f},{ratio / constant:.6f}")
 

@@ -63,7 +63,6 @@ from .constants import (
 )
 from .operators import (
     RadialProfile,
-    apply,
     apply_radii,
     extremizer_profile,
     radialize,
@@ -94,7 +93,7 @@ __all__ = [
     "polar_directions",
     "SharpConstant", "hlp_closed_form", "hilbert_closed_form",
     "beta_recursion_Im", "classical_anchors", "reconcile",
-    "RadialProfile", "apply", "apply_radii",
+    "RadialProfile", "apply_radii",
     "extremizer_profile", "radialize",
     "MorreySpaceSpec", "BallGrid", "MorreyEstimate", "default_grid",
     "morrey_norm", "morrey_norm_mc", "verify_dilation", "sharpness_ratio",

@@ -312,10 +312,7 @@ def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
     e = derive_exponents(p)
     f = extremizer_profile(e, 1)
     space = source_space(p, 1)
-    return [
-        verify_dilation(f, t, space, config.grid, gp, config.mc)
-        for t in config.dilation_factors
-    ]
+    return verify_dilation(f, config.dilation_factors, space, config.grid, gp, config.mc)
 
 
 def _cmd_verify_sharpness(config: RunConfig) -> List[VerificationReport]:
@@ -323,7 +320,7 @@ def _cmd_verify_sharpness(config: RunConfig) -> List[VerificationReport]:
     (--rmin, --rmax)."""
     truncations = config.widths if config.format == "csv" else (config.truncation,)
     return [
-        sharpness_ratio(config.kind, config.params, t, config.grid, config.quad, config.mc)
+        sharpness_ratio(config.kind, config.params, t, config.grid, config.mc)
         for t in truncations
     ]
 

@@ -37,9 +37,6 @@ class HPoint:
     def n(self) -> int:
         return (self.coords.size - 1) // 2
 
-    def as_array(self) -> np.ndarray:
-        return self.coords
-
 
 @dataclass(frozen=True)
 class GroupParams:

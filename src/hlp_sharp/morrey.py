@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ from .constants import KINDS
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
 from .operators import RadialProfile, apply_radii, extremizer_profile
 from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
-from .quad import MCSpec, QuadratureSpec, derive_seed, eval_batch, mc_ball_integral
+from .quad import MCSpec, derive_seed, eval_batch, mc_ball_integral
 from .report import VerificationReport, compare
 
 __all__ = [
@@ -83,7 +83,7 @@ class BallGrid:
             raise ValueError("radii must be positive and ascending")
         n = self.center_directions[0].n
         for d in self.center_directions:
-            if d.n != n or abs(float(hnorm_arrays(d.as_array(), d.n)) - 1.0) > 1e-12:
+            if d.n != n or abs(float(hnorm_arrays(d.coords, d.n)) - 1.0) > 1e-12:
                 raise ValueError("center directions must be unit-norm points of one group")
 
     def scaled(self, factor: float) -> "BallGrid":
@@ -127,37 +127,24 @@ def default_grid(n: int) -> BallGrid:
 
 @dataclass(frozen=True)
 class MorreyEstimate:
-    """Largest cell estimate of the Morrey sup over the evaluated grid;
-    stderr is the Monte Carlo error of the argmax cell alone (0 when that
-    cell is exact)."""
+    """One grid cell B(a, R), |a| = argmax_center_radius, R = argmax_R: its
+    value and the Monte Carlo stderr of that value (0 when the cell is
+    exact).  The norm functions return the cell of largest value, the
+    largest cell estimate of the Morrey sup over the evaluated grid."""
 
     value: float
     argmax_center_radius: float
     argmax_R: float
     stderr: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class _Cell:
-    center_radius: float
-    R: float
-    value: float
-    stderr: float
-
 
 def _cell_center(cr: float, direction: HPoint, n: int) -> HPoint:
-    if cr == 0.0:
-        return HPoint(tuple([0.0] * (2 * n + 1)))
-    coords = dilate_arrays(cr, direction.as_array(), n)
-    return HPoint(tuple(float(c) for c in coords))
+    return HPoint(dilate_arrays(cr, direction.coords, n))
 
 
 def _cells(
     space: MorreySpaceSpec, grid: BallGrid, gp: GroupParams, mc: MCSpec, integral: Callable
-) -> List[_Cell]:
+) -> List[MorreyEstimate]:
     """Every cell of the grid in fixed order, valued as
     w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with first-order error
     propagation from the two Monte Carlo factors.  integral(cell, cr,
@@ -166,7 +153,7 @@ def _cells(
     direction only, since all directions coincide there."""
     q = space.q
     pref_exp = -(space.lam + 1.0 / q)
-    cells: List[_Cell] = []
+    cells: List[MorreyEstimate] = []
     for ci, cr in enumerate(grid.center_radii):
         for di, direction in enumerate(grid.center_directions):
             if cr == 0.0 and di > 0:
@@ -177,11 +164,11 @@ def _cells(
                 content, se_i = integral(cell, cr, center, R)
                 w1, se_w = _ball_weight(center, cr, R, space.alpha, gp, mc, cell)
                 if content <= 0.0 or w1 <= 0.0:
-                    cells.append(_Cell(cr, R, 0.0, 0.0))
+                    cells.append(MorreyEstimate(0.0, cr, R, 0.0))
                     continue
                 value = w1**pref_exp * content ** (1.0 / q)
                 rel_sq = (se_i / (q * content)) ** 2 + (pref_exp * se_w / w1) ** 2
-                cells.append(_Cell(cr, R, value, value * math.sqrt(rel_sq)))
+                cells.append(MorreyEstimate(value, cr, R, value * math.sqrt(rel_sq)))
     return cells
 
 
@@ -258,7 +245,7 @@ def _cell_values_profile(
     grid: BallGrid,
     gp: GroupParams,
     mc: MCSpec,
-) -> List[_Cell]:
+) -> List[MorreyEstimate]:
     """All grid-cell values for a radial profile: exact origin cells,
     Monte Carlo off-center cells keyed by cell index."""
     space.check_weights(gp.Q)
@@ -294,12 +281,11 @@ def _cell_values_profile(
     return _cells(space, grid, gp, mc, integral)
 
 
-def _reduce(cells: Sequence[_Cell]) -> MorreyEstimate:
+def _reduce(cells: Sequence[MorreyEstimate]) -> MorreyEstimate:
     """The first cell of largest value."""
     if not cells:
         raise ValueError("empty grid")
-    best = max(cells, key=lambda c: c.value)
-    return MorreyEstimate(best.value, best.center_radius, best.R, best.stderr)
+    return max(cells, key=lambda c: c.value)
 
 
 def morrey_norm(
@@ -335,7 +321,7 @@ def morrey_norm_mc(
 
     def integrand(X):
         r = hnorm_arrays(X, gp.n)
-        fv = np.abs(np.asarray(eval_batch(f, X), dtype=float)) ** q
+        fv = np.abs(eval_batch(f, X)) ** q
         out = np.zeros_like(fv)
         mask = (fv > 0.0) & (r > 0.0)
         if np.any(mask):
@@ -352,58 +338,55 @@ def morrey_norm_mc(
 
 def verify_dilation(
     f: RadialProfile,
-    t_radius: float,
+    factors: Sequence[float],
     space: MorreySpaceSpec,
     grid: BallGrid,
     gp: GroupParams,
     mc: MCSpec,
-) -> VerificationReport:
-    """Check the dilation law cell-by-cell: the norm cells of
-    r -> f(t r) on the 1/t-scaled grid equal t^sigma_space times the cells
-    of f on the original grid, sigma_space = Q*lam - gamma_w/q +
-    alpha*(lam + 1/q).
+) -> List[VerificationReport]:
+    """Check the dilation law cell-by-cell, one record per factor t: the
+    norm cells of r -> f(t r) on the 1/t-scaled grid equal t^sigma_space
+    times the cells of f on the original grid, sigma_space = Q*lam -
+    gamma_w/q + alpha*(lam + 1/q).  The base grid is valued once; each
+    record's runtime_ms times its own dilated grid.
 
     The comparison is exact (to rounding) because every cell estimator is
     scale-covariant under the coupled scaling: origin cells are closed-form
     power integrals, and off-center cells reuse the same random stream with
     a scale-free acceptance test.
     """
-    t = float(t_radius)
-    if not t > 0.0:
-        raise ValueError("t_radius must be positive")
-    start = time.perf_counter()
+    ts = [float(t) for t in factors]
+    if not all(t > 0.0 for t in ts):
+        raise ValueError(f"dilation factors must be positive, got {list(factors)}")
     sigma_space = (
         gp.Q * space.lam
         - space.gamma_w / space.q
         + space.alpha * (space.lam + 1.0 / space.q)
     )
     base = _cell_values_profile(f, space, grid, gp, mc)
-    dil = _cell_values_profile(f.dilated(t), space, grid.scaled(1.0 / t), gp, mc)
-    factor = t**sigma_space
-    worst = 1.0
-    worst_dev = 0.0
-    mismatched_zero = False
-    for b, d in zip(base, dil):
-        if b.value == 0.0:
-            mismatched_zero |= d.value != 0.0
-            continue
-        ratio = d.value / (factor * b.value)
-        if abs(ratio - 1.0) > worst_dev:
-            worst_dev = abs(ratio - 1.0)
-            worst = ratio
-    runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    rep = compare(
-        f"verify-dilation t={t:g}",
-        1.0,
-        worst if not mismatched_zero else math.nan,
-        1e-10,
-        convention_note=(
-            f"worst cell ratio of dilated/expected; sigma_space = {sigma_space:+.12g}"
-        ),
-        seed=mc.seed,
-        runtime_ms=runtime_ms,
-    )
-    return rep
+    records = []
+    for t in ts:
+        start = time.perf_counter()
+        dil = _cell_values_profile(f.dilated(t), space, grid.scaled(1.0 / t), gp, mc)
+        factor = t**sigma_space
+        pairs = list(zip(base, dil))
+        # the first ratio farthest from 1, or NaN when a zero base cell is not zero dilated
+        ratios = [d.value / (factor * b.value) for b, d in pairs if b.value != 0.0]
+        worst = max([1.0, *ratios], key=lambda r: abs(r - 1.0))
+        if any(d.value != 0.0 for b, d in pairs if b.value == 0.0):
+            worst = math.nan
+        records.append(compare(
+            f"verify-dilation t={t:g}",
+            1.0,
+            worst,
+            1e-10,
+            convention_note=(
+                f"worst cell ratio of dilated/expected; sigma_space = {sigma_space:+.12g}"
+            ),
+            seed=mc.seed,
+            runtime_ms=int(round(1000.0 * (time.perf_counter() - start))),
+        ))
+    return records
 
 
 def _sharpness_knots(grid: BallGrid) -> np.ndarray:
@@ -419,7 +402,6 @@ def sharpness_ratio(
     p: ParamSet,
     truncation: Tuple[float, float],
     grid: BallGrid,
-    spec: QuadratureSpec,
     mc: MCSpec,
 ) -> VerificationReport:
     """Truncated-extremizer estimate of the operator norm, divided by
@@ -458,7 +440,7 @@ def sharpness_ratio(
         denom *= norms[key]
 
     knots = _sharpness_knots(grid)
-    tf = apply_radii(kind, extremizers, knots, gp, spec)
+    tf = apply_radii(kind, extremizers, knots, gp)
     numerator_profile = RadialProfile.tabulated(knots, tf, cutoff=(0.0, math.inf))
     target = MorreySpaceSpec(q=p.q, lam=p.lam, alpha=p.alpha, gamma_w=p.gamma)
     num = morrey_norm(numerator_profile, target, grid, gp, mc).value

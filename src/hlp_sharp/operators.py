@@ -1,15 +1,15 @@
 """Radial profiles and the m-linear operators P_m (max kernel) and
 P*_m (sum kernel), plus extremizer profiles and Monte Carlo radialization.
 
-Profiles are stored canonically as disjoint power segments A*r^p on
-[lo, hi), which makes q-th powers, dilations, moments and cumulative
-integrals closed-form.  Operator application reduces each y_j integral to a
-radial one (factor omega_Q r^(Q-1)) and tabulates every output radius in
-one pass per kernel.  The max kernel integrates the product of the
-cumulatives by parts: Gauss-Legendre panels between edges, a closed-form
-tail.  The sum kernel uses a Gamma-product identity (pure powers) or, for
-bounded supports, a Laplace contraction that sums over each variable
-separately.
+A profile is nothing but its disjoint power segments A*r^p on [lo, hi),
+which makes q-th powers, dilations, moments and cumulative integrals
+closed-form.  apply_radii is the one operator entry point: it reduces each
+y_j integral to a radial one (factor omega_Q r^(Q-1)) and tabulates every
+output radius in one pass per kernel.  The max kernel integrates the
+product of the cumulatives by parts: Gauss-Legendre panels between edges,
+a closed-form tail.  The sum kernel uses a Gamma-product identity (pure
+powers) or, for bounded supports, a Laplace contraction that sums over each
+variable separately.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .quad import MCSpec, QuadratureSpec, eval_batch, keyed_rng, leggauss, polar
 
 __all__ = [
     "RadialProfile",
-    "apply",
     "apply_radii",
     "extremizer_profile",
     "radialize",
@@ -67,19 +66,12 @@ def _segment_moment(lo: float, hi: float, A: float, p: float, k: float) -> float
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Nonnegative radial function stored as disjoint power segments.
+    """Nonnegative radial function stored as disjoint power segments:
+    segments is a sorted tuple of (lo, hi, A, p) meaning A*r^p on [lo, hi),
+    with A finite and positive and p finite; gaps between segments are
+    zeros.  Every constructor and every algebra method builds segments."""
 
-    kind is one of power, truncated_power, tabulated or piecewise (the
-    closure of the first three under pointwise powers, scaling and
-    dilation).  segments is a sorted tuple of (lo, hi, A, p) meaning
-    A*r^p on [lo, hi); gaps between segments are zeros.
-    """
-
-    kind: str
     segments: Tuple[Tuple[float, float, float, float], ...]
-    knots: Tuple[float, ...] = ()
-    values: Tuple[float, ...] = ()
-    knot_stderr: Optional[Tuple[float, ...]] = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -89,7 +81,7 @@ class RadialProfile:
         if amplitude < 0.0:
             raise ValueError("amplitude must be nonnegative")
         segs = ((0.0, math.inf, amplitude, sigma),) if amplitude > 0.0 else ()
-        return RadialProfile(kind="power", segments=segs)
+        return RadialProfile(segs)
 
     @staticmethod
     def truncated_power(
@@ -102,19 +94,19 @@ class RadialProfile:
         if amplitude < 0.0:
             raise ValueError("amplitude must be nonnegative")
         segs = ((r_min, r_max, amplitude, sigma),) if amplitude > 0.0 else ()
-        return RadialProfile(kind="truncated_power", segments=segs)
+        return RadialProfile(segs)
 
     @staticmethod
     def tabulated(
         knots: Sequence[float],
         values: Sequence[float],
         cutoff: Optional[Tuple[float, float]] = None,
-        knot_stderr: Optional[Sequence[float]] = None,
     ) -> "RadialProfile":
         """Log-log interpolation between knots; outside the knot range the
         edge segment's slope extends to the cutoffs, beyond which the
         profile is zero.  Default cutoff is the knot range itself.
-        Segments with a zero endpoint value are treated as vanishing."""
+        Segments with a zero endpoint value are treated as vanishing; a drop
+        between knots too steep for a finite amplitude raises ValueError."""
         kn = np.asarray(knots, dtype=float)
         va = np.asarray(values, dtype=float)
         if kn.ndim != 1 or kn.size < 2 or kn.shape != va.shape:
@@ -153,20 +145,19 @@ class RadialProfile:
             else:
                 A, p = float(va[-1]), 0.0
             segs.append((float(kn[-1]), cut_hi, A, p))
-        return RadialProfile(
-            kind="tabulated",
-            segments=tuple(segs),
-            knots=tuple(float(x) for x in kn),
-            values=tuple(float(x) for x in va),
-            knot_stderr=None if knot_stderr is None else tuple(float(x) for x in knot_stderr),
-        )
+        return RadialProfile(tuple(segs))
 
     # -- basic queries -------------------------------------------------------
     def __post_init__(self) -> None:
         prev_hi = 0.0
-        for lo, hi, A, p in self.segments:
-            if not (0.0 <= lo < hi and lo >= prev_hi and A > 0.0):
-                raise ValueError("segments must be sorted, disjoint, positive-amplitude")
+        for i, (lo, hi, A, p) in enumerate(self.segments):
+            if not (0.0 <= lo < hi and lo >= prev_hi):
+                raise ValueError(f"segment {i} on [{lo:g}, {hi:g}): not sorted and disjoint")
+            if not (0.0 < A < math.inf and math.isfinite(p)):
+                raise ValueError(
+                    f"segment {i} on [{lo:g}, {hi:g}) needs a finite positive amplitude "
+                    f"and a finite exponent, got A = {A!r}, p = {p!r}"
+                )
             prev_hi = hi
 
     @property
@@ -277,25 +268,22 @@ class RadialProfile:
         qexp = float(qexp)
         if not qexp > 0.0:
             raise ValueError("power_q requires a positive exponent")
-        segs = tuple((lo, hi, A**qexp, p * qexp) for lo, hi, A, p in self.segments)
-        return RadialProfile(kind="piecewise", segments=segs)
-
-    def scaled(self, c: float) -> "RadialProfile":
-        c = float(c)
-        if c < 0.0:
-            raise ValueError("scale factor must be nonnegative")
-        if c == 0.0:
-            return RadialProfile(kind="piecewise", segments=())
-        segs = tuple((lo, hi, A * c, p) for lo, hi, A, p in self.segments)
-        return RadialProfile(kind="piecewise", segments=segs)
+        try:
+            segs = tuple((lo, hi, A**qexp, p * qexp) for lo, hi, A, p in self.segments)
+        except OverflowError as exc:
+            raise ValueError(f"power_q({qexp:g}) overflows a segment amplitude") from exc
+        return RadialProfile(segs)
 
     def dilated(self, t: float) -> "RadialProfile":
         """Profile of x -> f(delta_t x), i.e. g(r) = f(t r)."""
         t = float(t)
         if not t > 0.0:
             raise ValueError("dilation factor must be positive")
-        segs = tuple((lo / t, hi / t, A * t**p, p) for lo, hi, A, p in self.segments)
-        return RadialProfile(kind="piecewise", segments=segs)
+        try:
+            segs = tuple((lo / t, hi / t, A * t**p, p) for lo, hi, A, p in self.segments)
+        except OverflowError as exc:
+            raise ValueError(f"dilated({t:g}) overflows a segment amplitude") from exc
+        return RadialProfile(segs)
 
 
 def extremizer_profile(
@@ -491,24 +479,6 @@ def _apply_hilbert_bounded(
     return gp.omega_Q**m * (np.exp(-np.outer(tq, lam)) @ factor)
 
 
-def apply(
-    kind,
-    profiles: Sequence[RadialProfile],
-    x_radius: float,
-    gp: GroupParams,
-    spec: Optional[QuadratureSpec] = None,
-) -> float:
-    """Value of the m-linear operator at any point with |x|_h = x_radius:
-    apply_radii at one radius, for 1 <= m <= 4."""
-    t = float(x_radius)
-    if not t > 0.0:
-        raise ValueError("x_radius must be positive")
-    profiles = list(profiles)
-    if not 1 <= len(profiles) <= 4:
-        raise ValueError("apply supports 1 <= m <= 4 profiles")
-    return float(apply_radii(kind, profiles, [t], gp, spec)[0])
-
-
 def apply_radii(
     kind,
     profiles: Sequence[RadialProfile],
@@ -525,7 +495,9 @@ def apply_radii(
     on supports bounded away from 0 and infinity, the Laplace contraction:
     one exponential sum per factor on its own radial rule, combined over a
     trapezoid rule in log lambda; other sum-kernel inputs raise ValueError.
-    Divergent inputs raise DivergenceError.  spec is not used.
+    Divergent inputs raise DivergenceError.  spec is not used.  This is the
+    one operator entry point; the value at a single radius t is
+    apply_radii(kind, profiles, [t], gp)[0].
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -545,7 +517,7 @@ def apply_radii(
     if _compact(profiles):
         return _apply_hilbert_bounded(profiles, rr, gp)
     raise ValueError(
-        "hilbert apply supports pure-power profiles or profiles with bounded "
+        "hilbert apply_radii supports pure-power profiles or profiles with bounded "
         "support away from 0 (mixes are ambiguous to resolve accurately); "
         "truncate the unbounded profiles"
     )
@@ -560,11 +532,14 @@ def radialize(
     gp: GroupParams,
     mc: MCSpec,
     radii: Optional[Sequence[float]] = None,
-) -> RadialProfile:
+) -> Tuple[RadialProfile, np.ndarray]:
     """Tabulated sphere average g(r) = mean of f over the unit gauge sphere
     dilated by r, with the polar measure (the one for which the group
     integral of F equals omega_Q int r^(Q-1) (sphere average of F) dr).
+    f maps an (N, 2n+1) array of points to N values.
 
+    Returns the profile, which takes the value max(mean, 0) at each knot of
+    radii, and the stderr of each knot mean (zeros for one shard).
     Directions are drawn once per shard and shared across knots, so knot
     values are positively correlated (smooth profiles) while shards remain
     independent for the standard error.
@@ -587,7 +562,4 @@ def radialize(
         stderr = shard_means.std(axis=0, ddof=1) / math.sqrt(shards)
     else:
         stderr = np.zeros(rr.size)
-    values = np.maximum(means, 0.0)
-    return RadialProfile.tabulated(
-        rr, values, cutoff=(float(rr[0]), float(rr[-1])), knot_stderr=stderr
-    )
+    return RadialProfile.tabulated(rr, np.maximum(means, 0.0)), stderr

@@ -13,7 +13,8 @@ Three layers:
   the additive kernel — independent of the closed forms they certify;
 * Monte Carlo integration over gauge balls with stratified radial sampling
   and importance sampling for origin singularities, drawing directions from
-  the exact polar law of the unit gauge sphere.
+  the exact polar law of the unit gauge sphere.  Integrands are vectorized:
+  they map an (N, 2n+1) array of points to N values.
 
 Runs are reproducible: every random draw of the package comes from
 keyed_rng(seed, *key), a counter-based Philox generator seeded by
@@ -276,25 +277,11 @@ _PURPOSE_BALL = 17
 
 
 def eval_batch(f, pts: np.ndarray) -> np.ndarray:
-    """Evaluate f on an (N, 2n+1) batch.
-
-    An integrand that rejects the array or returns the wrong shape is called
-    pointwise on HPoints, but a rejection falls back only when f accepts the
-    first point: otherwise the batch call's own exception propagates, so a
-    fault inside a vectorized integrand is neither masked nor slowed down.
-    """
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-    except Exception as batch_exc:
-        try:
-            first = float(f(HPoint(pts[0])))
-        except Exception:
-            raise batch_exc from None
-        rest = [float(f(HPoint(row))) for row in pts[1:]]
-        return np.array([first] + rest, dtype=float)
-    if vals.shape == (pts.shape[0],):
-        return vals
-    return np.array([float(f(HPoint(row))) for row in pts], dtype=float)
+    """f on an (N, 2n+1) batch of points, which must return N values."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError(f"integrand mapped shape {pts.shape} to {vals.shape}, not ({len(pts)},)")
+    return vals
 
 
 def polar_directions(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -364,7 +351,8 @@ def mc_ball_integral(
     origin_exponent: float = 0.0,
     radial_window=None,
 ):
-    """Monte Carlo estimate of int_{B(center, radius)} f dx.
+    """Monte Carlo estimate of int_{B(center, radius)} f dx, where f maps an
+    (N, 2n+1) array of points to N values (other shapes raise ValueError).
 
     Returns (estimate, stderr).  The default path draws box candidates,
     rejects to the unit gauge ball (a scale-free test) and maps them into the

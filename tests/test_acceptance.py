@@ -42,7 +42,7 @@ from hlp_sharp.morrey import (
     sharpness_ratio,
     verify_dilation,
 )
-from hlp_sharp.operators import RadialProfile, apply, radialize
+from hlp_sharp.operators import RadialProfile, apply_radii, radialize
 from hlp_sharp.params import (
     ExponentSet,
     ParamSet,
@@ -169,8 +169,8 @@ def test_criterion_5_dilation_covariance():
         space = MorreySpaceSpec(q=q, lam=lam, alpha=alpha, gamma_w=gamma_w)
         sigma_f = -float(rng.uniform(0.05, 0.9 * (gp_n.Q + gamma_w) / q))
         f = RadialProfile.power(sigma_f)
-        for t in (0.5, 2.0, 10.0):
-            rep = verify_dilation(f, t, space, grid, gp_n, mc)
+        factors = (0.5, 2.0, 10.0)
+        for t, rep in zip(factors, verify_dilation(f, factors, space, grid, gp_n, mc)):
             assert rep.passed, (
                 f"q={q:.3f} lam={lam:.3f} alpha={alpha:.3f} gamma_w={gamma_w:.3f} "
                 f"sigma_f={sigma_f:.3f} t={t}: rel_err={rep.rel_err:.3e}"
@@ -198,7 +198,7 @@ def test_criterion_6_sharpness_ratio_convergence():
         for m in (1, 2):
             p = sharp_params(m)
             reps = [
-                sharpness_ratio(kind, p, w, default_grid(p.n), QuadratureSpec(), MCSpec())
+                sharpness_ratio(kind, p, w, default_grid(p.n), MCSpec())
                 for w in widths
             ]
             narrow, wide = (rep.oracle / rep.closed_form for rep in reps)
@@ -216,9 +216,7 @@ def test_hilbert_sharpness_ratio_beyond_m2(m):
     # The sum kernel's bounded-support path at m = 3, 4 on a thinned grid.
     g = default_grid(1)
     grid = BallGrid(g.center_radii, g.center_directions, g.radii[::8])
-    rep = sharpness_ratio(
-        "hilbert", sharp_params(m), (1e-2, 1e2), grid, QuadratureSpec(), MCSpec(samples=20000)
-    )
+    rep = sharpness_ratio("hilbert", sharp_params(m), (1e-2, 1e2), grid, MCSpec(samples=20000))
     rel = rep.oracle / rep.closed_form
     assert 0.90 <= rel <= 1.0 + 1e-3, f"m={m}: ratio/constant {rel:.4f}"
 
@@ -353,11 +351,9 @@ def _mc_operator_estimate(kind, funcs, t, gp_n, samples, seed):
 
 def _radialized_profile(f, gp_n, mc):
     knots = np.geomspace(_ANNULUS[0], _ANNULUS[1], 25)
-    prof = radialize(f, gp_n, mc, radii=knots)
+    prof, stderr = radialize(f, gp_n, mc, radii=knots)
     err = RadialProfile.tabulated(
-        prof.knots,
-        np.maximum(np.asarray(prof.knot_stderr), 1e-15 * np.asarray(prof.values)),
-        cutoff=prof.support(),
+        knots, np.maximum(stderr, 1e-15 * prof(knots)), cutoff=prof.support()
     )
     return prof, err
 
@@ -371,7 +367,6 @@ def test_criterion_8_radialization_contraction_and_neutrality():
         radii=(1.0, 2.0, 4.0),
     )
     space = MorreySpaceSpec(q=2.0, lam=-0.5)  # endpoint lambda: pure L^q cells
-    spec = QuadratureSpec()
 
     profiles = []
     errors = []
@@ -393,9 +388,9 @@ def test_criterion_8_radialization_contraction_and_neutrality():
         # --- neutrality: the operator cannot tell f from its radialization
         kind = "hlp" if i % 2 == 0 else "hilbert"
         for t in (1.0, 3.0):
-            via_profile = apply(kind, [prof], t, gp_n, spec)
+            via_profile = apply_radii(kind, [prof], [t], gp_n)[0]
             direct, se_mc = _mc_operator_estimate(kind, [f], t, gp_n, 120_000, seed=8100 + i)
-            se_prof = apply(kind, [err], t, gp_n, spec)
+            se_prof = apply_radii(kind, [err], [t], gp_n)[0]
             slack = 3.0 * (se_mc + se_prof) + 1e-9 * abs(via_profile)
             assert abs(via_profile - direct) <= slack, (
                 f"case {i} kind={kind} t={t}: profile {via_profile:.6f} vs "
@@ -405,10 +400,11 @@ def test_criterion_8_radialization_contraction_and_neutrality():
     # --- bilinear neutrality with two distinct non-radial factors
     f1 = _make_test_function(*NONRADIAL_CASES[0])
     f2 = _make_test_function(*NONRADIAL_CASES[2])
-    via_profile = apply("hlp", [profiles[0], profiles[2]], 1.0, gp_n, spec)
+    via_profile = apply_radii("hlp", [profiles[0], profiles[2]], [1.0], gp_n)[0]
     direct, se_mc = _mc_operator_estimate("hlp", [f1, f2], 1.0, gp_n, 200_000, seed=8200)
-    se_prof = apply("hlp", [errors[0], profiles[2]], 1.0, gp_n, spec) + apply(
-        "hlp", [profiles[0], errors[2]], 1.0, gp_n, spec
+    se_prof = (
+        apply_radii("hlp", [errors[0], profiles[2]], [1.0], gp_n)[0]
+        + apply_radii("hlp", [profiles[0], errors[2]], [1.0], gp_n)[0]
     )
     slack = 3.0 * (se_mc + se_prof) + 1e-9 * abs(via_profile)
     assert abs(via_profile - direct) <= slack

@@ -1,10 +1,18 @@
 """No module of the package reaches into another module's private names,
 only params spells out the admissibility conditions, only quad builds
-random generators, and every package name a demo imports exists."""
+random generators, every package name a demo imports exists and every demo
+call of a package function binds to its signature, and the fast demos run."""
 
 import ast
 import importlib
+import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from test_report_cli import _cli_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hlp_sharp"
@@ -167,3 +175,81 @@ def test_demo_import_detector_flags_missing_names_and_modules():
         "from hlp_sharp.cli import emit_convergence_table",
         "from hlp_sharp.no_such_module import x",
     ]
+
+
+def _unbindable_calls(tree: ast.Module):
+    """Calls of an imported package name, or of an attribute reached from
+    one, whose argument count or keyword names its inspect.signature
+    rejects; calls with *args or **kwargs are not checked."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] != "hlp_sharp":
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    names[alias.asname or alias.name] = getattr(module, alias.name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        attrs, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            attrs.insert(0, func.attr)
+            func = func.value
+        if not (isinstance(func, ast.Name) and func.id in names):
+            continue
+        target = names[func.id]
+        for attr in attrs:
+            target = getattr(target, attr, None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        if not callable(target) or starred or any(k.arg is None for k in node.keywords):
+            continue
+        try:
+            inspect.signature(target).bind(*node.args, **{k.arg: k for k in node.keywords})
+        except TypeError as exc:
+            yield f"line {node.lineno}: {ast.unparse(node.func)}: {exc}"
+
+
+def test_demo_calls_bind_to_package_signatures():
+    offences = [
+        f"{path.name} {use}"
+        for path in sorted(DEMOS.glob("*.py"))
+        for use in _unbindable_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offences, offences
+
+
+def test_signature_detector_flags_counts_and_keywords():
+    tree = ast.parse(
+        "from hlp_sharp.morrey import sharpness_ratio, verify_dilation\n"
+        "from hlp_sharp.operators import RadialProfile\n"
+        "from hlp_sharp.quad import MCSpec\n"
+        "sharpness_ratio('hlp', p, (1e-2, 1e2), grid, QuadratureSpec(), mc)\n"
+        "sharpness_ratio('hlp', p, (1e-2, 1e2), grid, mc)\n"
+        "verify_dilation(f, (0.5, 2.0), space, grid, gp, mc)\n"
+        "MCSpec(sample=20000)\n"
+        "MCSpec(samples=20000, seed=1)\n"
+        "RadialProfile.power(-1.1, amplitude=2.0)\n"
+        "RadialProfile.power(-1.1, kind='power')\n"
+        "sharpness_ratio(*args)\n"
+    )
+    found = [use.split(":")[0:2] for use in _unbindable_calls(tree)]
+    assert found == [
+        ["line 4", " sharpness_ratio"],
+        ["line 7", " MCSpec"],
+        ["line 10", " RadialProfile.power"],
+    ]
+
+
+# demo_sharpness.py takes ~18 s, so only its calls are checked above
+@pytest.mark.parametrize("name", ["demo_constants.py", "demo_group_geometry.py"])
+def test_fast_demo_runs_to_exit_0(name, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / name)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

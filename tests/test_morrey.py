@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from hlp_sharp.morrey import (
 )
 from hlp_sharp.operators import RadialProfile
 from hlp_sharp.params import ParamSet
-from hlp_sharp.quad import DivergenceError, MCSpec, QuadratureSpec
+from hlp_sharp.quad import DivergenceError, MCSpec
 
 
 def small_grid(n=1, radii=(0.5, 2.0, 8.0), center_radii=(0.0, 1.0)):
@@ -103,15 +104,14 @@ def test_norm_reduces_to_lq_at_endpoint_lambda(gp1, mc_small):
     assert est.argmax_center_radius == 0.0
     assert est.stderr == 0.0
     assert isinstance(est, MorreyEstimate)
-    d = est.to_dict()
-    assert set(d) == {"value", "argmax_center_radius", "argmax_R", "stderr"}
 
 
 def test_norm_is_positively_homogeneous(gp1, mc_small):
     f = RadialProfile.truncated_power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=0.5, gamma_w=-0.25)
+    f3 = RadialProfile.truncated_power(-0.5, 0.5, 2.0, amplitude=3.0)
     base = morrey_norm(f, space, small_grid(), gp1, mc_small)
-    scaled = morrey_norm(f.scaled(3.0), space, small_grid(), gp1, mc_small)
+    scaled = morrey_norm(f3, space, small_grid(), gp1, mc_small)
     assert scaled.value == pytest.approx(3.0 * base.value, rel=1e-13)
     assert scaled.argmax_R == base.argmax_R
 
@@ -183,7 +183,7 @@ def test_norm_estimates_are_deterministic(gp1, mc_small):
 def test_verify_dilation_passes_on_weighted_space(t, gp1, mc_small):
     f = RadialProfile.power(-1.1)
     space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=1.2, gamma_w=-0.8)
-    rep = verify_dilation(f, t, space, small_grid(), gp1, mc_small)
+    [rep] = verify_dilation(f, [t], space, small_grid(), gp1, mc_small)
     assert rep.label == f"verify-dilation t={t:g}"
     assert rep.closed_form == 1.0
     assert rep.tolerance == 1e-10
@@ -195,8 +195,22 @@ def test_verify_dilation_passes_on_weighted_space(t, gp1, mc_small):
 def test_verify_dilation_rejects_bad_factor(gp1, mc_small):
     f = RadialProfile.power(-1.1)
     space = MorreySpaceSpec(q=2.0, lam=-0.25)
-    with pytest.raises(ValueError):
-        verify_dilation(f, 0.0, space, small_grid(), gp1, mc_small)
+    for factors in ([0.0], [2.0, -1.0]):
+        with pytest.raises(ValueError, match="dilation factors must be positive"):
+            verify_dilation(f, factors, space, small_grid(), gp1, mc_small)
+
+
+def test_verify_dilation_one_call_matches_single_factor_calls(gp1, mc_small):
+    # the base grid is valued once for all factors; every record equals the
+    # one a single-factor call gives, apart from its runtime
+    f = RadialProfile.power(-1.1)
+    space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=1.2, gamma_w=-0.8)
+    factors = (0.5, 2.0, 10.0)
+    joint = verify_dilation(f, factors, space, small_grid(), gp1, mc_small)
+    single = [verify_dilation(f, [t], space, small_grid(), gp1, mc_small)[0] for t in factors]
+    untimed = lambda reps: [dataclasses.replace(r, runtime_ms=0) for r in reps]
+    assert untimed(joint) == untimed(single)
+    assert [r.label for r in joint] == [f"verify-dilation t={t:g}" for t in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +231,9 @@ def strict_params_m1():
     )
 
 
-def test_sharpness_ratio_report(gp1, mc_small, quad_spec):
+def test_sharpness_ratio_report(gp1, mc_small):
     p = strict_params_m1()
-    rep = sharpness_ratio("hlp", p, (1e-1, 1e1), default_grid(1), quad_spec, mc_small)
+    rep = sharpness_ratio("hlp", p, (1e-1, 1e1), default_grid(1), mc_small)
     assert rep.label == "sharpness hlp m=1 truncation=(0.1,10)"
     assert "ratio/constant" in rep.convention_note
     ratio_over_constant = rep.oracle / rep.closed_form
@@ -227,7 +241,7 @@ def test_sharpness_ratio_report(gp1, mc_small, quad_spec):
     assert rep.seed == mc_small.seed
 
 
-def test_sharpness_requires_strict_parameters(mc_small, quad_spec):
+def test_sharpness_requires_strict_parameters(mc_small):
     p = ParamSet(
         m=1,
         n=1,
@@ -239,14 +253,12 @@ def test_sharpness_requires_strict_parameters(mc_small, quad_spec):
         alpha=0.0,
     )
     with pytest.raises(ValueError, match="sharpness requires strict parameters"):
-        sharpness_ratio("hlp", p, (1e-1, 1e1), default_grid(1), quad_spec, mc_small)
+        sharpness_ratio("hlp", p, (1e-1, 1e1), default_grid(1), mc_small)
 
 
-def test_sharpness_rejects_unknown_kind(mc_small, quad_spec):
+def test_sharpness_rejects_unknown_kind(mc_small):
     with pytest.raises(ValueError, match="unknown operator kind"):
-        sharpness_ratio(
-            "other", strict_params_m1(), (1e-1, 1e1), default_grid(1), quad_spec, mc_small
-        )
+        sharpness_ratio("other", strict_params_m1(), (1e-1, 1e1), default_grid(1), mc_small)
 
 
 @pytest.mark.parametrize(
@@ -255,7 +267,7 @@ def test_sharpness_rejects_unknown_kind(mc_small, quad_spec):
     ids=["identical", "distinct"],
 )
 def test_sharpness_ratio_one_norm_per_distinct_factor(
-    monkeypatch, mc_small, quad_spec, q_list, lam_list, calls
+    monkeypatch, mc_small, q_list, lam_list, calls
 ):
     # the numerator takes one call; coincident denominators share one more
     seen = []
@@ -269,5 +281,5 @@ def test_sharpness_ratio_one_norm_per_distinct_factor(
         m=2, n=1, q=2.0, q_list=q_list, lam=-0.25, lam_list=lam_list,
         gamma_list=(0.0, 0.0), alpha=0.0,
     )
-    sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), quad_spec, mc_small)
+    sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), mc_small)
     assert len(seen) == calls

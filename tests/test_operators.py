@@ -11,7 +11,6 @@ from hlp_sharp.operators import (
     RadialProfile,
     _axis_rule,
     _hilbert_power_exact,
-    apply,
     apply_radii,
     extremizer_profile,
     radialize,
@@ -30,7 +29,6 @@ from hlp_sharp.constants import hilbert_closed_form, hlp_closed_form
 
 def test_power_profile_layout():
     f = RadialProfile.power(-0.5, amplitude=2.0)
-    assert f.kind == "power"
     assert f.segments == ((0.0, math.inf, 2.0, -0.5),)
     assert f.is_pure_power and not f.is_zero
     assert f.support() == (0.0, math.inf)
@@ -57,18 +55,32 @@ def test_truncated_power_profile_layout():
 
 def test_segment_validation():
     with pytest.raises(ValueError):
-        RadialProfile(kind="piecewise", segments=((0.0, 1.0, 1.0, 0.0), (0.5, 2.0, 1.0, 0.0)))
+        RadialProfile(((0.0, 1.0, 1.0, 0.0), (0.5, 2.0, 1.0, 0.0)))
     with pytest.raises(ValueError):
-        RadialProfile(kind="piecewise", segments=((1.0, 0.5, 1.0, 0.0),))
+        RadialProfile(((1.0, 0.5, 1.0, 0.0),))
     with pytest.raises(ValueError):
-        RadialProfile(kind="piecewise", segments=((0.0, 1.0, -1.0, 0.0),))
+        RadialProfile(((0.0, 1.0, -1.0, 0.0),))
+    for bad in ((1.0, 2.0, math.inf, 0.0), (1.0, 2.0, math.nan, 0.0), (1.0, 2.0, 1.0, math.nan)):
+        with pytest.raises(ValueError, match=r"segment 1 on \[1, 2\)"):
+            RadialProfile(((0.0, 0.5, 1.0, 0.0), bad))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_unrepresentable_amplitudes_raise_instead_of_nan():
+    # a drop from 1e-60 to 5e-108 over [40, 53) needs r^-387, whose
+    # amplitude 1e-60 / 40^-387 overflows; it used to evaluate to NaN
+    with pytest.raises(ValueError, match=r"segment 0 on \[40, 53\).*A = inf"):
+        RadialProfile.tabulated((40.0, 53.0, 70.0), (1e-60, 5e-108, 1e-150))
+    with pytest.raises(ValueError, match="power_q"):
+        RadialProfile.power(-1.0, amplitude=1e200).power_q(2.0)
+    with pytest.raises(ValueError, match="dilated"):
+        RadialProfile.power(-40.0).dilated(1e-10)
+    with pytest.raises(ValueError, match="A = inf"):
+        RadialProfile.power(-1.0, amplitude=1e300).dilated(1e-10)
 
 
 def test_call_semantics_half_open_with_closed_last_edge():
-    f = RadialProfile(
-        kind="piecewise",
-        segments=((0.5, 1.0, 2.0, 0.0), (2.0, 3.0, 1.0, 1.0)),
-    )
+    f = RadialProfile(((0.5, 1.0, 2.0, 0.0), (2.0, 3.0, 1.0, 1.0)))
     # scalar in, float out
     assert isinstance(f(0.75), float)
     assert f(0.4) == 0.0
@@ -87,10 +99,7 @@ def test_call_semantics_half_open_with_closed_last_edge():
 
 def test_call_matches_segment_formula_elementwise():
     rng = np.random.default_rng(3)
-    f = RadialProfile(
-        kind="piecewise",
-        segments=((0.0, 0.3, 1.5, -0.25), (0.3, 2.0, 0.7, 1.2), (5.0, math.inf, 2.0, -3.0)),
-    )
+    f = RadialProfile(((0.0, 0.3, 1.5, -0.25), (0.3, 2.0, 0.7, 1.2), (5.0, math.inf, 2.0, -3.0)))
     r = rng.uniform(0.01, 10.0, size=1000)
     expected = np.zeros_like(r)
     for lo, hi, A, p in f.segments:
@@ -103,9 +112,7 @@ def test_tabulated_recovers_power_data_exactly():
     knots = np.geomspace(0.1, 10.0, 12)
     values = 3.0 * knots**-1.5
     f = RadialProfile.tabulated(knots, values)
-    assert f.kind == "tabulated"
-    assert f.knots == tuple(knots)
-    assert f.values == tuple(values)
+    assert f(knots) == pytest.approx(values, rel=1e-12)
     for lo, hi, A, p in f.segments:
         assert p == pytest.approx(-1.5, rel=1e-12)
         assert A == pytest.approx(3.0, rel=1e-12)
@@ -139,10 +146,7 @@ def test_tabulated_validation():
 
 
 def test_local_exponent():
-    f = RadialProfile(
-        kind="piecewise",
-        segments=((0.5, 1.0, 2.0, 0.25), (2.0, 3.0, 1.0, 1.0)),
-    )
+    f = RadialProfile(((0.5, 1.0, 2.0, 0.25), (2.0, 3.0, 1.0, 1.0)))
     assert f.local_exponent(0.25) is None
     assert f.local_exponent(0.5) == 0.25
     assert f.local_exponent(1.0) is None
@@ -180,10 +184,7 @@ def test_moment_divergence_tokens():
 
 
 def test_cumulative_equals_windowed_moment():
-    f = RadialProfile(
-        kind="piecewise",
-        segments=((0.0, 0.5, 1.0, -0.5), (0.5, 2.0, 2.0, 1.0), (4.0, math.inf, 1.0, -6.0)),
-    )
+    f = RadialProfile(((0.0, 0.5, 1.0, -0.5), (0.5, 2.0, 2.0, 1.0), (4.0, math.inf, 1.0, -6.0)))
     rr = np.array([0.25, 0.5, 1.0, 3.0, 5.0, 10.0])
     got = f.cumulative(3.0, rr)
     expected = np.array([f.moment(3.0, 0.0, r) for r in rr])
@@ -193,18 +194,11 @@ def test_cumulative_equals_windowed_moment():
 
 
 def test_profile_algebra():
-    f = RadialProfile(
-        kind="piecewise", segments=((0.25, 1.0, 2.0, -0.5), (1.0, 4.0, 3.0, 0.75))
-    )
+    f = RadialProfile(((0.25, 1.0, 2.0, -0.5), (1.0, 4.0, 3.0, 0.75)))
     r = np.geomspace(0.3, 3.9, 40)
 
     g = f.power_q(2.5)
     assert g(r) == pytest.approx(f(r) ** 2.5, rel=1e-13)
-
-    # a power-of-two factor scales amplitudes exactly, so equality is bitwise
-    h = f.scaled(0.5)
-    assert np.array_equal(h(r), 0.5 * f(r))
-    assert f.scaled(0.0).is_zero
 
     t = 1.7
     d = f.dilated(t)
@@ -214,8 +208,6 @@ def test_profile_algebra():
 
     with pytest.raises(ValueError):
         f.power_q(0.0)
-    with pytest.raises(ValueError):
-        f.scaled(-1.0)
     with pytest.raises(ValueError):
         f.dilated(0.0)
 
@@ -253,57 +245,55 @@ def test_extremizer_profile():
 def test_apply_argument_validation(gp1):
     f = RadialProfile.power(-0.5)
     with pytest.raises(ValueError):
-        apply("other", [f], 1.0, gp1)
+        apply_radii("other", [f], [1.0], gp1)
     with pytest.raises(ValueError):
-        apply("hlp", [f], 0.0, gp1)
-    with pytest.raises(ValueError):
-        apply("hlp", [f] * 5, 1.0, gp1)
+        apply_radii("hlp", [f], [0.0], gp1)
     with pytest.raises(ValueError):
         apply_radii("hlp", [f], [1.0, -1.0], gp1)
-    assert apply("hlp", [RadialProfile.power(0.0, 0.0)], 1.0, gp1) == 0.0
+    assert apply_radii("hlp", [RadialProfile.power(0.0, 0.0)], [1.0], gp1)[0] == 0.0
     assert np.array_equal(
         apply_radii("hilbert", [RadialProfile.power(0.0, 0.0)], [1.0, 2.0], gp1),
         np.zeros(2),
     )
 
 
-def test_apply_m1_extremizer_reproduces_the_constants(gp1, quad_spec):
+def test_apply_m1_extremizer_reproduces_the_constants(gp1):
     sigma = -4.0 / 3.0  # q = 3 on H^1
     e = ExponentSet(sigma_list=(sigma,), sigma=sigma)
     f = RadialProfile.power(sigma)
     a1 = hlp_closed_form(e, gp1).value
     b1 = hilbert_closed_form(e, gp1).value
     for t in (0.5, 1.0, 7.0):
-        assert apply("hlp", [f], t, gp1, quad_spec) == pytest.approx(
+        assert apply_radii("hlp", [f], [t], gp1)[0] == pytest.approx(
             a1 * t**sigma, rel=1e-9
         )
-        assert apply("hilbert", [f], t, gp1, quad_spec) == pytest.approx(
+        assert apply_radii("hilbert", [f], [t], gp1)[0] == pytest.approx(
             b1 * t**sigma, rel=1e-8
         )
 
 
-def test_apply_m2_extremizers_match_frozen_constants(gp1, quad_spec):
+def test_apply_m2_extremizers_match_frozen_constants(gp1):
     f = RadialProfile.power(-0.5)
-    assert apply("hlp", [f, f], 1.0, gp1, quad_spec) == pytest.approx(
+    assert apply_radii("hlp", [f, f], [1.0], gp1)[0] == pytest.approx(
         FROZEN_A2, rel=1e-8
     )
     # pure powers take the exact Gamma route
-    assert apply("hilbert", [f, f], 1.0, gp1, quad_spec) == pytest.approx(
+    assert apply_radii("hilbert", [f, f], [1.0], gp1)[0] == pytest.approx(
         FROZEN_B2, rel=1e-12
     )
 
 
-def test_apply_homogeneity_and_ordering(gp1, quad_spec):
+def test_apply_homogeneity_and_ordering(gp1):
     f1 = RadialProfile.power(-0.7)
     f2 = RadialProfile.power(-1.1)
     sigma = -0.7 - 1.1
     for kind in ("hlp", "hilbert"):
-        base = apply(kind, [f1, f2], 1.0, gp1, quad_spec)
+        base = apply_radii(kind, [f1, f2], [1.0], gp1)[0]
         for t in (0.25, 3.0):
-            assert apply(kind, [f1, f2], t, gp1, quad_spec) == pytest.approx(
+            assert apply_radii(kind, [f1, f2], [t], gp1)[0] == pytest.approx(
                 base * t**sigma, rel=1e-9
             )
-        swapped = apply(kind, [f2, f1], 1.0, gp1, quad_spec)
+        swapped = apply_radii(kind, [f2, f1], [1.0], gp1)[0]
         assert swapped == pytest.approx(base, rel=1e-12)
 
 
@@ -326,12 +316,12 @@ def _brute_force_bilinear(kernel, f1, f2, t, gp, points=1600):
     return gp.omega_Q**2 * float(wu @ G @ wv)
 
 
-def test_apply_truncated_profiles_match_brute_force(gp1, quad_spec):
+def test_apply_truncated_profiles_match_brute_force(gp1):
     f1 = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
     f2 = RadialProfile.truncated_power(-0.8, 0.2, 5.0, amplitude=1.3)
     t = 1.0
 
-    got_hlp = apply("hlp", [f1, f2], t, gp1, quad_spec)
+    got_hlp = apply_radii("hlp", [f1, f2], [t], gp1)[0]
     ref_hlp = _brute_force_bilinear(
         lambda t, r, s: np.maximum(np.maximum(r, s), t) ** (-2.0 * gp1.Q),
         f1,
@@ -341,7 +331,7 @@ def test_apply_truncated_profiles_match_brute_force(gp1, quad_spec):
     )
     assert got_hlp == pytest.approx(ref_hlp, rel=2e-3)
 
-    got_hil = apply("hilbert", [f1, f2], t, gp1, quad_spec)
+    got_hil = apply_radii("hilbert", [f1, f2], [t], gp1)[0]
     ref_hil = _brute_force_bilinear(
         lambda t, r, s: (t**gp1.Q + r**gp1.Q + s**gp1.Q) ** (-2.0),
         f1,
@@ -358,7 +348,7 @@ def test_apply_radii_matches_pointwise_apply(gp1, quad_spec):
     radii = np.array([0.5, 1.0, 2.0])
     for kind in ("hlp", "hilbert"):
         vec = apply_radii(kind, [f1, f2], radii, gp1, quad_spec)
-        point = np.array([apply(kind, [f1, f2], t, gp1, quad_spec) for t in radii])
+        point = np.array([apply_radii(kind, [f1, f2], [t], gp1)[0] for t in radii])
         assert vec == pytest.approx(point, rel=1e-10)
         assert apply_radii(kind, [f1, f2], [], gp1, quad_spec).size == 0
 
@@ -414,7 +404,7 @@ def test_hlp_tabulation_matches_region_sum_on_sharpness_net(m, n, quad_spec):
 @pytest.mark.parametrize("p_tail", [-6.5, -4.0], ids=["negative-growth", "log"])
 def test_hlp_tabulation_matches_region_sum_on_unbounded_tails(gp1, quad_spec, p_tail):
     # Q + p_tail < 0 leaves the tail cumulative bounded; p_tail = -Q makes it a log
-    tail = RadialProfile(kind="piecewise", segments=((1.0, math.inf, 1.0, p_tail),))
+    tail = RadialProfile(((1.0, math.inf, 1.0, p_tail),))
     trunc = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
     radii = np.geomspace(0.05, 50.0, 23)
     for profiles in ([trunc, tail], [tail, tail], [tail, trunc, RadialProfile.power(-0.7)]):
@@ -424,7 +414,7 @@ def test_hlp_tabulation_matches_region_sum_on_unbounded_tails(gp1, quad_spec, p_
 
 
 def test_hlp_piecewise_matches_mpmath(gp1):
-    f1 = RadialProfile(kind="piecewise", segments=((0.2, 1.0, 1.0, -0.5), (1.0, 3.0, 2.0, 0.7)))
+    f1 = RadialProfile(((0.2, 1.0, 1.0, -0.5), (1.0, 3.0, 2.0, 0.7)))
     f2 = RadialProfile.truncated_power(-1.2, 0.5, 4.0, amplitude=1.3)
     radii = [0.1, 0.7, 2.0, 5.0]
     got = apply_radii("hlp", [f1, f2], radii, gp1)
@@ -466,7 +456,7 @@ def test_apply_pure_extremizers_give_closed_form(m, n):
     for kind, closed_form in (("hlp", hlp_closed_form), ("hilbert", hilbert_closed_form)):
         constant = closed_form(e, gp).value
         for t in (0.3, 1.0, 7.0):
-            got = apply(kind, profiles, t, gp)
+            got = apply_radii(kind, profiles, [t], gp)[0]
             assert got == pytest.approx(constant * t**e.sigma, rel=1e-12), (kind, t)
 
 
@@ -515,20 +505,20 @@ def test_apply_hilbert_rejects_mixed_profiles(gp1):
     f_power = RadialProfile.power(-0.5)
     f_trunc = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
     with pytest.raises(ValueError, match="truncate the unbounded profiles"):
-        apply("hilbert", [f_power, f_trunc], 1.0, gp1)
+        apply_radii("hilbert", [f_power, f_trunc], [1.0], gp1)
 
 
 def test_apply_divergence_tokens(gp1):
     with pytest.raises(DivergenceError) as exc:
-        apply("hlp", [RadialProfile.power(-4.5)], 1.0, gp1)
+        apply_radii("hlp", [RadialProfile.power(-4.5)], [1.0], gp1)
     assert any("Q+sigma_j>0 violated" in c for c in exc.value.conditions)
 
     with pytest.raises(DivergenceError) as exc:
-        apply("hlp", [RadialProfile.power(1.0), RadialProfile.power(-0.5)], 1.0, gp1)
+        apply_radii("hlp", [RadialProfile.power(1.0), RadialProfile.power(-0.5)], [1.0], gp1)
     assert any("sigma<0 violated" in c for c in exc.value.conditions)
 
     with pytest.raises(DivergenceError) as exc:
-        apply("hilbert", [RadialProfile.power(0.0)], 1.0, gp1)
+        apply_radii("hilbert", [RadialProfile.power(0.0)], [1.0], gp1)
     assert any("sigma<0 violated" in c for c in exc.value.conditions)
 
 
@@ -536,15 +526,11 @@ def test_divergent_tail_behind_a_bounded_cumulative_is_caught(gp1):
     # Q + p = -5 < 0: the second cumulative tends to a constant, so the first
     # factor's r^6 tail diverges against the kernel alone
     grow = RadialProfile.power(6.0)
-    tail = RadialProfile(kind="piecewise", segments=((1.0, math.inf, 1.0, -9.0),))
+    tail = RadialProfile(((1.0, math.inf, 1.0, -9.0),))
     for profiles in ([grow, tail], [tail, grow]):
-        for call in (
-            lambda: apply("hlp", profiles, 1.0, gp1),
-            lambda: apply_radii("hlp", profiles, [0.5, 2.0], gp1),
-        ):
-            with pytest.raises(DivergenceError) as exc:
-                call()
-            assert any("sigma<0 violated" in c for c in exc.value.conditions)
+        with pytest.raises(DivergenceError) as exc:
+            apply_radii("hlp", profiles, [0.5, 2.0], gp1)
+        assert any("sigma<0 violated" in c for c in exc.value.conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +543,12 @@ def test_radialize_radial_function_is_exact(gp1, mc_small):
         return hnorm_arrays(pts, gp1.n) ** -1.0
 
     radii = tuple(np.geomspace(0.5, 2.0, 9))
-    prof = radialize(f, gp1, mc_small, radii=radii)
-    assert prof.kind == "tabulated"
+    prof, stderr = radialize(f, gp1, mc_small, radii=radii)
     assert prof.support() == (0.5, 2.0)
-    assert np.asarray(prof.values) == pytest.approx(np.asarray(radii) ** -1.0, rel=1e-12)
-    assert prof.knot_stderr is not None
-    assert all(s <= 1e-12 * v for s, v in zip(prof.knot_stderr, prof.values))
+    values = prof(radii)
+    assert values == pytest.approx(np.asarray(radii) ** -1.0, rel=1e-12)
+    assert stderr.shape == (len(radii),)
+    assert np.all(stderr <= 1e-12 * values)
 
 
 def test_radialize_half_space_indicator(gp1, mc_small):
@@ -570,8 +556,8 @@ def test_radialize_half_space_indicator(gp1, mc_small):
         return (pts[:, 0] > 0.0).astype(float)
 
     radii = tuple(np.geomspace(0.5, 2.0, 5))
-    prof = radialize(f, gp1, mc_small, radii=radii)
-    for v, s in zip(prof.values, prof.knot_stderr):
+    prof, stderr = radialize(f, gp1, mc_small, radii=radii)
+    for v, s in zip(prof(radii), stderr):
         assert s > 0.0
         assert abs(v - 0.5) <= 4.0 * s
 
@@ -580,9 +566,10 @@ def test_radialize_is_deterministic(gp2, mc_small):
     def f(pts):
         return np.exp(-hnorm_arrays(pts, gp2.n))
 
-    a = radialize(f, gp2, mc_small, radii=(0.5, 1.0, 2.0))
-    b = radialize(f, gp2, mc_small, radii=(0.5, 1.0, 2.0))
-    assert a == b
+    prof_a, se_a = radialize(f, gp2, mc_small, radii=(0.5, 1.0, 2.0))
+    prof_b, se_b = radialize(f, gp2, mc_small, radii=(0.5, 1.0, 2.0))
+    assert prof_a == prof_b
+    assert np.array_equal(se_a, se_b)
 
 
 def test_radialize_validates_radii(gp1, mc_small):

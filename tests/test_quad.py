@@ -299,20 +299,22 @@ def test_mc_ball_sampling_error_on_vanishing_acceptance(gp1, monkeypatch):
         mc_ball_integral(ones, HPoint((0.1, 0.0, 0.0)), 1.0, gp1, mc)
 
 
-def test_mc_ball_pointwise_fallback(gp1):
-    # A scalar-only integrand exercises the HPoint fallback in eval_batch.
-    def f(x):
-        return 1.0 if x.coords[0] > 0 else 1.0
+@pytest.mark.parametrize("window", [None, (0.0, 5.0)])
+def test_mc_ball_scalar_integrand_raises(gp1, window):
+    # Integrands are vectorized: one value per row of the (N, 2n+1) batch.
+    # A scalar result is an error on the plain and the polar path alike.
+    def f(pts):
+        return 1.0
 
     mc = MCSpec(samples=1000, seed=5, shards=2)
-    est, se = mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc)
-    assert abs(est - gp1.Omega_Q) <= 4.0 * se
+    with pytest.raises(ValueError, match=r"shape \(\d+, 3\) to \(\), not \(\d+,\)"):
+        mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, radial_window=window)
 
 
 @pytest.mark.parametrize("window", [None, (0.0, 5.0)])
 def test_mc_ball_vectorized_integrand_fault_propagates(gp1, window):
-    # A fault inside an array integrand must surface as itself, not as the
-    # TypeError of an HPoint retry nor as a silent pointwise re-run.
+    # A fault inside an array integrand surfaces as itself, raised by the
+    # one batch call.
     calls = []
 
     def f(pts):
@@ -322,7 +324,7 @@ def test_mc_ball_vectorized_integrand_fault_propagates(gp1, window):
     mc = MCSpec(samples=1000, seed=5, shards=2)
     with pytest.raises(NameError, match="undefined_scale"):
         mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, radial_window=window)
-    assert len(calls) == 2  # the batch call and one HPoint probe
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
