@@ -19,85 +19,9 @@ The package splits into layers:
   and truncated-extremizer sharpness ratios.
 - report / cli: flat verification records, JSON-lines/CSV plumbing, and the
   `hlp-sharp` command-line front end.
+
+The package root holds only __version__: import each name from its module,
+e.g. `from hlp_sharp.constants import hlp_closed_form`.
 """
 
-from .hgroup import (
-    GroupParams,
-    HPoint,
-    dilate,
-    group_inv,
-    group_mul,
-    hdist,
-    hnorm,
-    identity,
-)
-from .params import (
-    DivergenceError,
-    ExponentSet,
-    ParamSet,
-    ValidationResult,
-    admissibility_violations,
-    derive_exponents,
-    require_admissible,
-    validate,
-)
-from .quad import (
-    MCSpec,
-    QuadratureSpec,
-    SamplingError,
-    derive_seed,
-    hilbert_constant_oracle,
-    hlp_constant_oracle,
-    integrate_curve,
-    keyed_rng,
-    mc_ball_integral,
-    polar_directions,
-)
-from .constants import (
-    SharpConstant,
-    beta_recursion_Im,
-    classical_anchors,
-    hilbert_closed_form,
-    hlp_closed_form,
-    reconcile,
-)
-from .operators import (
-    RadialProfile,
-    apply_radii,
-    extremizer_profile,
-    radialize,
-)
-from .morrey import (
-    BallGrid,
-    MorreyEstimate,
-    MorreySpaceSpec,
-    default_grid,
-    morrey_norm,
-    morrey_norm_mc,
-    sharpness_ratio,
-    verify_dilation,
-)
-from .report import VerificationReport, compare, to_json_line, write_reports
-from .cli import RunConfig, main, run
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GroupParams", "HPoint", "identity", "group_mul", "group_inv",
-    "dilate", "hnorm", "hdist",
-    "ParamSet", "ExponentSet", "ValidationResult", "derive_exponents",
-    "admissibility_violations", "require_admissible", "validate", "DivergenceError",
-    "QuadratureSpec", "MCSpec", "SamplingError",
-    "derive_seed", "keyed_rng", "integrate_curve",
-    "hlp_constant_oracle", "hilbert_constant_oracle", "mc_ball_integral",
-    "polar_directions",
-    "SharpConstant", "hlp_closed_form", "hilbert_closed_form",
-    "beta_recursion_Im", "classical_anchors", "reconcile",
-    "RadialProfile", "apply_radii",
-    "extremizer_profile", "radialize",
-    "MorreySpaceSpec", "BallGrid", "MorreyEstimate", "default_grid",
-    "morrey_norm", "morrey_norm_mc", "verify_dilation", "sharpness_ratio",
-    "VerificationReport", "compare", "to_json_line", "write_reports",
-    "RunConfig", "run", "main",
-    "__version__",
-]

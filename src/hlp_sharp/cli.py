@@ -57,15 +57,6 @@ __all__ = [
     "COMMANDS",
 ]
 
-COMMANDS = (
-    "constant",
-    "verify-dilation",
-    "verify-sharpness",
-    "group-check",
-    "morrey-norm",
-    "oracle-compare",
-)
-
 CSV_HEADER = ("r_min", "r_max", "ratio", "constant", "ratio_over_constant")
 
 _GROUP_TRIPLES = 10_000
@@ -422,6 +413,7 @@ _DISPATCH = {
     "morrey-norm": _cmd_morrey_norm,
     "oracle-compare": _cmd_oracle_compare,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(config: RunConfig, stream=None) -> int:

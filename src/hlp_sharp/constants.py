@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .hgroup import GroupParams
 from .params import DivergenceError, ExponentSet, ParamSet, derive_exponents, require_admissible
@@ -128,8 +128,8 @@ def classical_anchors(q: float) -> Tuple[float, float]:
 def reconcile(
     p: ParamSet,
     kind: str,
-    gp: Optional[GroupParams] = None,
-    spec: Optional[QuadratureSpec] = None,
+    gp: GroupParams,
+    spec: QuadratureSpec,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Compare the closed-form constant against its quadrature oracle.
@@ -138,10 +138,6 @@ def reconcile(
     admissibility boundary the tail decays too slowly) yields a failed
     record with a NaN oracle and the divergence message as its note.
     """
-    if gp is None:
-        gp = GroupParams(n=p.n)
-    if spec is None:
-        spec = QuadratureSpec()
     e = derive_exponents(p)
     start = time.perf_counter()
     if kind not in KINDS:

@@ -7,7 +7,7 @@ closed-form.  apply_radii is the one operator entry point: it reduces each
 y_j integral to a radial one (factor omega_Q r^(Q-1)) and tabulates every
 output radius in one pass per kernel.  The max kernel integrates the
 product of the cumulatives by parts: Gauss-Legendre panels between edges,
-a closed-form tail.  The sum kernel uses a Gamma-product identity (pure
+a closed-form tail.  The sum kernel scales B_m from constants (pure
 powers) or, for bounded supports, a Laplace contraction that sums over each
 variable separately.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from .hgroup import GroupParams, dilate_arrays
 from .params import Q_PLUS_SIGMA_J, SIGMA_NEG, DivergenceError, ExponentSet, violated
-from .constants import KINDS
+from .constants import KINDS, hilbert_closed_form
 from .quad import MCSpec, QuadratureSpec, eval_batch, keyed_rng, leggauss, polar_directions
 
 __all__ = [
@@ -418,21 +418,6 @@ def _apply_hlp(
     return m * Q * gp.omega_Q**m * above[np.searchsorted(edges, radii)]
 
 
-def _hilbert_power_exact(profiles: Sequence[RadialProfile], t, gp: GroupParams):
-    """Sum kernel with pure powers A_j r^{p_j} at radius (or radii) t:
-    dilation plus the Gamma-product identity give a closed form."""
-    Q = gp.Q
-    m = len(profiles)
-    log_val = m * math.log(gp.Omega_Q) - math.lgamma(float(m))
-    sigma = 0.0
-    for f in profiles:
-        _, _, A, p = f.segments[0]
-        sigma += p
-        log_val += math.log(A) + math.lgamma(1.0 + p / Q)
-    log_val += math.lgamma(-sigma / Q)
-    return math.exp(log_val) * t**sigma
-
-
 def _compact(profiles: Sequence[RadialProfile]) -> bool:
     """Every support is bounded and bounded away from 0."""
     return all(f.support()[0] > 0.0 and math.isfinite(f.support()[1]) for f in profiles)
@@ -491,7 +476,7 @@ def apply_radii(
     The output is radial because both kernels depend only on norms.  The
     max kernel integrates the product of the closed-form cumulatives by
     parts over all radii at once (Gauss-Legendre between edges, an exact
-    tail).  The sum kernel uses the Gamma closed form on pure powers and,
+    tail).  The sum kernel is prod(A_j) B_m t^sigma on pure powers and,
     on supports bounded away from 0 and infinity, the Laplace contraction:
     one exponential sum per factor on its own radial rule, combined over a
     trapezoid rule in log lambda; other sum-kernel inputs raise ValueError.
@@ -513,7 +498,10 @@ def apply_radii(
     if kind == "hlp":
         return _apply_hlp(profiles, rr, gp)
     if all(f.is_pure_power for f in profiles):
-        return _hilbert_power_exact(profiles, rr, gp)
+        # dilation and the Gamma-product identity: T(t) = prod(A_j) B_m t^sigma
+        _, _, amps, powers = zip(*(f.segments[0] for f in profiles))
+        e = ExponentSet(powers, math.fsum(powers))
+        return math.prod(amps) * hilbert_closed_form(e, gp).value * rr**e.sigma
     if _compact(profiles):
         return _apply_hilbert_bounded(profiles, rr, gp)
     raise ValueError(

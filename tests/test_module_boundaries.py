@@ -1,11 +1,13 @@
 """No module of the package reaches into another module's private names,
 only params spells out the admissibility conditions, only quad builds
 random generators, every package name a demo imports exists and every demo
-call of a package function binds to its signature, and the fast demos run."""
+call of a package function binds to its signature, and the fast demos and
+the README's Python snippets run."""
 
 import ast
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,9 @@ from test_report_cli import _cli_env
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hlp_sharp"
 DEMOS = ROOT / "demos"
+README_SNIPPETS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+)
 
 
 def _private(name: str) -> bool:
@@ -247,6 +252,22 @@ def test_signature_detector_flags_counts_and_keywords():
 def test_fast_demo_runs_to_exit_0(name, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(DEMOS / name)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_python_snippets():
+    assert len(README_SNIPPETS) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(README_SNIPPETS)))
+def test_readme_snippet_runs_to_exit_0(index, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", README_SNIPPETS[index]],
         capture_output=True,
         text=True,
         cwd=tmp_path,

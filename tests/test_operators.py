@@ -10,7 +10,6 @@ from hlp_sharp.morrey import _sharpness_knots, default_grid
 from hlp_sharp.operators import (
     RadialProfile,
     _axis_rule,
-    _hilbert_power_exact,
     apply_radii,
     extremizer_profile,
     radialize,
@@ -284,9 +283,13 @@ def test_apply_m2_extremizers_match_frozen_constants(gp1):
 
 
 def test_apply_homogeneity_and_ordering(gp1):
+    def truncated(p, amplitude):
+        return RadialProfile.truncated_power(p, 0.1, 10.0, amplitude=amplitude)
+
     f1 = RadialProfile.power(-0.7)
     f2 = RadialProfile.power(-1.1)
     sigma = -0.7 - 1.1
+    radii = [0.25, 1.0, 3.0]
     for kind in ("hlp", "hilbert"):
         base = apply_radii(kind, [f1, f2], [1.0], gp1)[0]
         for t in (0.25, 3.0):
@@ -295,6 +298,13 @@ def test_apply_homogeneity_and_ordering(gp1):
             )
         swapped = apply_radii(kind, [f2, f1], [1.0], gp1)[0]
         assert swapped == pytest.approx(base, rel=1e-12)
+        # amplitudes 2 and 3 scale the m-linear operator by 6
+        for make in (RadialProfile.power, truncated):
+            unit, scaled = (
+                apply_radii(kind, [make(-0.7, amplitude=a1), make(-1.1, amplitude=a2)], radii, gp1)
+                for a1, a2 in ((1.0, 1.0), (2.0, 3.0))
+            )
+            assert scaled == pytest.approx(6.0 * unit, rel=1e-12)
 
 
 def _brute_force_bilinear(kernel, f1, f2, t, gp, points=1600):
@@ -496,7 +506,8 @@ def test_hilbert_contraction_wide_truncation_stays_finite():
     got = apply_radii(
         "hilbert", [RadialProfile.truncated_power(s, 1e-6, 1e6) for s in sigmas], radii, gp3
     )
-    exact = [_hilbert_power_exact([RadialProfile.power(s) for s in sigmas], t, gp3) for t in radii]
+    e = ExponentSet(sigmas, math.fsum(sigmas))
+    exact = hilbert_closed_form(e, gp3).value * radii**e.sigma
     assert np.all(np.isfinite(got))
     assert got == pytest.approx(exact, rel=1e-5)
 

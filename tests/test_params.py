@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import hlp_sharp
 from hlp_sharp import quad
 from hlp_sharp.params import (
     DivergenceError,
@@ -84,7 +83,7 @@ def test_require_admissible_raises_one_error_type():
     assert exc.value.conditions == tuple(admissibility_violations(e, 4.0))
     assert len(exc.value.conditions) == 2
     require_admissible(ExponentSet(sigma_list=(-1.0,), sigma=-1.0), 4.0)
-    assert quad.DivergenceError is DivergenceError is hlp_sharp.DivergenceError
+    assert quad.DivergenceError is DivergenceError
 
 
 def test_validation_result_is_truthy_iff_ok():

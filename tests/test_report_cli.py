@@ -551,6 +551,20 @@ def test_console_script_smoke(tmp_path):
     _check_cli_exit_codes([sys.executable, "-m", "hlp_sharp"], tmp_path)
 
 
+def test_cli_module_runs_clean(tmp_path):
+    # `-m hlp_sharp.cli` warns if importing the package already imported cli
+    _check_cli_exit_codes([sys.executable, "-m", "hlp_sharp.cli"], tmp_path)
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, hlp_sharp; print([k for k in sys.modules if k.startswith('hlp_sharp.')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(
     shutil.which("hlp-sharp") is None, reason="hlp-sharp script not installed"
 )
