@@ -65,7 +65,10 @@ def hlp_closed_form(e: ExponentSet, gp: GroupParams) -> SharpConstant:
     denom = -e.sigma
     for s_i in sorted(e.sigma_list):
         denom *= gp.Q + s_i
-    value = m * gp.Q * gp.omega_Q**m / denom
+    try:
+        value = m * gp.Q * gp.omega_Q**m / denom
+    except OverflowError as exc:
+        raise ValueError(f"hlp_closed_form overflows at m = {m} (omega_Q^m)") from exc
     return SharpConstant(kind="hlp", value=value, convention_note=_HLP_NOTE)
 
 

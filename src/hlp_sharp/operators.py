@@ -75,22 +75,13 @@ class RadialProfile:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def power(sigma: float, amplitude: float = 1.0) -> "RadialProfile":
-        sigma = float(sigma)
-        amplitude = float(amplitude)
-        if amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        segs = ((0.0, math.inf, amplitude, sigma),) if amplitude > 0.0 else ()
-        return RadialProfile(segs)
-
-    @staticmethod
-    def truncated_power(
-        sigma: float, r_min: float, r_max: float, amplitude: float = 1.0
+    def power(
+        sigma: float, r_min: float = 0.0, r_max: float = math.inf, *, amplitude: float = 1.0
     ) -> "RadialProfile":
         sigma, r_min, r_max = float(sigma), float(r_min), float(r_max)
         amplitude = float(amplitude)
-        if not (r_min > 0.0 and r_min < r_max):
-            raise ValueError("truncated_power requires 0 < r_min < r_max")
+        if not 0.0 <= r_min < r_max:
+            raise ValueError("power requires 0 <= r_min < r_max")
         if amplitude < 0.0:
             raise ValueError("amplitude must be nonnegative")
         segs = ((r_min, r_max, amplitude, sigma),) if amplitude > 0.0 else ()
@@ -292,10 +283,7 @@ def extremizer_profile(
     """The j-th (1-based) extremizer r^{sigma_j}, optionally truncated."""
     if not 1 <= j <= e.m:
         raise IndexError(f"extremizer index {j} out of range 1..{e.m}")
-    sigma_j = e.sigma_list[j - 1]
-    if truncation is None:
-        return RadialProfile.power(sigma_j)
-    return RadialProfile.truncated_power(sigma_j, truncation[0], truncation[1])
+    return RadialProfile.power(e.sigma_list[j - 1], *(truncation or ()))
 
 
 # --------------------------------------------------------------------------

@@ -144,8 +144,9 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
     lambda = sum lambda_j, and admissibility of the derived exponents.
 
     With strict_sharpness, additionally require lambda_j strictly inside
-    (-1/q_j, 0) and the coupling q*lambda = q_j*lambda_j.  Returns a
-    structured list of violated conditions; never raises.
+    (-1/q_j, 0), the coupling q*lambda = q_j*lambda_j, and content weight
+    exponents above -Q: q_j*gamma_j/q for each factor, sum(gamma_j) for the
+    target.  Returns a structured list of violated conditions; never raises.
     """
     v = []
     if not (isinstance(p.m, int) and p.m >= 1):
@@ -188,7 +189,7 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
     v.extend(admissibility_violations(e, Q))
 
     if strict_sharpness:
-        for j, (qj, lj) in enumerate(zip(p.q_list, p.lam_list), start=1):
+        for j, (qj, lj, gj) in enumerate(zip(p.q_list, p.lam_list, p.gamma_list), start=1):
             if not (-1.0 / qj < lj < 0.0):
                 v.append(
                     f"lambda_j in (-1/q_j,0) violated (strict): lambda_{j} = {lj}"
@@ -200,5 +201,11 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
                         f"q*lambda = {p.q * p.lam:.12g}, q_{j}*lambda_{j} = {qj * lj:.12g}",
                     )
                 )
+            # content weight |x|^(q_j gamma_j / q) of the factor's Morrey space
+            gw = qj * gj / p.q
+            if not gw > -Q:
+                v.append(violated("q_j*gamma_j/q>-Q", f"q_{j}*gamma_{j}/q = {gw:.6g}, -Q = {-Q}"))
+        if not p.gamma > -Q:
+            v.append(violated("sum(gamma_j)>-Q", f"sum(gamma_j) = {p.gamma:.6g}, -Q = {-Q}"))
 
     return ValidationResult(ok=not v, violations=tuple(v))

@@ -87,8 +87,7 @@ _NODES_PER_PANEL = 12
 
 @lru_cache(maxsize=16)
 def leggauss(k: int):
-    x, w = np.polynomial.legendre.leggauss(k)
-    return x, w
+    return np.polynomial.legendre.leggauss(k)
 
 
 def _panel_sums(g, edges: np.ndarray, nodes: int) -> np.ndarray:
@@ -103,20 +102,6 @@ def _panel_sums(g, edges: np.ndarray, nodes: int) -> np.ndarray:
     return h * (vals @ w)
 
 
-def _int_smooth(g, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Piece without endpoint singularities; panels log-spaced when a > 0."""
-    if b <= a:
-        return 0.0
-    if a > 0.0 and b / a > 4.0:
-        decades = math.log10(b / a)
-        count = max(4, min(spec.panels, int(math.ceil(6.0 * decades)) + 4))
-        edges = a * (b / a) ** (np.arange(count + 1) / count)
-    else:
-        count = max(4, min(spec.panels, 16))
-        edges = np.linspace(a, b, count + 1)
-    return float(np.sum(_panel_sums(g, edges, _NODES_PER_PANEL)))
-
-
 def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
     """Integral over (0, b] with a possible power singularity at 0.
 
@@ -125,8 +110,6 @@ def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
     which is exact for pure power integrands.  Panel sums that fail to decay
     signal a non-integrable endpoint.
     """
-    if b <= 0.0:
-        return 0.0
     K = max(8, spec.panels)
     # half-octave refinement toward 0: resolves sharp decay near b while the
     # geometric-series extrapolation still handles the sub-panel mass exactly
@@ -156,49 +139,24 @@ def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
     return total + float(tail) * rho / (1.0 - rho)
 
 
-def _int_piece(g, a: float, b: float, spec: QuadratureSpec, where: str) -> float:
-    if a == 0.0:
-        return _int_singular0(g, b, spec, where)
-    return _int_smooth(g, a, b, spec)
-
-
-def _int_tail(g, c: float, spec: QuadratureSpec) -> float:
-    """Integral of g over (c, inf), folded to (0, 1/2] by the rational map
-    r = c(1-s)/s, which is exact for power tails."""
+def _int_tail(g, spec: QuadratureSpec) -> float:
+    """Integral of g over (1, inf), folded to (0, 1/2] by the rational map
+    r = (1-s)/s, which is exact for power tails."""
 
     def h(s):
-        vals = np.asarray(g(c * (1.0 - s) / s), dtype=float)
+        vals = np.asarray(g((1.0 - s) / s), dtype=float)
         # a decayed integrand kills the (possibly overflowing) Jacobian
-        jac = np.where(vals == 0.0, 0.0, c / (s * s))
+        jac = np.where(vals == 0.0, 0.0, 1.0 / (s * s))
         return vals * jac
 
-    return _int_piece(h, 0.0, 0.5, spec, "tail")
+    return _int_singular0(h, 0.5, spec, "tail")
 
 
-def integrate_curve(
-    g,
-    spec: QuadratureSpec,
-    breakpoints=(),
-    lower: float = 0.0,
-    upper: float = math.inf,
-) -> float:
-    """Integral of a vectorized curve g over (lower, upper).
-
-    Splits at the supplied breakpoints (kernel kinks, support edges, knots),
-    treats the origin endpoint as possibly power-singular, and folds an
-    infinite upper limit through the rational map.
-    """
-    if upper <= lower:
-        return 0.0
-    pts = sorted({float(t) for t in breakpoints if lower < t < upper})
-    finite_top = upper if math.isfinite(upper) else (pts[-1] if pts else max(1.0, 2.0 * lower))
-    edges = [lower] + [t for t in pts if t < finite_top] + [finite_top]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += _int_piece(g, a, b, spec, "origin" if a == 0.0 else "interior")
-    if not math.isfinite(upper):
-        total += _int_tail(g, finite_top, spec)
-    return total
+def integrate_curve(g, spec: QuadratureSpec) -> float:
+    """Integral of a vectorized curve g over (0, inf): (0, 1] with the
+    origin treated as possibly power-singular, plus the tail (1, inf)
+    folded through the rational map."""
+    return _int_singular0(g, 1.0, spec, "origin") + _int_tail(g, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +176,6 @@ def hlp_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpec) -
     constant it certifies.
     """
     require_admissible(e, gp.Q)
-    if e.m > 4:
-        raise ValueError("constant oracle supports m <= 4")
     Q = gp.Q
     sig = e.sigma_list
     m = e.m
@@ -231,7 +187,7 @@ def hlp_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpec) -
     for i, si in enumerate(sig):
         others = [Q + sj for k, sj in enumerate(sig) if k != i]
         power = Q - 1.0 + si - m * Q + sum(others)
-        total += _int_tail(lambda r, power=power: r**power, 1.0, spec) / math.prod(others)
+        total += _int_tail(lambda r, power=power: r**power, spec) / math.prod(others)
 
     return gp.omega_Q**m * total
 
@@ -246,8 +202,6 @@ def hilbert_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpe
     oracle independent of the Gamma implementation.
     """
     require_admissible(e, gp.Q)
-    if e.m > 4:
-        raise ValueError("constant oracle supports m <= 4")
     Q = gp.Q
     a_list = [1.0 + sj / Q for sj in e.sigma_list]
 
@@ -263,7 +217,7 @@ def hilbert_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpe
         def g(u, a=a, s=s):
             return u ** (a - 1.0) * (1.0 + u) ** (-s)
 
-        value *= integrate_curve(g, spec, breakpoints=(1.0,))
+        value *= integrate_curve(g, spec)
         s -= a
     return value
 

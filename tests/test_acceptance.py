@@ -77,7 +77,9 @@ def gp():
 
 @pytest.fixture(scope="module")
 def random_paramsets():
-    """50 admissible draws covering m in {1,2,3} and n in {1,2} (criteria 3-4)."""
+    """50 admissible draws covering m in {1,2,3} and n in {1,2}, then 15
+    from a separate stream covering every m in 4..8 with every n in {1,2,3}
+    (criteria 3-4)."""
     rng = np.random.default_rng(20240817)
     draws = []
     for i in range(50):
@@ -86,6 +88,9 @@ def random_paramsets():
         draws.append(make_admissible(rng, m=m, n=n))
     assert {p.m for p in draws} == {1, 2, 3}
     assert {p.n for p in draws} == {1, 2}
+    wide = np.random.default_rng(20240818)
+    draws += [make_admissible(wide, m=4 + i % 5, n=1 + i % 3) for i in range(15)]
+    assert {(p.m, p.n) for p in draws[50:]} == {(m, n) for m in range(4, 9) for n in (1, 2, 3)}
     return draws
 
 

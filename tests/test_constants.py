@@ -123,7 +123,7 @@ def test_beta_recursion_unrolls_to_beta_factors():
 def test_beta_recursion_matches_gamma_product_identity():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        m = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 9))
         a = rng.uniform(0.05, 0.95, size=m)
         s = float(a.sum() + rng.uniform(0.05, 2.0))
         got = beta_recursion_Im(tuple(a - 1.0), s)

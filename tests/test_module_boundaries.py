@@ -1,8 +1,8 @@
 """No module of the package reaches into another module's private names,
 only params spells out the admissibility conditions, only quad builds
-random generators, every package name a demo imports exists and every demo
-call of a package function binds to its signature, and the fast demos and
-the README's Python snippets run."""
+random generators, every package name a demo or the benchmark imports
+exists and every such call of a package function binds to its signature,
+and the fast demos and the README's Python snippets run."""
 
 import ast
 import importlib
@@ -19,6 +19,7 @@ from test_report_cli import _cli_env
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hlp_sharp"
 DEMOS = ROOT / "demos"
+PERFBENCH = ROOT / "perfbench"
 README_SNIPPETS = re.findall(
     r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
 )
@@ -141,21 +142,32 @@ def test_numpy_random_detector_flags_attributes_and_imports():
     ]
 
 
-def _missing_package_names(tree: ast.Module):
-    """`from hlp_sharp... import X` statements whose X the imported module
-    lacks; the modules are imported, the demo itself is never run."""
+def _package_imports(tree: ast.Module):
+    """(bound name, statement, object) for each name a `from hlp_sharp...
+    import X` binds, resolved as the import system does (an attribute of the
+    module, else its submodule X); the object is None when neither
+    exists.  The modules are imported, the file itself is never run."""
     for node in ast.walk(tree):
         if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module):
             continue
         if node.module.split(".")[0] != "hlp_sharp":
             continue
-        try:
-            module = importlib.import_module(node.module)
-        except ImportError:
-            module = None
         for alias in node.names:
-            if not hasattr(module, alias.name):
-                yield f"from {node.module} import {alias.name}"
+            try:
+                module = importlib.import_module(node.module)
+                target = getattr(module, alias.name, None)
+                if target is None:
+                    target = importlib.import_module(f"{node.module}.{alias.name}")
+            except ImportError:
+                target = None
+            yield alias.asname or alias.name, f"from {node.module} import {alias.name}", target
+
+
+def _missing_package_names(tree: ast.Module):
+    """`from hlp_sharp... import X` statements whose X does not exist."""
+    for _, statement, target in _package_imports(tree):
+        if target is None:
+            yield statement
 
 
 def test_demos_import_only_existing_package_names():
@@ -186,15 +198,7 @@ def _unbindable_calls(tree: ast.Module):
     """Calls of an imported package name, or of an attribute reached from
     one, whose argument count or keyword names its inspect.signature
     rejects; calls with *args or **kwargs are not checked."""
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module.split(".")[0] != "hlp_sharp":
-                continue
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                if hasattr(module, alias.name):
-                    names[alias.asname or alias.name] = getattr(module, alias.name)
+    names = {name: target for name, _, target in _package_imports(tree) if target is not None}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -245,6 +249,19 @@ def test_signature_detector_flags_counts_and_keywords():
         ["line 7", " MCSpec"],
         ["line 10", " RadialProfile.power"],
     ]
+
+
+def test_perfbench_imports_and_calls_bind_to_the_package():
+    # the benchmark reaches package functions directly (probes, workloads);
+    # a deleted name or changed signature must fail here, not in a bench run
+    files = sorted(PERFBENCH.glob("*.py"))
+    assert files
+    offences = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offences += [f"{path.name}: {use}" for use in _missing_package_names(tree)]
+        offences += [f"{path.name} {use}" for use in _unbindable_calls(tree)]
+    assert not offences, offences
 
 
 # demo_sharpness.py takes ~18 s, so only its calls are checked above

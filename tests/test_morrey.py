@@ -96,7 +96,7 @@ def test_default_grid_shape():
 def test_norm_reduces_to_lq_at_endpoint_lambda(gp1, mc_small):
     # lambda = -1/q makes the ball prefactor trivial, so the norm is the
     # global L^q norm, attained exactly by the largest origin ball.
-    f = RadialProfile.truncated_power(-0.5, 0.5, 2.0)
+    f = RadialProfile.power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.0, lam=-0.5)
     est = morrey_norm(f, space, small_grid(), gp1, mc_small)
     exact = math.sqrt(gp1.omega_Q * (2.0**3 - 0.5**3) / 3.0)
@@ -107,9 +107,9 @@ def test_norm_reduces_to_lq_at_endpoint_lambda(gp1, mc_small):
 
 
 def test_norm_is_positively_homogeneous(gp1, mc_small):
-    f = RadialProfile.truncated_power(-0.5, 0.5, 2.0)
+    f = RadialProfile.power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=0.5, gamma_w=-0.25)
-    f3 = RadialProfile.truncated_power(-0.5, 0.5, 2.0, amplitude=3.0)
+    f3 = RadialProfile.power(-0.5, 0.5, 2.0, amplitude=3.0)
     base = morrey_norm(f, space, small_grid(), gp1, mc_small)
     scaled = morrey_norm(f3, space, small_grid(), gp1, mc_small)
     assert scaled.value == pytest.approx(3.0 * base.value, rel=1e-13)
@@ -138,7 +138,7 @@ def test_norm_divergence_condition_names(gp1, mc_small):
 
 
 def test_norm_grows_monotonically_under_grid_append(gp1, mc_small):
-    f = RadialProfile.truncated_power(-0.5, 0.5, 2.0)
+    f = RadialProfile.power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.0, lam=-0.3, gamma_w=-0.25)
     small = small_grid(radii=(1.0, 5.0))
     bigger_r = small_grid(radii=(1.0, 5.0, 50.0))

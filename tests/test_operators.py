@@ -40,16 +40,18 @@ def test_power_profile_layout():
 
 
 def test_truncated_power_profile_layout():
-    f = RadialProfile.truncated_power(-1.0, 0.5, 2.0, amplitude=3.0)
+    f = RadialProfile.power(-1.0, 0.5, 2.0, amplitude=3.0)
     assert f.segments == ((0.5, 2.0, 3.0, -1.0),)
     assert f.support() == (0.5, 2.0)
     assert f.breakpoints() == (0.5, 2.0)
     assert f.origin_exponent() is None
     assert f.tail_exponent() is None
-    with pytest.raises(ValueError):
-        RadialProfile.truncated_power(-1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        RadialProfile.truncated_power(-1.0, 2.0, 2.0)
+    head = RadialProfile.power(-1.0, 0.0, 2.0)
+    assert head.segments == ((0.0, 2.0, 1.0, -1.0),) and head.origin_exponent() == -1.0
+    assert RadialProfile.power(-1.0, 0.5).segments == ((0.5, math.inf, 1.0, -1.0),)
+    for r_min, r_max in ((-1.0, 2.0), (2.0, 2.0), (3.0, 2.0), (math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            RadialProfile.power(-1.0, r_min, r_max)
 
 
 def test_segment_validation():
@@ -161,7 +163,7 @@ def test_local_exponent():
 
 
 def test_moment_closed_forms():
-    f = RadialProfile.truncated_power(-1.0, 0.5, 2.0, amplitude=3.0)
+    f = RadialProfile.power(-1.0, 0.5, 2.0, amplitude=3.0)
     # int_0.5^2 3 r^(-1+3) dr
     assert f.moment(3.0) == pytest.approx(3.0 * (2.0**3 - 0.5**3) / 3.0, rel=1e-15)
     # logarithmic case p + k = -1
@@ -214,7 +216,7 @@ def test_profile_algebra():
 def test_dilated_is_exact_on_segment_data():
     # Dilation rescales segment data without resampling: dilating by t and
     # back by 1/t returns the amplitudes to within one multiplication pair.
-    f = RadialProfile.truncated_power(-0.5, 0.5, 2.0, amplitude=3.0)
+    f = RadialProfile.power(-0.5, 0.5, 2.0, amplitude=3.0)
     g = f.dilated(2.0).dilated(0.5)
     assert g.support() == f.support()
     for (a_lo, a_hi, a_A, a_p), (b_lo, b_hi, b_A, b_p) in zip(f.segments, g.segments):
@@ -249,9 +251,9 @@ def test_apply_argument_validation(gp1):
         apply_radii("hlp", [f], [0.0], gp1)
     with pytest.raises(ValueError):
         apply_radii("hlp", [f], [1.0, -1.0], gp1)
-    assert apply_radii("hlp", [RadialProfile.power(0.0, 0.0)], [1.0], gp1)[0] == 0.0
+    assert apply_radii("hlp", [RadialProfile.power(0.0, amplitude=0.0)], [1.0], gp1)[0] == 0.0
     assert np.array_equal(
-        apply_radii("hilbert", [RadialProfile.power(0.0, 0.0)], [1.0, 2.0], gp1),
+        apply_radii("hilbert", [RadialProfile.power(0.0, amplitude=0.0)], [1.0, 2.0], gp1),
         np.zeros(2),
     )
 
@@ -284,7 +286,7 @@ def test_apply_m2_extremizers_match_frozen_constants(gp1):
 
 def test_apply_homogeneity_and_ordering(gp1):
     def truncated(p, amplitude):
-        return RadialProfile.truncated_power(p, 0.1, 10.0, amplitude=amplitude)
+        return RadialProfile.power(p, 0.1, 10.0, amplitude=amplitude)
 
     f1 = RadialProfile.power(-0.7)
     f2 = RadialProfile.power(-1.1)
@@ -327,8 +329,8 @@ def _brute_force_bilinear(kernel, f1, f2, t, gp, points=1600):
 
 
 def test_apply_truncated_profiles_match_brute_force(gp1):
-    f1 = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
-    f2 = RadialProfile.truncated_power(-0.8, 0.2, 5.0, amplitude=1.3)
+    f1 = RadialProfile.power(-0.5, 0.1, 10.0)
+    f2 = RadialProfile.power(-0.8, 0.2, 5.0, amplitude=1.3)
     t = 1.0
 
     got_hlp = apply_radii("hlp", [f1, f2], [t], gp1)[0]
@@ -353,8 +355,8 @@ def test_apply_truncated_profiles_match_brute_force(gp1):
 
 
 def test_apply_radii_matches_pointwise_apply(gp1, quad_spec):
-    f1 = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
-    f2 = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
+    f1 = RadialProfile.power(-0.5, 0.1, 10.0)
+    f2 = RadialProfile.power(-0.5, 0.1, 10.0)
     radii = np.array([0.5, 1.0, 2.0])
     for kind in ("hlp", "hilbert"):
         vec = apply_radii(kind, [f1, f2], radii, gp1, quad_spec)
@@ -363,10 +365,21 @@ def test_apply_radii_matches_pointwise_apply(gp1, quad_spec):
         assert apply_radii(kind, [f1, f2], [], gp1, quad_spec).size == 0
 
 
+def _log_gauss(g, a, b):
+    """20-node Gauss-Legendre on 16 log-uniform panels per decade of [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    count = max(1, math.ceil(16.0 * math.log10(b / a)))
+    la = np.linspace(math.log(a), math.log(b), count + 1)
+    half = 0.5 * np.diff(la)
+    r = np.exp((la[:-1] + half)[:, None] + half[:, None] * x)
+    return float(np.sum(w * half[:, None] * r * g(r.ravel()).reshape(r.shape)))
+
+
 def _hlp_region_sum(profiles, t, gp, spec):
     """Region decomposition over the argmax of (t, r_1, ..., r_m), one
-    integrate_curve per region and radius: the reference for the one-pass
-    max kernel."""
+    quadrature per region and radius: _log_gauss between t, the
+    breakpoints and the support end, and integrate_curve past the last
+    edge of an unbounded factor.  The reference for the one-pass max kernel."""
     Q, m = gp.Q, len(profiles)
     k = Q - 1.0
     total = t ** (-m * Q)
@@ -374,7 +387,8 @@ def _hlp_region_sum(profiles, t, gp, spec):
         total *= f.moment(k, 0.0, t)
     brk = sorted({b for f in profiles for b in f.breakpoints() if b > t})
     for i, f_i in enumerate(profiles):
-        if f_i.support()[1] <= t:
+        hi = f_i.support()[1]
+        if hi <= t:
             continue
         others = [profiles[j] for j in range(m) if j != i]
 
@@ -390,7 +404,10 @@ def _hlp_region_sum(profiles, t, gp, spec):
                 out[mask] = acc * rm ** (Q - 1.0 - m * Q)
             return out
 
-        total += integrate_curve(g, spec, breakpoints=tuple(brk), lower=t, upper=f_i.support()[1])
+        edges = [t] + [b for b in brk if b < hi] + ([hi] if math.isfinite(hi) else [])
+        total += sum(_log_gauss(g, a, b) for a, b in zip(edges[:-1], edges[1:]))
+        if not math.isfinite(hi):
+            total += integrate_curve(lambda u, g=g, end=edges[-1]: g(end + u), spec)
     return gp.omega_Q**m * total
 
 
@@ -415,7 +432,7 @@ def test_hlp_tabulation_matches_region_sum_on_sharpness_net(m, n, quad_spec):
 def test_hlp_tabulation_matches_region_sum_on_unbounded_tails(gp1, quad_spec, p_tail):
     # Q + p_tail < 0 leaves the tail cumulative bounded; p_tail = -Q makes it a log
     tail = RadialProfile(((1.0, math.inf, 1.0, p_tail),))
-    trunc = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
+    trunc = RadialProfile.power(-0.5, 0.1, 10.0)
     radii = np.geomspace(0.05, 50.0, 23)
     for profiles in ([trunc, tail], [tail, tail], [tail, trunc, RadialProfile.power(-0.7)]):
         got = apply_radii("hlp", profiles, radii, gp1)
@@ -425,7 +442,7 @@ def test_hlp_tabulation_matches_region_sum_on_unbounded_tails(gp1, quad_spec, p_
 
 def test_hlp_piecewise_matches_mpmath(gp1):
     f1 = RadialProfile(((0.2, 1.0, 1.0, -0.5), (1.0, 3.0, 2.0, 0.7)))
-    f2 = RadialProfile.truncated_power(-1.2, 0.5, 4.0, amplitude=1.3)
+    f2 = RadialProfile.power(-1.2, 0.5, 4.0, amplitude=1.3)
     radii = [0.1, 0.7, 2.0, 5.0]
     got = apply_radii("hlp", [f1, f2], radii, gp1)
     Q = gp1.Q
@@ -488,7 +505,7 @@ def _hilbert_tensor_sum(profiles, radii, gp):
 )
 def test_hilbert_contraction_matches_tensor_sum(gp1, sigmas):
     profiles = [
-        RadialProfile.truncated_power(s, 0.2 + 0.1 * j, 5.0 - j, amplitude=1.0 + 0.5 * j)
+        RadialProfile.power(s, 0.2 + 0.1 * j, 5.0 - j, amplitude=1.0 + 0.5 * j)
         for j, s in enumerate(sigmas)
     ]
     radii = np.array([1e-3, 0.1, 0.7, 1.0, 3.0, 40.0])
@@ -498,23 +515,25 @@ def test_hilbert_contraction_matches_tensor_sum(gp1, sigmas):
 
 
 def test_hilbert_contraction_wide_truncation_stays_finite():
-    # n = 3 (Q = 8), m = 4 over (1e-6, 1e6): the kernel and the weights span
-    # ~100 decades, and the truncated integral is the untruncated one to 1e-12.
+    # n = 3 (Q = 8), m = 4 and m = 8 over (1e-6, 1e6): the kernel and the
+    # weights span ~100 decades, and the truncated integral is the
+    # untruncated one to 1e-12, for both kinds.
     gp3 = GroupParams(n=3)
-    sigmas = (-0.5, -0.8, -1.1, -0.6)
     radii = np.array([0.3, 1.0, 3.0])
-    got = apply_radii(
-        "hilbert", [RadialProfile.truncated_power(s, 1e-6, 1e6) for s in sigmas], radii, gp3
-    )
-    e = ExponentSet(sigmas, math.fsum(sigmas))
-    exact = hilbert_closed_form(e, gp3).value * radii**e.sigma
-    assert np.all(np.isfinite(got))
-    assert got == pytest.approx(exact, rel=1e-5)
+    m4 = (-0.5, -0.8, -1.1, -0.6)
+    for sigmas in (m4, m4 + (-0.9, -0.7, -1.0, -0.4)):
+        profiles = [RadialProfile.power(s, 1e-6, 1e6) for s in sigmas]
+        e = ExponentSet(sigmas, math.fsum(sigmas))
+        for kind, closed_form in (("hlp", hlp_closed_form), ("hilbert", hilbert_closed_form)):
+            got = apply_radii(kind, profiles, radii, gp3)
+            exact = closed_form(e, gp3).value * radii**e.sigma
+            assert np.all(np.isfinite(got))
+            assert got == pytest.approx(exact, rel=1e-12), (kind, len(sigmas))
 
 
 def test_apply_hilbert_rejects_mixed_profiles(gp1):
     f_power = RadialProfile.power(-0.5)
-    f_trunc = RadialProfile.truncated_power(-0.5, 0.1, 10.0)
+    f_trunc = RadialProfile.power(-0.5, 0.1, 10.0)
     with pytest.raises(ValueError, match="truncate the unbounded profiles"):
         apply_radii("hilbert", [f_power, f_trunc], [1.0], gp1)
 

@@ -159,12 +159,40 @@ def test_strict_sharpness_adds_coupling_and_open_interval():
     assert any("q*lambda=q_j*lambda_j violated" in s for s in rs.violations)
 
 
+def test_strict_sharpness_names_the_content_weights():
+    # q_j gamma_j / q = 2 gamma_j here: -5 <= -Q = -4 for both factors, and
+    # the target weight sum(gamma_j) = -5 as well
+    p = ParamSet(**{**bilinear_example().__dict__, "gamma_list": (-2.5, -2.5)})
+    assert not any("gamma" in s for s in validate(p).violations)
+    rs = validate(p, strict_sharpness=True).violations
+    assert "q_j*gamma_j/q>-Q violated: q_1*gamma_1/q = -5, -Q = -4" in rs
+    assert "q_j*gamma_j/q>-Q violated: q_2*gamma_2/q = -5, -Q = -4" in rs
+    assert "sum(gamma_j)>-Q violated: sum(gamma_j) = -5, -Q = -4" in rs
+    ok = ParamSet(**{**bilinear_example().__dict__, "gamma_list": (-1.9, 0.5)})
+    assert validate(ok, strict_sharpness=True).ok
+
+
 def test_random_admissible_generator_yields_valid_sets():
+    # lambda_j is coupled to lambda inside (-1/q_j, 0) on every draw, so the
+    # strict check may only reject the freely drawn content weights, and it
+    # must name exactly those that fail
     rng = np.random.default_rng(2024)
+    weight_rejects = 0
     for _ in range(25):
         p = make_admissible(rng, m=int(rng.integers(1, 4)), n=int(rng.integers(1, 3)))
         r = validate(p, strict_sharpness=True)
-        assert r.ok, r.violations
+        expected = [
+            f"q_j*gamma_j/q>-Q violated: q_{j}*gamma_{j}/q = "
+            for j, (qj, gj) in enumerate(zip(p.q_list, p.gamma_list), start=1)
+            if not qj * gj / p.q > -p.Q
+        ]
+        if not sum(p.gamma_list) > -p.Q:
+            expected.append("sum(gamma_j)>-Q violated: ")
+        assert len(r.violations) == len(expected), r.violations
+        assert all(v.startswith(w) for v, w in zip(r.violations, expected)), r.violations
+        weight_rejects += bool(expected)
         e = derive_exponents(p)
         assert e.sigma <= -0.1
         assert all(p.Q + sj >= 0.2 for sj in e.sigma_list)
+    # the weight branch is reached: draw 16 (m = 3, n = 2) has q_3*gamma_3/q < -6
+    assert weight_rejects >= 1

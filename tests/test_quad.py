@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hlp_sharp.quad as quad
+from hlp_sharp.constants import KINDS
 from hlp_sharp.hgroup import GroupParams, HPoint, hnorm_arrays, identity
 from hlp_sharp.params import ExponentSet, ParamSet, derive_exponents
 from hlp_sharp.quad import (
@@ -74,9 +75,7 @@ def test_integrate_curve_beta_integral(quad_spec):
     # power tail through the rational fold.
     for a, b in ((0.3, 1.2), (0.9, 0.4), (1.7, 2.5)):
         got = integrate_curve(
-            lambda t, a=a, b=b: t ** (a - 1.0) * (1.0 + t) ** (-(a + b)),
-            quad_spec,
-            breakpoints=(1.0,),
+            lambda t, a=a, b=b: t ** (a - 1.0) * (1.0 + t) ** (-(a + b)), quad_spec
         )
         beta_ab = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
         assert got == pytest.approx(beta_ab, rel=1e-9)
@@ -90,25 +89,12 @@ def test_integrate_curve_exponential_tail_both_transforms(quad_spec):
             e = np.exp(-r)
         return np.where(e == 0.0, 0.0, r**3 * e)
 
-    assert integrate_curve(g, quad_spec, breakpoints=(1.0, 8.0)) == pytest.approx(
-        6.0, rel=1e-9
-    )
-
-
-def test_integrate_curve_respects_bounds_and_breakpoints(quad_spec):
-    assert integrate_curve(lambda r: r, quad_spec, lower=2.0, upper=1.0) == 0.0
-    got = integrate_curve(
-        lambda r: np.where(np.asarray(r) < 1.0, 1.0, 0.0),
-        quad_spec,
-        breakpoints=(1.0,),
-        upper=3.0,
-    )
-    assert got == pytest.approx(1.0, rel=1e-10)
+    assert integrate_curve(g, quad_spec) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_integrate_curve_flags_origin_divergence(quad_spec):
     with pytest.raises(DivergenceError) as exc:
-        integrate_curve(lambda r: 1.0 / np.asarray(r), quad_spec, upper=1.0)
+        integrate_curve(lambda r: 1.0 / np.asarray(r), quad_spec)
     assert "origin" in exc.value.conditions
 
 
@@ -179,12 +165,14 @@ def test_hilbert_oracle_flags_divergent_beta_factor(gp1, quad_spec):
     assert "beta factor" in exc.value.conditions
 
 
-def test_oracles_reject_large_m(gp1, quad_spec):
-    e = ExponentSet(sigma_list=(-0.5,) * 5, sigma=-2.5)
-    with pytest.raises(ValueError):
-        hlp_constant_oracle(e, gp1, quad_spec)
-    with pytest.raises(ValueError):
-        hilbert_constant_oracle(e, gp1, quad_spec)
+def test_oracles_match_closed_forms_past_m4(gp1, quad_spec):
+    # neither oracle caps m: the max kernel sums m regions, the sum kernel
+    # peels m Beta factors
+    for m in (5, 8):
+        e = ExponentSet(sigma_list=(-0.5,) * m, sigma=-0.5 * m)
+        for closed_form, oracle in KINDS.values():
+            got = oracle(e, gp1, quad_spec)
+            assert got == pytest.approx(closed_form(e, gp1).value, rel=1e-12), (m, oracle)
 
 
 # ---------------------------------------------------------------------------

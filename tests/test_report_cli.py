@@ -254,6 +254,31 @@ def test_unbalanced_lambda_is_a_usage_error(tmp_path, capsys):
     assert "lambda=sum(lambda_j) violated" in capsys.readouterr().err
 
 
+def test_factor_weight_below_minus_q_is_named_before_any_morrey_norm(tmp_path, capsys):
+    # q_2 gamma_2 / q = 10 * (-1) / 2 = -5 <= -Q = -4: the content weight of
+    # the second factor space is not locally integrable
+    argv = ["--command", "verify-sharpness", "--m", "2", "--qj", "2.5,10",
+            "--lambdaj", "-0.2,-0.05", "--gammaj", "0,-1", "--samples", "1000"]
+    status, _ = run_main(argv, tmp_path)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "q_j*gamma_j/q>-Q violated: q_2*gamma_2/q = -5" in err
+    assert "gamma_w must exceed" not in err
+
+
+def test_constant_past_m4_and_overflowing_m(tmp_path, capsys):
+    for kind in ("hlp", "hilbert"):
+        status, path = run_main(["--command", "constant", "--m", "6", "--kind", kind], tmp_path)
+        assert status == 0, capsys.readouterr().err
+        assert json.loads(path.read_text().splitlines()[1])["label"] == f"{kind}-constant m=6 n=1"
+    # omega_Q^300 overflows a double: a usage error naming m, not a traceback
+    status, _ = run_main(["--command", "constant", "--m", "300", "--kind", "hlp"], tmp_path)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "m = 300" in err
+
+
 def test_uncertifiable_oracle_is_a_failed_record(tmp_path, capsys):
     # Admissible, but sigma is so close to 0 that the tail integral of the
     # oracle decays too slowly to certify.
