@@ -42,7 +42,9 @@ from .morrey import (
     verify_dilation,
 )
 from .operators import extremizer_profile
-from .params import DivergenceError, ParamSet, derive_exponents, validate, violated
+from .params import (
+    DivergenceError, ParamSet, derive_exponents, factor_weight_violations, validate, violated,
+)
 from .quad import MCSpec, QuadratureSpec, keyed_rng, mc_ball_integral
 from .report import VerificationReport, compare, write_reports
 
@@ -258,10 +260,12 @@ def _header_record(config: RunConfig) -> dict:
     }
 
 
-def _validated(p: ParamSet, strict: bool = False) -> None:
-    res = validate(p, strict_sharpness=strict)
-    if not res.ok:
-        raise UsageError("; ".join(res.violations))
+def _validated(p: ParamSet, strict: bool = False, weighted: Sequence[int] = ()) -> None:
+    """Raise UsageError naming the violations, with the content weights of
+    the factor spaces in weighted (1-based) checked too."""
+    bad = [*validate(p, strict_sharpness=strict).violations, *factor_weight_violations(p, weighted)]
+    if bad:
+        raise UsageError("; ".join(bad))
 
 
 def _cmd_constant(config: RunConfig) -> List[VerificationReport]:
@@ -297,7 +301,7 @@ def _cmd_oracle_compare(config: RunConfig) -> List[VerificationReport]:
 
 
 def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
-    _validated(config.params)
+    _validated(config.params, weighted=(1,))
     p = config.params
     gp = GroupParams(n=p.n)
     e = derive_exponents(p)

@@ -6,7 +6,7 @@ over a finite grid of balls and reports the largest cell estimate.
 Origin-centered cells reduce to exact 1-D piecewise power integrals;
 off-center cells use Monte Carlo with one fixed random stream per cell and
 carry its stderr, so the maximum is an estimate of the grid sup, not a
-certified bound.  Coupled runs (dilation, sharpness) share their noise.
+certified bound.  Coupled runs (dilation) share their noise.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .constants import KINDS
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
-from .operators import RadialProfile, apply_radii, extremizer_profile
+from .operators import RadialProfile, apply_radii, extremizer_profile, log_panels
 from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
 from .quad import MCSpec, derive_seed, eval_batch, mc_ball_integral
 from .report import VerificationReport, compare
@@ -389,14 +389,6 @@ def verify_dilation(
     return records
 
 
-def _sharpness_knots(grid: BallGrid) -> np.ndarray:
-    lo = min(grid.radii) / 100.0
-    hi = 1.1 * (max(grid.center_radii) + max(grid.radii))
-    decades = math.log10(hi / lo)
-    count = max(2, int(math.ceil(48.0 * decades)))
-    return np.geomspace(lo, hi, count)
-
-
 def sharpness_ratio(
     kind,
     p: ParamSet,
@@ -404,17 +396,26 @@ def sharpness_ratio(
     grid: BallGrid,
     mc: MCSpec,
 ) -> VerificationReport:
-    """Truncated-extremizer estimate of the operator norm, divided by
+    """Truncated-extremizer lower bound of the operator norm, divided by
     the closed-form constant.
 
-    Builds f_j = r^{sigma_j} on [r_min, r_max], tabulates T(f_1..f_m) on a
-    dense radial net, and evaluates all Morrey norms on the shared grid with
-    cell-coupled random streams, one denominator per distinct pair of
-    extremizer and source space (coincident factors give the same value
-    from the same streams).  Numerator and denominators are each the
-    largest cell estimate on the grid, with Monte Carlo noise in the
-    off-center cells, so the reported ratio is an estimate, not a bound, of
-    the norm ratio; it converges to 1 from below as the truncation widens.
+    The numerator is the largest origin cell B(0, R), R in grid.radii, of
+    T(f_1..f_m), f_j = r^{sigma_j} on [r_min, r_max]; any ball bounds
+    ||T f|| from below.  Its content omega_Q int_0^R T^q r^(Q-1+gamma) dr
+    takes the log_panels rule between r_0 = min(radii[0], r_min)/4, the
+    radii and the truncation edges below the largest radius.  Below r_0 it
+    is T(r_0)^q r_0^(Q+gamma)/(Q+gamma), a lower bound as T is
+    nonincreasing, and exact for the max kernel, constant below r_min.
+
+    When alpha >= 0 and q*sigma + gamma <= 0, each factor's content
+    integrand r^(q_j sigma_j + q_j gamma_j / q) = r^(q sigma + gamma) is
+    nonincreasing and the ball weight |x|^alpha nondecreasing, so by the
+    Hardy-Littlewood rearrangement inequality the origin cell of the pure
+    power r^{sigma_j}, which does not depend on R, is the sup over all
+    balls and bounds ||f_j|| from above: the ratio is a certified lower
+    bound of the operator norm.  Otherwise each denominator is the largest
+    grid-cell estimate of ||f_j||.  One denominator is computed per
+    distinct pair of profile and source space.
     """
     vr = validate(p, strict_sharpness=True)
     if not vr:
@@ -427,25 +428,36 @@ def sharpness_ratio(
         raise ValueError(f"unknown operator kind {kind!r}")
     constant = KINDS[kind][0](e, gp)
 
-    extremizers = [
-        extremizer_profile(e, j + 1, truncation=(r_min, r_max)) for j in range(p.m)
-    ]
+    extremizers = [extremizer_profile(e, j + 1, truncation=(r_min, r_max)) for j in range(p.m)]
+    certified = p.alpha >= 0.0 and p.q * e.sigma + p.gamma <= 0.0
+    factors = [extremizer_profile(e, j + 1) for j in range(p.m)] if certified else extremizers
+    factor_grid = BallGrid((0.0,), grid.center_directions, (1.0,)) if certified else grid
     norms = {}
     denom = 1.0
-    for j, f in enumerate(extremizers):
+    for j, f in enumerate(factors):
         space = source_space(p, j + 1)
         key = (f.segments, space)
         if key not in norms:
-            norms[key] = morrey_norm(f, space, grid, gp, mc).value
+            norms[key] = morrey_norm(f, space, factor_grid, gp, mc).value
         denom *= norms[key]
 
-    knots = _sharpness_knots(grid)
-    tf = apply_radii(kind, extremizers, knots, gp)
-    numerator_profile = RadialProfile.tabulated(knots, tf, cutoff=(0.0, math.inf))
-    target = MorreySpaceSpec(q=p.q, lam=p.lam, alpha=p.alpha, gamma_w=p.gamma)
-    num = morrey_norm(numerator_profile, target, grid, gp, mc).value
+    Q, q, gw = gp.Q, p.q, p.gamma
+    R = np.asarray(grid.radii, dtype=float)
+    r0 = min(R[0], r_min) / 4.0
+    edges = np.array(sorted({r0, *R.tolist(), *(b for b in (r_min, r_max) if b < R[-1])}))
+    r, w, interval = log_panels(edges)
+    tf = apply_radii(kind, extremizers, np.append(r, r0), gp)
+    pieces = np.bincount(interval, w * tf[:-1] ** q * r ** (Q - 1.0 + gw), minlength=edges.size - 1)
+    below = tf[-1] ** q * r0 ** (Q + gw) / (Q + gw)
+    content = gp.omega_Q * (below + np.append(0.0, np.cumsum(pieces)))[np.searchsorted(edges, R)]
+    w1 = gp.omega_Q * R ** (Q + p.alpha) / (Q + p.alpha)
+    num = float(np.max(w1 ** -(p.lam + 1.0 / q) * content ** (1.0 / q)))
 
     ratio = num / denom
+    bound = (
+        "certified lower bound: exact origin cells over pure-power denominators"
+        if certified else "estimate: exact origin cells over grid-estimate denominators"
+    )
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     return compare(
         f"sharpness {kind} m={p.m} truncation=({r_min:g},{r_max:g})",
@@ -453,8 +465,8 @@ def sharpness_ratio(
         ratio,
         0.1,
         convention_note=(
-            f"ratio/constant = {ratio / constant.value:.8f}; both sides are grid "
-            f"lower bounds; {constant.convention_note}"
+            f"ratio/constant = {ratio / constant.value:.8f}; {bound}; "
+            f"{constant.convention_note}"
         ),
         seed=mc.seed,
         runtime_ms=runtime_ms,

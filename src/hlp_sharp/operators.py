@@ -31,6 +31,7 @@ __all__ = [
     "RadialProfile",
     "apply_radii",
     "extremizer_profile",
+    "log_panels",
     "radialize",
 ]
 
@@ -88,14 +89,8 @@ class RadialProfile:
         return RadialProfile(segs)
 
     @staticmethod
-    def tabulated(
-        knots: Sequence[float],
-        values: Sequence[float],
-        cutoff: Optional[Tuple[float, float]] = None,
-    ) -> "RadialProfile":
-        """Log-log interpolation between knots; outside the knot range the
-        edge segment's slope extends to the cutoffs, beyond which the
-        profile is zero.  Default cutoff is the knot range itself.
+    def tabulated(knots: Sequence[float], values: Sequence[float]) -> "RadialProfile":
+        """Log-log interpolation between knots, zero outside the knot range.
         Segments with a zero endpoint value are treated as vanishing; a drop
         between knots too steep for a finite amplitude raises ValueError."""
         kn = np.asarray(knots, dtype=float)
@@ -106,36 +101,12 @@ class RadialProfile:
             raise ValueError("knots must be strictly increasing and positive")
         if not np.all(va >= 0.0):
             raise ValueError("tabulated values must be nonnegative")
-        if cutoff is None:
-            cutoff = (float(kn[0]), float(kn[-1]))
-        cut_lo, cut_hi = float(cutoff[0]), float(cutoff[1])
-        if not (0.0 <= cut_lo <= kn[0] and cut_hi >= kn[-1]):
-            raise ValueError("cutoff must bracket the knot range")
-
         segs = []
-
-        def _power_between(r0, v0, r1, v1):
-            p = math.log(v1 / v0) / math.log(r1 / r0)
-            return float(v0 / r0**p), float(p)
-
         for i in range(kn.size - 1):
             v0, v1 = va[i], va[i + 1]
             if v0 > 0.0 and v1 > 0.0:
-                A, p = _power_between(kn[i], v0, kn[i + 1], v1)
-                segs.append((float(kn[i]), float(kn[i + 1]), A, p))
-        # edge extrapolation toward the cutoffs, reusing the edge slopes
-        if cut_lo < kn[0] and va[0] > 0.0:
-            if va[1] > 0.0:
-                A, p = _power_between(kn[0], va[0], kn[1], va[1])
-            else:
-                A, p = float(va[0]), 0.0
-            segs.insert(0, (cut_lo, float(kn[0]), A, p))
-        if cut_hi > kn[-1] and va[-1] > 0.0:
-            if va[-2] > 0.0:
-                A, p = _power_between(kn[-2], va[-2], kn[-1], va[-1])
-            else:
-                A, p = float(va[-1]), 0.0
-            segs.append((float(kn[-1]), cut_hi, A, p))
+                p = math.log(v1 / v0) / math.log(kn[i + 1] / kn[i])
+                segs.append((float(kn[i]), float(kn[i + 1]), float(v0 / kn[i] ** p), float(p)))
         return RadialProfile(tuple(segs))
 
     # -- basic queries -------------------------------------------------------
@@ -326,7 +297,7 @@ def _check_convergence(profiles: Sequence[RadialProfile], gp: GroupParams) -> No
         )
 
 
-def _log_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def log_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and weights for int g(r) dr between consecutive edges:
     12-point Gauss-Legendre on max(2, ceil(8 * decades)) log-uniform panels
     per interval.  Also returns the interval index of each node."""
@@ -389,13 +360,13 @@ def _apply_hlp(
     inputs r^(-mQ) F -> 0, so by parts
     T(t) = mQ omega_Q^m int_t^inf r^(-mQ-1) F(r) dr.  Between edges (the
     radii and the breakpoints above the smallest one) the integrand is
-    smooth and takes the _log_panels rule; beyond the last edge _hlp_tail is
+    smooth and takes the log_panels rule; beyond the last edge _hlp_tail is
     exact; a reverse cumulative sum gives every radius.
     """
     Q, m = gp.Q, len(profiles)
     brk = [b for f in profiles for b in f.breakpoints() if b > radii.min()]
     edges = np.array(sorted({*radii.tolist(), *brk}))
-    r, w, interval = _log_panels(edges)
+    r, w, interval = log_panels(edges)
     rq = r**-Q
     F = np.prod([f.cumulative(Q - 1.0, r) * rq for f in profiles], axis=0) / r
     pieces = np.append(
@@ -413,11 +384,11 @@ def _compact(profiles: Sequence[RadialProfile]) -> bool:
 
 def _axis_rule(f: RadialProfile, gp: GroupParams) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed nodes/weights for int f(r) r^(Q-1) h(r) dr over the bounded
-    support of f: the _log_panels rule between breakpoints."""
+    support of f: the log_panels rule between breakpoints."""
     if not _compact([f]):
         raise ValueError("axis rule requires bounded support away from 0")
     lo, hi = f.support()
-    r, w, _ = _log_panels(np.array(sorted({lo, hi, *f.breakpoints()})))
+    r, w, _ = log_panels(np.array(sorted({lo, hi, *f.breakpoints()})))
     return r, w * f(r) * r ** (gp.Q - 1.0)
 
 

@@ -139,6 +139,17 @@ def require_admissible(e: ExponentSet, Q: float) -> None:
         raise DivergenceError("inadmissible exponents: " + "; ".join(bad), conditions=bad)
 
 
+def factor_weight_violations(p: ParamSet, factors) -> list:
+    """Violations of q_j*gamma_j/q > -Q, the content weight exponent of the
+    factor spaces j in factors (1-based)."""
+    out = []
+    for j in factors:
+        gw = p.q_list[j - 1] * p.gamma_list[j - 1] / p.q
+        if not gw > -p.Q:
+            out.append(violated("q_j*gamma_j/q>-Q", f"q_{j}*gamma_{j}/q = {gw:.6g}, -Q = {-p.Q}"))
+    return out
+
+
 def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
     """Check all ParamSet invariants, the scaling balance 1/q = sum 1/q_j and
     lambda = sum lambda_j, and admissibility of the derived exponents.
@@ -189,7 +200,7 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
     v.extend(admissibility_violations(e, Q))
 
     if strict_sharpness:
-        for j, (qj, lj, gj) in enumerate(zip(p.q_list, p.lam_list, p.gamma_list), start=1):
+        for j, (qj, lj) in enumerate(zip(p.q_list, p.lam_list), start=1):
             if not (-1.0 / qj < lj < 0.0):
                 v.append(
                     f"lambda_j in (-1/q_j,0) violated (strict): lambda_{j} = {lj}"
@@ -201,10 +212,7 @@ def validate(p: ParamSet, strict_sharpness: bool = False) -> ValidationResult:
                         f"q*lambda = {p.q * p.lam:.12g}, q_{j}*lambda_{j} = {qj * lj:.12g}",
                     )
                 )
-            # content weight |x|^(q_j gamma_j / q) of the factor's Morrey space
-            gw = qj * gj / p.q
-            if not gw > -Q:
-                v.append(violated("q_j*gamma_j/q>-Q", f"q_{j}*gamma_{j}/q = {gw:.6g}, -Q = {-Q}"))
+        v.extend(factor_weight_violations(p, range(1, p.m + 1)))
         if not p.gamma > -Q:
             v.append(violated("sum(gamma_j)>-Q", f"sum(gamma_j) = {p.gamma:.6g}, -Q = {-Q}"))
 

@@ -25,6 +25,7 @@ from hlp_sharp.constants import (
     hilbert_closed_form,
     hlp_closed_form,
 )
+from hlp_sharp.cli import config_from_args
 from hlp_sharp.hgroup import (
     GroupParams,
     HPoint,
@@ -226,6 +227,63 @@ def test_hilbert_sharpness_ratio_beyond_m2(m):
     assert 0.90 <= rel <= 1.0 + 1e-3, f"m={m}: ratio/constant {rel:.4f}"
 
 
+def _rearrangement_set(rng, m, n):
+    """A strict set with alpha in [0, 1.5] and q*sigma + gamma <= 0: lambda_j
+    coupled to lambda, a random q_j split, gamma_j in [-1, 1]."""
+    while True:
+        parts = rng.uniform(0.1, 1.0, size=m)
+        q_list = tuple(float(v) for v in parts.sum() / (parts * rng.uniform(0.2, 0.9)))
+        q = 1.0 / sum(1.0 / qj for qj in q_list)
+        s = float(rng.uniform(-0.95, -0.05))  # q * lambda = q_j * lambda_j
+        p = ParamSet(
+            m=m, n=n, q=q, q_list=q_list, lam=s / q,
+            lam_list=tuple(s / qj for qj in q_list),
+            gamma_list=tuple(float(g) for g in rng.uniform(-1.0, 1.0, size=m)),
+            alpha=float(rng.uniform(0.0, 1.5)),
+        )
+        e = derive_exponents(p)
+        if validate(p, strict_sharpness=True).ok and p.q * e.sigma + p.gamma <= 0.0:
+            return p
+
+
+def test_sharpness_certificate_never_exceeds_the_constant():
+    # Inside alpha >= 0, q*sigma + gamma <= 0 the ratio is a certified lower
+    # bound of the operator norm, so the closed form must bound it at every
+    # width; a ratio above it would falsify the constant or the code
+    rng = np.random.default_rng(20240917)
+    for _ in range(60):
+        p = _rearrangement_set(rng, m=int(rng.integers(1, 7)), n=int(rng.integers(1, 4)))
+        e = derive_exponents(p)
+        # every factor's content exponent is the target's
+        for qj, sj, gj in zip(p.q_list, e.sigma_list, p.gamma_list):
+            assert qj * sj + qj * gj / p.q == pytest.approx(
+                p.q * e.sigma + p.gamma, rel=1e-12, abs=1e-12
+            )
+        for kind in ("hlp", "hilbert"):
+            for eps in (1e-2, 1e-4, 1e-6):
+                rep = sharpness_ratio(kind, p, (eps, 1.0 / eps), default_grid(p.n), MCSpec())
+                assert "certified lower bound" in rep.convention_note
+                assert 0.0 < rep.oracle <= rep.closed_form * (1.0 + 1e-10), (
+                    f"{kind} eps={eps:g} {p}: ratio/constant {rep.oracle / rep.closed_form!r}"
+                )
+
+
+def test_sharpness_grid_denominators_outside_the_certificate():
+    # alpha < 0 leaves the rearrangement regime: the denominators are grid
+    # estimates with Monte Carlo off-center cells, and the band still holds
+    p = config_from_args(["--command", "verify-sharpness", "--m", "2", "--alpha", "-0.5"]).params
+    g = default_grid(p.n)
+    grid = BallGrid(g.center_radii, g.center_directions, g.radii[::8])
+    for kind in ("hlp", "hilbert"):
+        reps = [
+            sharpness_ratio(kind, p, (eps, 1.0 / eps), grid, MCSpec(samples=20000))
+            for eps in (1e-2, 1e-3)
+        ]
+        narrow, wide = (rep.oracle / rep.closed_form for rep in reps)
+        assert 0.90 <= narrow < wide <= 1.0 + 1e-3, f"{kind}: {narrow:.6f} -> {wide:.6f}"
+        assert all("grid-estimate denominators" in rep.convention_note for rep in reps)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_criterion_7_group_suite(n):
     gp_n = GroupParams(n=n)
@@ -357,9 +415,7 @@ def _mc_operator_estimate(kind, funcs, t, gp_n, samples, seed):
 def _radialized_profile(f, gp_n, mc):
     knots = np.geomspace(_ANNULUS[0], _ANNULUS[1], 25)
     prof, stderr = radialize(f, gp_n, mc, radii=knots)
-    err = RadialProfile.tabulated(
-        knots, np.maximum(stderr, 1e-15 * prof(knots)), cutoff=prof.support()
-    )
+    err = RadialProfile.tabulated(knots, np.maximum(stderr, 1e-15 * prof(knots)))
     return prof, err
 
 

@@ -264,8 +264,9 @@ def test_perfbench_imports_and_calls_bind_to_the_package():
     assert not offences, offences
 
 
-# demo_sharpness.py takes ~18 s, so only its calls are checked above
-@pytest.mark.parametrize("name", ["demo_constants.py", "demo_group_geometry.py"])
+@pytest.mark.parametrize(
+    "name", ["demo_constants.py", "demo_group_geometry.py", "demo_sharpness.py"]
+)
 def test_fast_demo_runs_to_exit_0(name, tmp_path):
     proc = subprocess.run(
         [sys.executable, str(DEMOS / name)],

@@ -263,13 +263,13 @@ def test_sharpness_rejects_unknown_kind(mc_small):
 
 @pytest.mark.parametrize(
     "q_list, lam_list, calls",
-    [((4.0, 4.0), (-0.125, -0.125), 2), ((3.0, 6.0), (-1.0 / 6.0, -1.0 / 12.0), 3)],
+    [((4.0, 4.0), (-0.125, -0.125), 1), ((3.0, 6.0), (-1.0 / 6.0, -1.0 / 12.0), 2)],
     ids=["identical", "distinct"],
 )
 def test_sharpness_ratio_one_norm_per_distinct_factor(
     monkeypatch, mc_small, q_list, lam_list, calls
 ):
-    # the numerator takes one call; coincident denominators share one more
+    # the numerator takes no call; coincident denominators share one
     seen = []
 
     def counting_norm(f, space, grid, gp, mc):

@@ -6,7 +6,6 @@ import pytest
 
 from hlp_sharp.cli import config_from_args
 from hlp_sharp.hgroup import GroupParams, hnorm_arrays
-from hlp_sharp.morrey import _sharpness_knots, default_grid
 from hlp_sharp.operators import (
     RadialProfile,
     _axis_rule,
@@ -119,12 +118,8 @@ def test_tabulated_recovers_power_data_exactly():
         assert A == pytest.approx(3.0, rel=1e-12)
     mid = np.sqrt(knots[:-1] * knots[1:])
     assert f(mid) == pytest.approx(3.0 * mid**-1.5, rel=1e-12)
-    # support equals the knot range by default, extended by explicit cutoffs
+    # the support is the knot range
     assert f.support() == (0.1, 10.0)
-    g = RadialProfile.tabulated(knots, values, cutoff=(0.01, 100.0))
-    assert g.support() == (0.01, 100.0)
-    assert g(0.05) == pytest.approx(3.0 * 0.05**-1.5, rel=1e-12)
-    assert g(50.0) == pytest.approx(3.0 * 50.0**-1.5, rel=1e-12)
 
 
 def test_tabulated_zero_values_create_gaps():
@@ -142,8 +137,6 @@ def test_tabulated_validation():
         RadialProfile.tabulated((2.0, 1.0), (1.0, 1.0))
     with pytest.raises(ValueError):
         RadialProfile.tabulated((1.0, 2.0), (1.0, -1.0))
-    with pytest.raises(ValueError):
-        RadialProfile.tabulated((1.0, 2.0), (1.0, 1.0), cutoff=(1.5, 3.0))
 
 
 def test_local_exponent():
@@ -421,8 +414,7 @@ def test_hlp_tabulation_matches_region_sum_on_sharpness_net(m, n, quad_spec):
     gp = GroupParams(n=n)
     e = _default_exponents(m, n)
     profiles = [extremizer_profile(e, j + 1, truncation=(1e-2, 1e2)) for j in range(m)]
-    knots = _sharpness_knots(default_grid(n))
-    assert knots.size == 291
+    knots = np.geomspace(1e-4, 114.4, 291)
     got = apply_radii("hlp", profiles, knots, gp)
     ref = np.array([_hlp_region_sum(profiles, t, gp, quad_spec) for t in knots])
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-12

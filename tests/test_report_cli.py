@@ -267,6 +267,18 @@ def test_factor_weight_below_minus_q_is_named_before_any_morrey_norm(tmp_path, c
     assert "gamma_w must exceed" not in err
 
 
+def test_dilation_names_the_first_factor_weight(tmp_path, capsys):
+    # q_1 gamma_1 / q = 2.5 * (-4) / 2 = -5 <= -Q = -4: verify-dilation runs
+    # on the first factor's space, so it names that factor's condition
+    argv = ["--command", "verify-dilation", "--m", "2", "--qj", "2.5,10",
+            "--lambdaj", "-0.2,-0.05", "--gammaj", "-4,4", "--t", "2"]
+    status, _ = run_main(argv, tmp_path)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "usage error: q_j*gamma_j/q>-Q violated: q_1*gamma_1/q = -5, -Q = -4" in err
+    assert "gamma_w must exceed" not in err
+
+
 def test_constant_past_m4_and_overflowing_m(tmp_path, capsys):
     for kind in ("hlp", "hilbert"):
         status, path = run_main(["--command", "constant", "--m", "6", "--kind", kind], tmp_path)
