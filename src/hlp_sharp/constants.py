@@ -104,16 +104,19 @@ def beta_recursion_Im(offsets: Sequence[float], outer_power: float) -> float:
 
     I_m(a_1..a_m; s) = B(a_m, s - a_m) * I_{m-1}(a_1..a_{m-1}; s - a_m) with
     I_0 = 1, equal to prod Gamma(a_i) * Gamma(s - sum a_i) / Gamma(s).  Taking
-    the offsets d_j (sigma_j/Q for B_m) keeps the outer power as k + e with k
-    factors left, so the last argument s - m - sum d_j comes from the offsets,
-    not from a difference of numbers rounded near 1.  Computed in log space;
-    every peeled Beta must have positive arguments.
+    the offsets d_j (sigma_j/Q for B_m) keeps the outer power as k + e_k with
+    k factors left, where e_k = (s - m) - (d_{k+1} + ... + d_m) is one
+    math.fsum of the peeled offsets, so no rounding accumulates from step to
+    step and the last argument s - m - sum d_j is correctly rounded.
+    Computed in log space; every peeled Beta must have positive arguments.
     """
-    k, excess = len(offsets), float(outer_power) - len(offsets)
+    d = [float(x) for x in offsets]
+    e0 = float(outer_power) - len(d)
     log_value = 0.0
-    for d in reversed([float(d) for d in offsets]):
-        a, s, rest = 1.0 + d, k + excess, (k - 1) + (excess - d)
-        k, excess = k - 1, excess - d
+    for k in range(len(d), 0, -1):
+        a = 1.0 + d[k - 1]
+        s = k + math.fsum([e0, *(-x for x in d[k:])])
+        rest = (k - 1) + math.fsum([e0, *(-x for x in d[k - 1 :])])
         if a <= 0.0 or rest <= 0.0:
             raise ValueError(f"nonpositive Beta argument in recursion: B({a}, {rest})")
         log_value += math.lgamma(a) + math.lgamma(rest) - math.lgamma(s)

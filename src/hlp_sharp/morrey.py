@@ -1,12 +1,14 @@
 """Two-power-weighted Morrey norms, the dilation lemma check, and the
 truncated-extremizer sharpness experiment.
 
-The norm estimator evaluates w_1(B)^{-(lambda+1/q)} (int_B |f|^q w_2)^{1/q}
-over a finite grid of balls and reports the largest cell estimate.
-Origin-centered cells reduce to exact 1-D piecewise power integrals;
-off-center cells use Monte Carlo with one fixed random stream per cell and
-carry its stderr, so the maximum is an estimate of the grid sup, not a
-certified bound.  Coupled runs (dilation) share their noise.
+The norm evaluates w_1(B)^{-(lambda+1/q)} (int_B |f|^q w_2)^{1/q} over a
+finite grid of balls and reports the largest cell.  For a radial profile
+no cell is random: origin-centered cells are exact 1-D piecewise power
+integrals, and each off-center cell is one quad.ball_rule, which values
+both the content and the ball weight w_1 = int_B |x|^alpha.  The maximum
+is then a lower bound of the norm (to the rule's ~1e-10 accuracy), with
+stderr 0.  Only a non-radial function (morrey_norm_mc) values its content
+by Monte Carlo, with one fixed random stream per cell.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .constants import KINDS
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
 from .operators import RadialProfile, apply_radii, extremizer_profile, log_panels
 from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
-from .quad import MCSpec, derive_seed, eval_batch, mc_ball_integral
+from .quad import MCSpec, ball_rule, derive_seed, eval_batch, mc_ball_integral
 from .report import VerificationReport, compare
 
 __all__ = [
@@ -36,10 +38,6 @@ __all__ = [
     "verify_dilation",
     "sharpness_ratio",
 ]
-
-_STREAM_INTEGRAL = 0
-_STREAM_WEIGHT = 1
-
 
 @dataclass(frozen=True)
 class MorreySpaceSpec:
@@ -128,9 +126,9 @@ def default_grid(n: int) -> BallGrid:
 @dataclass(frozen=True)
 class MorreyEstimate:
     """One grid cell B(a, R), |a| = argmax_center_radius, R = argmax_R: its
-    value and the Monte Carlo stderr of that value (0 when the cell is
-    exact).  The norm functions return the cell of largest value, the
-    largest cell estimate of the Morrey sup over the evaluated grid."""
+    value and the Monte Carlo stderr of that value, 0 for the closed-form
+    and ball_rule cells of a radial profile.  The norm functions return the
+    cell of largest value over the evaluated grid."""
 
     value: float
     argmax_center_radius: float
@@ -143,16 +141,25 @@ def _cell_center(cr: float, direction: HPoint, n: int) -> HPoint:
 
 
 def _cells(
-    space: MorreySpaceSpec, grid: BallGrid, gp: GroupParams, mc: MCSpec, integral: Callable
+    space: MorreySpaceSpec,
+    grid: BallGrid,
+    gp: GroupParams,
+    integral: Callable,
+    breakpoints: Optional[Sequence[float]] = None,
 ) -> List[MorreyEstimate]:
     """Every cell of the grid in fixed order, valued as
-    w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with first-order error
-    propagation from the two Monte Carlo factors.  integral(cell, cr,
-    center, R) is the content integral and its stderr; cell = (ci, di, ri)
-    keys the random streams.  The origin is visited with its first
-    direction only, since all directions coincide there."""
+    w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with the first-order error
+    of the content.  integral(cell, cr, center, R, rule) is the content and
+    its stderr; cell = (ci, di, ri) keys random streams and rule is the
+    cell's ball_rule (None at the origin).  A radial content passes its
+    breakpoints, and every off-center cell builds its rule split there; a
+    Monte Carlo content passes None, and a cell builds a rule only for a
+    weight alpha != 0.  Rules are built one cell at a time.  The origin is
+    visited with its first direction only, since all directions coincide
+    there."""
     q = space.q
     pref_exp = -(space.lam + 1.0 / q)
+    radial = breakpoints is not None
     cells: List[MorreyEstimate] = []
     for ci, cr in enumerate(grid.center_radii):
         for di, direction in enumerate(grid.center_directions):
@@ -160,25 +167,26 @@ def _cells(
                 continue
             center = _cell_center(cr, direction, gp.n)
             for ri, R in enumerate(grid.radii):
-                cell = (ci, di, ri)
-                content, se_i = integral(cell, cr, center, R)
-                w1, se_w = _ball_weight(center, cr, R, space.alpha, gp, mc, cell)
+                rule = None
+                if cr != 0.0 and (radial or space.alpha != 0.0):
+                    rule = ball_rule(center, R, gp, breakpoints or ())
+                content, se = integral((ci, di, ri), cr, center, R, rule)
+                w1 = _ball_weight(cr, R, space.alpha, gp, rule)
                 if content <= 0.0 or w1 <= 0.0:
                     cells.append(MorreyEstimate(0.0, cr, R, 0.0))
                     continue
                 value = w1**pref_exp * content ** (1.0 / q)
-                rel_sq = (se_i / (q * content)) ** 2 + (pref_exp * se_w / w1) ** 2
-                cells.append(MorreyEstimate(value, cr, R, value * math.sqrt(rel_sq)))
+                cells.append(MorreyEstimate(value, cr, R, value * se / (q * content)))
     return cells
 
 
-def _cell_mc(mc: MCSpec, cell: Tuple[int, int, int], stream: int) -> MCSpec:
-    """Monte Carlo settings of one stream of the cell with indices
-    (ci, di, ri): the seed is keyed by the run seed, the cell and the stream,
-    so coupled runs over the same grid share their draws cell by cell."""
+def _cell_mc(mc: MCSpec, cell: Tuple[int, int, int]) -> MCSpec:
+    """Monte Carlo settings of the cell with indices (ci, di, ri): the seed
+    is keyed by the run seed and the cell, so coupled runs over the same grid
+    share their draws cell by cell."""
     return MCSpec(
         samples=mc.samples,
-        seed=derive_seed(derive_seed(mc.seed, *cell), stream),
+        seed=derive_seed(derive_seed(mc.seed, *cell), 0),
         shards=mc.shards,
     )
 
@@ -192,51 +200,15 @@ def _check_origin(exponent: float, Q: float) -> None:
         )
 
 
-def _ball_weight(
-    center: HPoint,
-    cr: float,
-    R: float,
-    alpha: float,
-    gp: GroupParams,
-    mc: MCSpec,
-    cell: Tuple[int, int, int],
-) -> Tuple[float, float]:
-    """w_1(B(a, R)) = int_B |x|^alpha dx and its stderr (0 when exact)."""
+def _ball_weight(cr: float, R: float, alpha: float, gp: GroupParams, rule) -> float:
+    """w_1(B(a, R)) = int_B |x|^alpha dx: closed form at the origin and for
+    alpha = 0, the cell's rule otherwise."""
     if cr == 0.0:
-        return gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha), 0.0
+        return gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
     if alpha == 0.0:
-        return gp.Omega_Q * R**gp.Q, 0.0
-    beta = min(0.0, alpha)
-
-    def h(X):
-        r = hnorm_arrays(X, gp.n)
-        return np.where(r > 0.0, r**alpha, 0.0)
-
-    return mc_ball_integral(
-        h, center, R, gp, _cell_mc(mc, cell, _STREAM_WEIGHT), origin_exponent=beta
-    )
-
-
-def _cell_tilt(
-    fq: RadialProfile, gamma_w: float, cr: float, R: float, s_lo: float, s_hi: float, Q: float
-) -> float:
-    """Radial tilt for an off-center cell: the integrand behaves like
-    r^(p+gamma_w) on the sampled window, with p the profile exponent at the
-    window's geometric midpoint.  Clipped to (-Q, 0] for a valid polar law.
-
-    The exponent comes from the segment table, which dilation rescales
-    without touching powers, so coupled cells of a dilated pair see the same
-    tilt and the same underlying uniform draws.
-    """
-    lo = max(s_lo, cr - R, 0.0)
-    hi = min(s_hi, cr + R)
-    if not hi > lo:
-        return 0.0
-    mid = math.sqrt(lo * hi) if lo > 0.0 else hi / 2.0
-    p = fq.local_exponent(mid)
-    if p is None:
-        return 0.0
-    return min(0.0, max(p + gamma_w, -0.975 * Q))
+        return gp.Omega_Q * R**gp.Q
+    inner = rule.r_in ** (gp.Q + alpha) / (gp.Q + alpha) if rule.inner else 0.0
+    return rule.inner * inner + float(rule.weights @ rule.nodes**alpha)
 
 
 def _cell_values_profile(
@@ -244,41 +216,26 @@ def _cell_values_profile(
     space: MorreySpaceSpec,
     grid: BallGrid,
     gp: GroupParams,
-    mc: MCSpec,
 ) -> List[MorreyEstimate]:
-    """All grid-cell values for a radial profile: exact origin cells,
-    Monte Carlo off-center cells keyed by cell index."""
+    """All grid-cell values for a radial profile, none of them random:
+    origin cells are closed-form moments, off-center cells their ball_rule
+    split at the profile's breakpoints, with the exact moment below the
+    rule's r_in."""
     space.check_weights(gp.Q)
     gw = space.gamma_w
     fq = f.power_q(space.q) if not f.is_zero else f
     p0 = fq.origin_exponent()
     if p0 is not None:
         _check_origin(p0 + gw, gp.Q)
-    s_lo, s_hi = fq.support()
+    k = gw + gp.Q - 1.0
 
-    def integrand(X):
-        r = hnorm_arrays(X, gp.n)
-        fv = fq(r)
-        out = np.zeros_like(fv)
-        mask = fv > 0.0
-        if np.any(mask):
-            out[mask] = fv[mask] * r[mask] ** gw
-        return out
+    def integral(cell, cr, center, R, rule):
+        if rule is None:
+            return gp.omega_Q * fq.moment(k, 0.0, R), 0.0
+        inner = fq.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
+        return rule.inner * inner + float(rule.weights @ (fq(rule.nodes) * rule.nodes**gw)), 0.0
 
-    def integral(cell, cr, center, R):
-        if cr == 0.0:
-            return gp.omega_Q * fq.moment(gw + gp.Q - 1.0, 0.0, R), 0.0
-        return mc_ball_integral(
-            integrand,
-            center,
-            R,
-            gp,
-            _cell_mc(mc, cell, _STREAM_INTEGRAL),
-            origin_exponent=_cell_tilt(fq, gw, cr, R, s_lo, s_hi, gp.Q),
-            radial_window=(s_lo, s_hi),
-        )
-
-    return _cells(space, grid, gp, mc, integral)
+    return _cells(space, grid, gp, integral, fq.breakpoints())
 
 
 def _reduce(cells: Sequence[MorreyEstimate]) -> MorreyEstimate:
@@ -295,10 +252,11 @@ def morrey_norm(
     gp: GroupParams,
     mc: MCSpec,
 ) -> MorreyEstimate:
-    """Largest grid-cell estimate of the weighted Morrey norm of a radial
-    profile; origin cells are exact, off-center cells carry Monte Carlo
-    stderr."""
-    return _reduce(_cell_values_profile(f, space, grid, gp, mc))
+    """Largest grid cell of the weighted Morrey norm of a radial profile:
+    origin cells in closed form, off-center cells by their ball_rule, so the
+    value is a lower bound of the norm with stderr 0 and no random draw.  mc
+    is not used."""
+    return _reduce(_cell_values_profile(f, space, grid, gp))
 
 
 def morrey_norm_mc(
@@ -328,12 +286,10 @@ def morrey_norm_mc(
             out[mask] = fv[mask] * r[mask] ** gw
         return out
 
-    def integral(cell, cr, center, R):
-        return mc_ball_integral(
-            integrand, center, R, gp, _cell_mc(mc, cell, _STREAM_INTEGRAL), origin_exponent=beta
-        )
+    def integral(cell, cr, center, R, rule):
+        return mc_ball_integral(integrand, center, R, gp, _cell_mc(mc, cell), origin_exponent=beta)
 
-    return _reduce(_cells(space, grid, gp, mc, integral))
+    return _reduce(_cells(space, grid, gp, integral))
 
 
 def verify_dilation(
@@ -350,10 +306,12 @@ def verify_dilation(
     gamma_w/q + alpha*(lam + 1/q).  The base grid is valued once; each
     record's runtime_ms times its own dilated grid.
 
-    The comparison is exact (to rounding) because every cell estimator is
-    scale-covariant under the coupled scaling: origin cells are closed-form
-    power integrals, and off-center cells reuse the same random stream with
-    a scale-free acceptance test.
+    The comparison holds to rounding because every cell is scale-covariant
+    under the coupled scaling: origin cells are closed-form power
+    integrals, and the ball_rule of a dilated off-center cell places its
+    nodes at the dilated radii, since its breaks and kinks depend only on
+    the ratios of the radii, the center and the profile's breakpoints.
+    mc is not used.
     """
     ts = [float(t) for t in factors]
     if not all(t > 0.0 for t in ts):
@@ -363,11 +321,11 @@ def verify_dilation(
         - space.gamma_w / space.q
         + space.alpha * (space.lam + 1.0 / space.q)
     )
-    base = _cell_values_profile(f, space, grid, gp, mc)
+    base = _cell_values_profile(f, space, grid, gp)
     records = []
     for t in ts:
         start = time.perf_counter()
-        dil = _cell_values_profile(f.dilated(t), space, grid.scaled(1.0 / t), gp, mc)
+        dil = _cell_values_profile(f.dilated(t), space, grid.scaled(1.0 / t), gp)
         factor = t**sigma_space
         pairs = list(zip(base, dil))
         # the first ratio farthest from 1, or NaN when a zero base cell is not zero dilated

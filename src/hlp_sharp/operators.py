@@ -160,17 +160,6 @@ class RadialProfile:
             return self.segments[-1][3]
         return None
 
-    def local_exponent(self, r: float) -> Optional[float]:
-        """Power of the segment containing r, or None when r is outside the
-        support (segment intervals are half-open on the right, except the
-        last bounded one)."""
-        last = len(self.segments) - 1
-        for i, (lo, hi, _, p) in enumerate(self.segments):
-            closed = i == last and math.isfinite(hi)
-            if lo <= r < hi or (closed and r == hi):
-                return p
-        return None
-
     @cached_property
     def _segment_arrays(self):
         return (

@@ -1,6 +1,6 @@
 """Integration engine.
 
-Three layers:
+Four layers:
 
 * a 1-D engine for integrals over (0, inf) of radial curves with possible
   power singularities at the origin and power or faster-decaying tails:
@@ -11,10 +11,17 @@ Three layers:
 * quadrature oracles for the two sharp constants, built on the region
   decomposition of the max kernel and the iterated Beta-type reduction of
   the additive kernel — independent of the closed forms they certify;
+* ball_rule, a deterministic rule for radial integrands over an
+  off-center gauge ball: the exact polar law of the gauge sphere reduces
+  ball membership to a disc in two horizontal coordinates, whose mass has
+  a closed form at n = 1, 2 and a 1-D integral above; Gauss-Legendre
+  panels split at the kinks of that reduction, in the radius and the polar
+  angle, carry it to ~1e-10;
 * Monte Carlo integration over gauge balls with stratified radial sampling
   and importance sampling for origin singularities, drawing directions from
-  the exact polar law of the unit gauge sphere.  Integrands are vectorized:
-  they map an (N, 2n+1) array of points to N values.
+  the exact polar law of the unit gauge sphere, for integrands that are
+  not radial.  Integrands are vectorized: they map an (N, 2n+1) array of
+  points to N values.
 
 Runs are reproducible: every random draw of the package comes from
 keyed_rng(seed, *key), a counter-based Philox generator seeded by
@@ -223,6 +230,336 @@ def hilbert_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpe
 
 
 # ---------------------------------------------------------------------------
+# Deterministic rule for radial integrands over gauge balls
+# ---------------------------------------------------------------------------
+
+_HALF_PI = 0.5 * math.pi
+_EPS = np.finfo(float).eps
+_RULE_NODES = 24  # Gauss-Legendre nodes per panel, in r, in the angle and in rho
+_GRADE = 4.0  # ratio of the geometric grading toward nearby singular points
+_GRADE_LEVELS = 40
+_TOUCH_LEVELS = 27  # a boundary through the origin: r graded down to 4^-27 of the first break
+_ROWS = 16  # radii whose angle panels are built at once
+_CHUNK = 1 << 13  # node values computed at once; both bound the rule's memory
+_VOLUME_TOL = 1e-7  # largest accepted error of a rule's own ball volume
+
+
+@dataclass(frozen=True)
+class BallRule:
+    """int over B(a, R) of F(|x|_h) dx ~ inner * int_0^r_in F(r) r^(Q-1) dr
+    + sum(weights * F(nodes)), for any radial F smooth between the
+    breakpoints the rule was built with.  inner is omega_Q times the share of
+    each gauge sphere below r_in that the ball holds: 1 when the ball
+    contains B(0, r_in), 0 when it misses it, and the share at r_in when the
+    ball's boundary passes through the origin."""
+
+    r_in: float
+    inner: float
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) -> BallRule:
+    """The rule of one off-center ball B(center, radius) (see BallRule).
+
+    Write x = delta_r(xi) with xi on the unit gauge sphere in the polar law
+    of polar_directions: w = sin(theta) with density cos(theta)^(n-1), and
+    a horizontal part (cos theta)^(1/2) g, g uniform on S^(2n-1).  With
+    (u, v) the components of g along the center's horizontal direction and
+    its rotation by the twist, |a^-1 x|_h < R is a disc in the (u, v) plane,
+    so the occupied share of the sphere of radius r is
+    phi(r) = E_theta[psi_n], psi_n the mass of that disc under the law of
+    (u, v) (_disc_share).  The disc test changes form at the kink angles of
+    _kink_angles and phi at the radii of _radial_breaks; both integrals are
+    split there and at the given breakpoints, graded toward nearby singular
+    points (_graded), and valued by sine-mapped Gauss-Legendre panels
+    (Golub-Welsch nodes, Math. Comp. 1969).  Weights are
+    omega_Q * (r-panel weight) * r^(Q-1) * phi(r).  The center may point in
+    any direction; only one with both a horizontal and a vertical part
+    brackets its radial breaks numerically.  The rounding of the node
+    radii grows as R shrinks against |a|_h (like eps (|a|_h / R)^2 at a
+    vertical center), so a ball whose rule misses its own volume
+    Omega_Q R^Q by more than 1e-7 (R below ~1e-5 |a|_h) raises ValueError
+    rather than return a wrong or zero cell.
+    """
+    radius = float(radius)
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    if center.coords.size != gp.dim:
+        raise ValueError("center dimension does not match GroupParams")
+    z = center.coords[: 2 * gp.n]
+    c, t = math.sqrt(float(z @ z)), abs(float(center.coords[-1]))
+    if c == 0.0 and t == 0.0:
+        raise ValueError("ball_rule needs an off-origin center")
+    # E0 = |a|^4 - R^4 within its own rounding counts as a boundary through
+    # the origin, so a ball and its dilate agree on which case they are
+    quartics = (c**4, t * t, radius**4)
+    E0 = quartics[0] + quartics[1] - quartics[2]
+    if abs(E0) <= 4.0 * _EPS * sum(quartics):
+        E0 = 0.0
+    geo = (c, t, radius, E0)
+    breaks = _radial_breaks(*geo)
+    lo, hi = breaks[0], breaks[-1]
+    edges = sorted({*breaks, *(float(b) for b in breakpoints if lo < b < hi)})
+    edges = [e for i, e in enumerate(edges) if i == 0 or e - edges[i - 1] > 1e-13 * e]
+    if len(edges) < 2:
+        edges.append(edges[0])  # no radial range left: the volume check below raises
+    touching = edges[0] == 0.0
+    if touching:
+        edges[0] = edges[1] * _GRADE**-_TOUCH_LEVELS
+    r_edges = _graded(np.array(edges), left=0.0)
+    r_edges = r_edges[np.append(True, np.diff(r_edges) > 0.0)]
+    r, w = (a.ravel() for a in _sine_panels(r_edges[:-1], r_edges[1:]))
+    phi = _occupancy(np.append(r, edges[0]) if touching else r, geo, gp.n)
+    inner = float(phi[-1]) if touching else float(geo[3] < 0.0)
+    weights = gp.omega_Q * w * r ** (gp.Q - 1) * phi[: r.size]
+    # the rule must integrate F = 1 to the ball's volume; it cannot when the
+    # ball is so small against |a|_h that the radii lose its width to rounding
+    volume = gp.omega_Q * inner * edges[0] ** gp.Q / gp.Q + float(weights.sum())
+    miss = abs(volume / (gp.Omega_Q * radius**gp.Q) - 1.0)
+    if not miss <= _VOLUME_TOL:
+        raise ValueError(
+            f"B(a, {radius:g}) is too small against |a|_h = {(c**4 + t * t) ** 0.25:g} for the "
+            f"radial rule: its volume is off by {miss:.1e}"
+        )
+    return BallRule(edges[0], gp.omega_Q * inner, r, weights)
+
+
+def _sine_panels(lo, hi):
+    """Gauss-Legendre nodes mapped by mid + half sin(pi u / 2) onto each
+    panel [lo, hi] (arrays of one shape): nodes and weights with one more
+    axis.  The map turns square-root ends into smooth ones."""
+    x, w = leggauss(_RULE_NODES)
+    u = _HALF_PI * x
+    mid, half = (0.5 * (hi + lo))[..., None], (0.5 * (hi - lo))[..., None]
+    return mid + half * np.sin(u), half * (_HALF_PI * w * np.cos(u))
+
+
+def _graded(edges, left=None):
+    """Sorted edges (last axis) plus, in each panel, the points at
+    gap * (_GRADE^j - 1), j = 1.._GRADE_LEVELS, from each end up to the
+    panel's middle, gap being the distance from that end to the next edge
+    beyond it (or to `left` before the first).  A singular point just outside
+    a panel then sits 1/(_GRADE - 1) of a sub-panel away from it."""
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    half = 0.5 * (hi - lo)[..., None]
+    none = np.zeros(edges.shape[:-1] + (1,))
+    gap_lo = np.concatenate([none if left is None else edges[..., :1] - left, np.diff(lo)], -1)
+    gap_hi = np.concatenate([np.diff(hi), none], -1)
+    steps = _GRADE ** np.arange(1.0, _GRADE_LEVELS + 1.0) - 1.0
+    d_lo, d_hi = gap_lo[..., None] * steps, gap_hi[..., None] * steps
+    extra = np.concatenate([
+        np.where((d_lo > 0.0) & (d_lo < half), lo[..., None] + d_lo, lo[..., None]),
+        np.where((d_hi > 0.0) & (d_hi < half), hi[..., None] - d_hi, hi[..., None]),
+    ], -1)
+    return np.sort(np.concatenate([edges, extra.reshape(edges.shape[:-1] + (-1,))], -1), axis=-1)
+
+
+def _radial_breaks(c, t, R, E0):
+    """Radii where the occupied share phi(r) is not smooth, with c and t the
+    center's horizontal and vertical sizes and E0 = c^4 + t^2 - R^4: a kink
+    angle reaches +-pi/2 at r^2 = t + sqrt(R^4 - c^4) and |t - sqrt(R^4 - c^4)|;
+    for a horizontal center two kinks merge at theta = 0 at r = c + R and
+    |c - R|; for a mixed one kinks merge where a quartic of _quartic_roots
+    gains or loses a pair of real roots, bracketed on a 257-point scan and
+    bisected.  The first and last break bound the ball's radial range."""
+    out = set()
+    S = R**4 - c**4
+    if S >= 0.0:
+        tp = t + math.sqrt(S)
+        out.add(math.sqrt(tp))
+        out.add(math.sqrt(abs(E0) / tp) if tp > 0.0 else 0.0)
+    if t == 0.0:
+        out |= {c + R, abs(c - R)}
+    elif c > 0.0:
+        a = (c**4 + t * t) ** 0.25
+        scan = np.linspace(abs(a - R), a + R, 257)
+        scan = scan[scan > 0.0]
+        for sign in (1.0, -1.0):
+            count = lambda r: np.sum(_quartic_roots(r, c, t, R, E0, sign)[1], axis=1)
+            n_real = count(scan)
+            j = np.nonzero(np.diff(n_real))[0]
+            lo, hi, n_lo = scan[j], scan[j + 1], n_real[j]
+            for _ in range(55):
+                mid = 0.5 * (lo + hi)
+                moved = count(mid) != n_lo
+                lo, hi = np.where(moved, lo, mid), np.where(moved, mid, hi)
+            out.update(0.5 * (lo + hi))
+    return sorted(out)
+
+
+def _quartic_roots(r, c, t, R, E0, sign):
+    """Roots p = (cos theta)^(1/2) of the kink equation of a mixed center,
+    squared free of w: (alpha p^2 + sign beta p - K)^2 = gamma^2 (1 - p^4),
+    alpha = 2 r^2 c^2, beta = 4 r c R^2, gamma = 2 r^2 t, K = r^4 + E0.  Each
+    real root in [0, 1] is a kink with w = (K - alpha p^2 - sign beta p) /
+    gamma.  Returns the roots' real parts, polished by Newton steps, and
+    whether each is real; (len(r), 4) arrays."""
+    K = E0 + r**4
+    al, be, ga = 2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t
+    coef = np.stack([al * al + ga * ga, 2.0 * sign * al * be, be * be - 2.0 * al * K,
+                     -2.0 * sign * be * K, K * K - ga * ga], axis=1)
+    coef /= coef[:, :1]
+    companion = np.zeros((r.size, 4, 4))
+    companion[:, 0, :] = -coef[:, 1:]
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    roots = np.linalg.eigvals(companion)
+    p = roots.real
+    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(p))
+    a4, a3, a2, a1, a0 = (coef[:, i : i + 1] for i in range(5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            value = (((a4 * p + a3) * p + a2) * p + a1) * p + a0
+            step = value / (((4.0 * a4 * p + 3.0 * a3) * p + 2.0 * a2) * p + a1)
+            p = np.where(real & np.isfinite(step), p - step, p)
+    return p, real
+
+
+def _kink_angles(r, c, t, R, E0):
+    """Angles theta = arcsin(w) in (-pi/2, pi/2) where the disc test changes
+    form at each radius r: the roots of
+    2 r^2 c^2 eta^2 +- 4 r c R^2 eta + 2 r^2 t w = r^4 + E0, eta = cos(theta)^(1/2),
+    where the disc's boundary passes the edge of the unit disc (d - l = 1,
+    l - d = 1 or d + l = 1 below).  Linear in w for a vertical center (whose
+    one entry is -pi/2 or pi/2 when every or no angle is inside), quadratic in
+    eta for a horizontal one, a quartic for a mixed one.  Returns a
+    (len(r), k) array padded with pi/2."""
+    K = E0 + r**4
+    if c == 0.0:
+        # sin = K / (2 r^2 t) and cos from 2 r^2 t -+ K = +-(R^4 - (r^2 -+ t)^2),
+        # each factored or expanded about E0 = t^2 - R^4, whichever rounds less
+        r2, R2 = r * r, R * R
+        terms = r2 * (r2 + 2.0 * t) + abs(E0)
+        below = np.where(np.maximum(R2, np.abs(r2 - t)) * (R2 + np.abs(r2 - t)) <= terms,
+                         (R2 - (r2 - t)) * (R2 + (r2 - t)), r2 * (2.0 * t - r2) - E0)
+        above = np.where(np.maximum(R2, r2 + t) * (R2 + r2 + t) <= terms,
+                         (r2 + t - R2) * (r2 + t + R2), r2 * (r2 + 2.0 * t) + E0)
+        return np.arctan2(K, np.sqrt(np.maximum(below * above, 0.0)))[:, None]
+    if t == 0.0:
+        s = 2.0 * R * R + np.sqrt(2.0 * (R**4 + r**4 + c**4))
+        eta = np.stack([np.abs(K) / (r * c * s), s / (2.0 * r * c)], axis=1)
+        theta = np.arccos(np.minimum(eta * eta, 1.0))
+        keep = (eta > 0.0) & (eta < 1.0)
+        keep = np.concatenate([keep, keep], 1)
+        return np.where(keep, np.concatenate([theta, -theta], 1), _HALF_PI)
+    al, be, ga = 2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t
+    out = []
+    for sign in (1.0, -1.0):
+        p, real = _quartic_roots(r, c, t, R, E0, sign)
+        p2 = np.clip(p, 0.0, 1.0) ** 2
+        w = (K[:, None] - al[:, None] * p2 - sign * be[:, None] * np.sqrt(p2)) / ga[:, None]
+        out.append(np.where(real & (p > 0.0) & (p <= 1.0), np.arctan2(w, p2), _HALF_PI))
+    return np.concatenate(out, axis=1)
+
+
+def _occupancy(r, geo, n):
+    """phi(r): the share of the gauge sphere of radius r inside the ball,
+    integrated over theta on panels split at the kink angles and graded
+    toward close ones; a vertical center holds exactly the angles above its
+    one kink.  Radii go in blocks and panels in chunks, so memory stays
+    bounded whatever the grading."""
+    c = geo[0]
+    step = max(1, _CHUNK // (_RULE_NODES if n < 3 else _RULE_NODES**2))
+    phi = np.zeros(r.size)
+    for start in range(0, r.size, _ROWS):
+        rb = r[start : start + _ROWS]
+        edges = np.sort(np.concatenate([np.full((rb.size, 1), -_HALF_PI), _kink_angles(rb, *geo),
+                                        np.full((rb.size, 1), _HALF_PI)], axis=1), axis=1)
+        if c > 0.0:
+            edges = _graded(edges)
+        row, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
+        lo, hi, first_kink = edges[row, col], edges[row, col + 1], edges[row, 1]
+        for i in range(0, row.size, step):
+            part = slice(i, i + step)
+            theta, w = _sine_panels(lo[part], hi[part])
+            if c == 0.0:
+                share = (lo[part] >= first_kink[part])[:, None]
+            else:
+                share = _disc_share(rb[row[part]][:, None], theta, geo, n)
+            phi[start : start + rb.size] += np.bincount(
+                row[part], np.sum(w * np.cos(theta) ** (n - 1) * share, axis=1), minlength=rb.size
+            )
+    return phi * (math.gamma((n + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(n / 2.0)))
+
+
+def _disc_share(r, theta, geo, n):
+    """psi_n: the mass, under the law of (u, v), of the disc that
+    |a^-1 x|_h < R cuts out at x = delta_r(theta, g).  Its center lies at
+    d = H/B and its radius is l = R^2/B, with B = 2 r c cos(theta)^(1/2) and
+    H^2 = (r^2 cos(theta) + c^2)^2 + (r^2 w - t)^2; k = (1 + d^2 - l^2)/(2d).
+    n = 1: (u, v) is uniform on the unit circle and psi = arccos(k)/pi.
+    n = 2: uniform on the unit disc and psi = lens area / pi.
+    n >= 3: density proportional to (1 - rho^2)^(n-2), psi = the share of
+    each circle of radius rho inside the disc, over rho^2 ~ Beta(1, n-1).
+    1 - k and 1 + k come from R^4 - (H - B)^2 and (H + B)^2 - R^4, each in
+    the algebraic form with the smaller rounding bound."""
+    c, t, R, E0 = geo
+    eta2, w = np.cos(theta), np.sin(theta)
+    r2, R2 = r * r, R * R
+    D = r2 * w - t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        B = 2.0 * r * c * np.sqrt(eta2)
+        H = np.sqrt((r2 * eta2 + c * c) ** 2 + D * D)
+        Hm = ((r2 * eta2 - c * c) ** 2 + D * D) / (H + B)  # H - B
+        Hp = H + B
+        M = E0 + r2 * (r2 + 2.0 * c * c * eta2 - 2.0 * t * w)  # H^2 - R^4
+        bound = B * (2.0 * H + B) + abs(E0) + r2 * (r2 + 2.0 * c * c * eta2 + 2.0 * t * np.abs(w))
+        den = 2.0 * B * H
+        om = np.where(np.maximum(R2, Hm) * (R2 + Hm) <= bound,
+                      (R2 - Hm) * (R2 + Hm), B * (2.0 * H - B) - M) / den
+        op = np.where(np.maximum(R2, Hp) * (R2 + Hp) <= bound,
+                      (Hp - R2) * (Hp + R2), M + B * (2.0 * H + B)) / den
+        half_arc = np.arctan2(np.sqrt(np.maximum(om, 0.0)), np.sqrt(np.maximum(op, 0.0)))
+        if n == 1:
+            return half_arc / _HALF_PI
+        if n == 2:
+            y = np.sqrt(np.maximum(om * op, 0.0))  # half chord of the lens
+            k = 0.5 * (op - om)
+            minor = y**3 * B / R2 * _segment_over_cube(np.minimum(y * B / R2, 1.0))
+            big = np.where(H / B >= k, minor, math.pi * (R2 / B) ** 2 - minor)
+            lens = (2.0 * half_arc - k * y + big) / math.pi
+            inside = np.where(H + R2 < B, (R2 / B) ** 2, 0.0)
+            return np.where(om < 0.0, inside, np.where(op < 0.0, 1.0, lens))
+        dm, dp = M / (B * (H + R2)), (H + R2) / B  # d - l, d + l
+        lo, hi = np.abs(dm), np.minimum(1.0, dp)
+        outside = (om < 0.0) & (H + R2 >= B)
+        partial = ~outside & (op >= 0.0)
+        # circles of radius rho < l - d lie inside the disc
+        whole = np.where(dm < 0.0, 1.0 - np.clip(1.0 - dm * dm, 0.0, 1.0) ** (n - 1), 0.0)
+        x, wg = leggauss(_RULE_NODES)
+        u = _HALF_PI * x
+        lo_, hi_ = (np.where(partial, v, 0.0)[..., None] for v in (lo, hi))
+        half = 0.5 * (hi_ - lo_)
+        from_lo = 2.0 * half * np.sin(0.5 * (_HALF_PI + u)) ** 2
+        from_hi = 2.0 * half * np.sin(0.5 * (_HALF_PI - u)) ** 2
+        rho = lo_ + from_lo
+        dm, dp = dm[..., None], dp[..., None]
+        # 1 - k_rho and 1 + k_rho times 2 rho d, from the distances to the ends
+        minus = (from_lo + (lo_ - dm)) * (from_hi + (dp - hi_))
+        plus = (rho + dm) * (rho + dp)
+        arc = np.arctan2(np.sqrt(np.maximum(minus, 0.0)), np.sqrt(np.maximum(plus, 0.0))) / _HALF_PI
+        density = 2.0 * (n - 1) * rho * ((1.0 - rho) * (1.0 + rho)) ** (n - 2)
+        share = whole + np.sum(half * _HALF_PI * wg * np.cos(u) * density * arc, axis=-1)
+        return np.where(op < 0.0, 1.0, np.where(outside, 0.0, share))
+
+
+_SEGMENT_SERIES = tuple(2.0 * math.comb(2 * j, j) / 4.0**j / (2 * j + 3) for j in range(6))
+
+
+def _segment_over_cube(s):
+    """(arcsin s - s (1 - s^2)^(1/2)) / s^3: the unit disc's minor segment of
+    half chord s over s^3, by its series below s = 0.05, where the closed
+    form cancels."""
+    s2 = s * s
+    series = np.zeros_like(s)
+    for a in reversed(_SEGMENT_SERIES):
+        series = series * s2 + a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (np.arcsin(s) - s * np.sqrt((1.0 - s) * (1.0 + s))) / (s2 * s)
+    return np.where(s < 0.05, series, closed)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo over gauge balls
 # ---------------------------------------------------------------------------
 
@@ -274,20 +611,19 @@ def _plain_blocks(rng, f, center, radius, gp, count):
     return w[None, :], int(np.count_nonzero(acc))
 
 
-def _polar_blocks(rng, f, center, radius, gp, strata, per_block, beta, w_lo, w_hi):
-    """Polar draw with the radial law tilted to r^(Q-1+beta) on the window
-    [w_lo, w_hi], stratified over radius shells; membership in
-    B(center, radius) is tested via hdist.  All strata come from one draw:
-    stratum k takes u = (k + U)/strata.  Returns the weights as
-    (strata, per_block) blocks and their count (every draw is kept)."""
+def _polar_blocks(rng, f, center, radius, gp, strata, per_block, beta, reach):
+    """Polar draw with the radial law tilted to r^(Q-1+beta) on [0, reach],
+    stratified over radius shells; membership in B(center, radius) is
+    tested via hdist.  All strata come from one draw: stratum k takes
+    u = (k + U)/strata.  Returns the weights as (strata, per_block) blocks
+    and their count (every draw is kept)."""
     n = gp.n
     p = gp.Q + beta
-    lo_p = 0.0 if w_lo == 0.0 else w_lo**p
-    span = w_hi**p - lo_p
+    span = reach**p
     dens_c = p / (gp.omega_Q * span)  # density factor / r^beta
     k = np.repeat(np.arange(strata), per_block)
     u = (k + rng.random(strata * per_block)) / strata
-    r = (lo_p + u * span) ** (1.0 / p)
+    r = (u * span) ** (1.0 / p)
     pts = dilate_arrays(r, polar_directions(rng, r.size, n), n)
     w = eval_batch(f, pts) / (dens_c * r**beta)
     if float(hnorm_arrays(center, n)) > 0.0:
@@ -303,7 +639,6 @@ def mc_ball_integral(
     gp: GroupParams,
     mc: MCSpec,
     origin_exponent: float = 0.0,
-    radial_window=None,
 ):
     """Monte Carlo estimate of int_{B(center, radius)} f dx, where f maps an
     (N, 2n+1) array of points to N values (other shapes raise ValueError).
@@ -314,14 +649,9 @@ def mc_ball_integral(
     singularity at an interior origin, pass origin_exponent = beta in (-Q, 0]:
     sampling switches to a polar law with radial density proportional to
     r^(Q-1+beta) on the enclosing origin-centered ball, radius-stratified,
-    with ball membership tested via hdist.
-
-    When the gauge-radial support of f is known, pass it as
-    radial_window = (s_lo, s_hi): the polar law is then restricted to the
-    window intersected with the radial shell [|c| - R, |c| + R] swept by the
-    ball (the gauge norm satisfies the triangle inequality), which removes
-    the volume-dilution variance when the support is much smaller than the
-    ball.  An empty intersection returns (0.0, 0.0) exactly.
+    with ball membership tested via hdist.  Radial integrands have the exact
+    ball_rule; this estimator serves integrands that are not radial and the
+    tests that check the rule.
 
     Both paths run one shard loop: shard s draws one weight block per radial
     stratum (the plain path is the one-stratum case) from
@@ -339,16 +669,11 @@ def mc_ball_integral(
     c_norm = float(hnorm_arrays(center.coords, gp.n))
     shards = mc.shards
 
-    if radial_window is not None or (beta < 0.0 and c_norm < radius):
-        lo, hi = (0.0, math.inf) if radial_window is None else radial_window
-        w_lo = max(float(lo), c_norm - radius, 0.0)
-        w_hi = min(float(hi), c_norm + radius)
-        if not w_hi > w_lo:
-            return 0.0, 0.0
+    if beta < 0.0 and c_norm < radius:
         strata = max(1, min(16, mc.samples // (shards * 8)))
         per_block = max(2, mc.samples // (shards * strata))
         draw = lambda rng: _polar_blocks(
-            rng, f, center.coords, radius, gp, strata, per_block, beta, w_lo, w_hi
+            rng, f, center.coords, radius, gp, strata, per_block, beta, c_norm + radius
         )
     else:
         per_shard = max(2, mc.samples // shards)

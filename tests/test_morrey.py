@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hlp_sharp.hgroup import HPoint, hnorm_arrays
+from hlp_sharp.hgroup import GroupParams, HPoint, hnorm_arrays
 import hlp_sharp.morrey as morrey
+import hlp_sharp.quad as quad
 from hlp_sharp.morrey import (
     BallGrid,
     MorreyEstimate,
@@ -18,7 +19,7 @@ from hlp_sharp.morrey import (
 )
 from hlp_sharp.operators import RadialProfile
 from hlp_sharp.params import ParamSet
-from hlp_sharp.quad import DivergenceError, MCSpec
+from hlp_sharp.quad import DivergenceError, MCSpec, mc_ball_integral
 
 
 def small_grid(n=1, radii=(0.5, 2.0, 8.0), center_radii=(0.0, 1.0)):
@@ -175,6 +176,48 @@ def test_norm_estimates_are_deterministic(gp1, mc_small):
 
 
 # ---------------------------------------------------------------------------
+# No random draw in the cells of a radial profile
+# ---------------------------------------------------------------------------
+
+
+def _forbid_random_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random draw in a Morrey cell")
+
+    monkeypatch.setattr(quad, "keyed_rng", refuse)
+
+
+def test_profile_norms_and_dilation_draw_nothing(monkeypatch, gp1, mc_small):
+    # every cell kind of the default grid: horizontal and vertical centers,
+    # balls that hold, touch and miss the origin, alpha of both signs
+    _forbid_random_draws(monkeypatch)
+    grid = default_grid(1)
+    f = RadialProfile.power(-1.1)
+    space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=1.2, gamma_w=-0.8)
+    assert morrey_norm(f, space, grid, gp1, mc_small).stderr == 0.0
+    reports = verify_dilation(f, [0.5, 2.0], space, grid, gp1, mc_small)
+    assert all(r.passed for r in reports)
+    truncated = RadialProfile.power(-1.1, 1e-2, 1e2)
+    est = morrey_norm(truncated, MorreySpaceSpec(q=2.0, lam=-0.3, alpha=-1.0), grid, gp1, mc_small)
+    assert est.value > 0.0 and est.stderr == 0.0
+
+
+def test_random_draw_guard_trips_on_monte_carlo_cells(monkeypatch, gp1, mc_small):
+    # the guard stops the Monte Carlo cell of the earlier profile path (a
+    # profile integrand on an off-center ball, plain and tilted) and every
+    # cell of morrey_norm_mc
+    _forbid_random_draws(monkeypatch)
+    f = RadialProfile.power(-1.1)
+    integrand = lambda X: f(hnorm_arrays(X, 1))
+    center = HPoint((1.0, 0.0, 0.0))
+    for R, tilt in ((0.5, 0.0), (2.0, -1.1)):
+        with pytest.raises(AssertionError, match="random draw"):
+            mc_ball_integral(integrand, center, R, gp1, mc_small, origin_exponent=tilt)
+    with pytest.raises(AssertionError, match="random draw"):
+        morrey_norm_mc(integrand, MorreySpaceSpec(q=2.0, lam=-0.3), small_grid(), gp1, mc_small)
+
+
+# ---------------------------------------------------------------------------
 # Dilation covariance
 # ---------------------------------------------------------------------------
 
@@ -190,6 +233,20 @@ def test_verify_dilation_passes_on_weighted_space(t, gp1, mc_small):
     assert rep.passed, rep.rel_err
     assert "sigma_space" in rep.convention_note
     assert rep.seed == mc_small.seed
+
+
+def test_verify_dilation_at_a_factor_off_the_binary_grid_with_singular_content(mc_small):
+    # t = 3 rounds every dilated radius; the default grid's cells |a| = R = 1
+    # have the origin on their boundary, where a content exponent of
+    # q*sigma + gamma_w = -7.25 (Q = 8) puts most of the content
+    gp = GroupParams(3)
+    f = RadialProfile.power(-3.276677790267024)
+    space = MorreySpaceSpec(
+        q=1.5900632028485502, lam=-0.577286454500942,
+        alpha=-1.574919082991559, gamma_w=-2.0380459079098676,
+    )
+    [rep] = verify_dilation(f, [3.0], space, default_grid(3), gp, mc_small)
+    assert rep.passed, rep.rel_err
 
 
 def test_verify_dilation_rejects_bad_factor(gp1, mc_small):

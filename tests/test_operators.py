@@ -139,17 +139,6 @@ def test_tabulated_validation():
         RadialProfile.tabulated((1.0, 2.0), (1.0, -1.0))
 
 
-def test_local_exponent():
-    f = RadialProfile(((0.5, 1.0, 2.0, 0.25), (2.0, 3.0, 1.0, 1.0)))
-    assert f.local_exponent(0.25) is None
-    assert f.local_exponent(0.5) == 0.25
-    assert f.local_exponent(1.0) is None
-    assert f.local_exponent(2.5) == 1.0
-    assert f.local_exponent(3.0) == 1.0  # closed right edge of the last segment
-    assert f.local_exponent(3.5) is None
-    assert RadialProfile.power(-0.5).local_exponent(7.0) == -0.5
-
-
 # ---------------------------------------------------------------------------
 # Closed-form calculus and algebra
 # ---------------------------------------------------------------------------

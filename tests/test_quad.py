@@ -215,57 +215,15 @@ def test_mc_ball_importance_matches_origin_singularity(gp1, mc_small):
     assert abs(est - exact) <= 3.0 * se + 1e-12 * exact
 
 
-def test_mc_ball_window_containment_is_exact(gp1, mc_small):
-    est, se = mc_ball_integral(
-        ones, identity(gp1.n), 1.0, gp1, mc_small, radial_window=(0.0, 0.5)
-    )
-    exact = gp1.Omega_Q * 0.5**gp1.Q
-    assert abs(est - exact) <= 3.0 * se + 1e-12 * exact
-    assert se <= 1e-12 * exact
-
-
-def test_mc_ball_window_empty_intersection_is_exact_zero(gp1, mc_small):
-    est, se = mc_ball_integral(
-        ones, identity(gp1.n), 1.0, gp1, mc_small, radial_window=(2.0, 3.0)
-    )
-    assert (est, se) == (0.0, 0.0)
-
-
-def test_mc_ball_window_partial_overlap_is_honest(gp1, mc_small):
-    center = HPoint((0.6, 0.0, 0.0))
-    est, se = mc_ball_integral(
-        ones, center, 0.5, gp1, mc_small, radial_window=(0.0, 10.0)
-    )
-    exact = gp1.Omega_Q * 0.5**gp1.Q
-    assert se > 0.0
-    assert abs(est - exact) <= 3.0 * se
-
-
-def test_mc_ball_unwindowed_polar_is_the_infinite_window(gp1, mc_small):
-    # An interior origin singularity without a window takes the polar path
-    # on (0, inf) clipped to the ball, bit for bit.
-    center = HPoint((0.2, 0.1, -0.3))
-
-    def f(pts):
-        return hnorm_arrays(pts, gp1.n) ** -1.5
-
-    args = (f, center, 1.5, gp1, mc_small)
-    plain = mc_ball_integral(*args)
-    bare = mc_ball_integral(*args, origin_exponent=-1.5)
-    windowed = mc_ball_integral(*args, origin_exponent=-1.5, radial_window=(0.0, math.inf))
-    assert bare == windowed
-    assert bare != plain
-
-
 def test_mc_ball_determinism(gp1, mc_small):
     center = HPoint((0.2, 0.1, -0.3))
 
     def f(pts):
         return 1.0 + hnorm_arrays(pts, gp1.n)
 
-    for window in (None, (0.0, 2.0)):
-        first = mc_ball_integral(f, center, 1.5, gp1, mc_small, radial_window=window)
-        second = mc_ball_integral(f, center, 1.5, gp1, mc_small, radial_window=window)
+    for tilt in (0.0, -1.5):
+        first = mc_ball_integral(f, center, 1.5, gp1, mc_small, origin_exponent=tilt)
+        second = mc_ball_integral(f, center, 1.5, gp1, mc_small, origin_exponent=tilt)
         assert first == second
 
 
@@ -287,8 +245,8 @@ def test_mc_ball_sampling_error_on_vanishing_acceptance(gp1, monkeypatch):
         mc_ball_integral(ones, HPoint((0.1, 0.0, 0.0)), 1.0, gp1, mc)
 
 
-@pytest.mark.parametrize("window", [None, (0.0, 5.0)])
-def test_mc_ball_scalar_integrand_raises(gp1, window):
+@pytest.mark.parametrize("tilt", [None, -0.5])
+def test_mc_ball_scalar_integrand_raises(gp1, tilt):
     # Integrands are vectorized: one value per row of the (N, 2n+1) batch.
     # A scalar result is an error on the plain and the polar path alike.
     def f(pts):
@@ -296,11 +254,11 @@ def test_mc_ball_scalar_integrand_raises(gp1, window):
 
     mc = MCSpec(samples=1000, seed=5, shards=2)
     with pytest.raises(ValueError, match=r"shape \(\d+, 3\) to \(\), not \(\d+,\)"):
-        mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, radial_window=window)
+        mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, origin_exponent=tilt or 0.0)
 
 
-@pytest.mark.parametrize("window", [None, (0.0, 5.0)])
-def test_mc_ball_vectorized_integrand_fault_propagates(gp1, window):
+@pytest.mark.parametrize("tilt", [None, -0.5])
+def test_mc_ball_vectorized_integrand_fault_propagates(gp1, tilt):
     # A fault inside an array integrand surfaces as itself, raised by the
     # one batch call.
     calls = []
@@ -311,7 +269,7 @@ def test_mc_ball_vectorized_integrand_fault_propagates(gp1, window):
 
     mc = MCSpec(samples=1000, seed=5, shards=2)
     with pytest.raises(NameError, match="undefined_scale"):
-        mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, radial_window=window)
+        mc_ball_integral(f, HPoint((0.3, 0.0, 0.2)), 1.0, gp1, mc, origin_exponent=tilt or 0.0)
     assert len(calls) == 1
 
 
@@ -340,14 +298,164 @@ def test_sphere_sampler_vertical_moment(n, mean_abs_t):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_mc_ball_polar_volume_off_center(n):
-    # Polar path with a radial window covering the swept shell: the estimate
-    # of int 1 over an off-center ball is its volume Omega_Q R^Q.
+    # Polar path (the ball holds the origin): the tilted estimate of int 1
+    # over an off-center ball is its volume Omega_Q R^Q.
     gp = GroupParams(n=n)
     coords = np.zeros(gp.dim)
     coords[0], coords[-1] = 0.5, 0.3
     R = 0.8
     mc = MCSpec(samples=20_000, seed=13, shards=4)
-    est, se = mc_ball_integral(ones, HPoint(coords), R, gp, mc, radial_window=(0.0, 10.0))
+    est, se = mc_ball_integral(ones, HPoint(coords), R, gp, mc, origin_exponent=-0.5)
     exact = gp.Omega_Q * R**gp.Q
     assert se > 0.0
     assert abs(est - exact) <= 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# Ball rule, with the Monte Carlo estimator as its oracle
+# ---------------------------------------------------------------------------
+
+
+def _rule_volume(rule, gp):
+    return rule.inner * rule.r_in**gp.Q / gp.Q + float(rule.weights.sum())
+
+
+def _center(n, horizontal, vertical, scale=1.0):
+    coords = np.zeros(2 * n + 1)
+    coords[0], coords[-1] = horizontal, vertical
+    coords /= float(hnorm_arrays(coords, n))
+    coords[: 2 * n] *= scale
+    coords[-1] *= scale * scale
+    return HPoint(coords)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_rule_volume_on_every_default_grid_cell(n):
+    # F = 1 integrates to Omega_Q R^Q; the worst cells are the smallest
+    # balls at |a| = 4, where the radii themselves carry ~1e-11.
+    from hlp_sharp.morrey import default_grid
+
+    gp = GroupParams(n)
+    grid = default_grid(n)
+    worst = 0.0
+    for cr in grid.center_radii[1:]:
+        for direction in grid.center_directions:
+            center = HPoint(direction.coords * np.array([cr] * (2 * n) + [cr * cr]))
+            for R in grid.radii:
+                exact = gp.Omega_Q * R**gp.Q
+                rule = quad.ball_rule(center, R, gp)
+                worst = max(worst, abs(_rule_volume(rule, gp) / exact - 1.0))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_rule_volume_mixed_direction_center(n):
+    # a center with horizontal and vertical parts brackets its breaks numerically
+    gp = GroupParams(n)
+    center = _center(n, 0.6, -0.8, scale=1.0)
+    for R in (0.1, 0.3, 1.0, 3.0, 10.0):
+        rule = quad.ball_rule(center, R, gp)
+        assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10)
+
+
+def test_ball_rule_rejects_bad_arguments(gp1):
+    with pytest.raises(ValueError, match="off-origin"):
+        quad.ball_rule(identity(1), 1.0, gp1)
+    with pytest.raises(ValueError, match="radius"):
+        quad.ball_rule(HPoint((1.0, 0.0, 0.0)), 0.0, gp1)
+    with pytest.raises(ValueError, match="dimension"):
+        quad.ball_rule(HPoint((1.0, 0.0, 0.0)), 1.0, GroupParams(2))
+    # a ball whose width the radii cannot resolve is refused, not valued 0
+    for center in (HPoint((1.0, 0.0, 0.0)), HPoint((0.0, 0.0, 1.0))):
+        with pytest.raises(ValueError, match="too small"):
+            quad.ball_rule(center, 1e-9, gp1)
+
+
+_PROFILE_CASES = [
+    # n, horizontal, vertical, R, profile (sigma, r_min, r_max)
+    (1, 1.0, 0.0, 0.6, (-1.5, 0.0, math.inf)),
+    (1, 0.0, 1.0, 1.5, (-1.0, 0.5, 1.5)),
+    (1, 1.0, 0.0, 1.0, (-2.5, 0.0, math.inf)),
+    (2, 1.0, 0.0, 1.0, (0.5, 0.2, 1.1)),
+    (2, 0.0, 1.0, 0.7, (-2.0, 0.0, math.inf)),
+    (2, 0.0, 1.0, 2.0, (-3.0, 0.0, math.inf)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_PROFILE_CASES)))
+def test_ball_rule_profile_cells_match_monte_carlo(case):
+    # pure and truncated powers, horizontal and vertical centers, balls that
+    # miss, touch and hold the origin: within 4 stderr of 1M samples
+    from hlp_sharp.operators import RadialProfile
+
+    n, h, v, R, (sigma, lo, hi) = _PROFILE_CASES[case]
+    gp = GroupParams(n)
+    prof = RadialProfile.power(sigma, lo, hi)
+    center = _center(n, h, v)
+    rule = quad.ball_rule(center, R, gp, prof.breakpoints())
+    below = prof.moment(gp.Q - 1.0, 0.0, rule.r_in) if rule.inner else 0.0
+    value = rule.inner * below + float(rule.weights @ prof(rule.nodes))
+    tilt = sigma if lo == 0.0 and R > 1.0 else 0.0
+    est, se = mc_ball_integral(
+        lambda X: prof(hnorm_arrays(X, n)), center, R, gp,
+        MCSpec(samples=1_000_000, seed=40 + case, shards=8), origin_exponent=tilt,
+    )
+    assert value > 0.0 and se > 0.0
+    assert abs(value - est) <= 4.0 * se
+
+
+@pytest.mark.parametrize("n, vertical, alpha, R", [(1, 0.0, -1.5, 2.0), (2, 1.0, 0.7, 0.5)])
+def test_ball_rule_weight_matches_monte_carlo(n, vertical, alpha, R):
+    # the ball weight w_1 = int_B |x|^alpha, below and above alpha = 0
+    gp = GroupParams(n)
+    center = _center(n, 1.0 - vertical, vertical)
+    rule = quad.ball_rule(center, R, gp)
+    below = rule.r_in ** (gp.Q + alpha) / (gp.Q + alpha) if rule.inner else 0.0
+    value = rule.inner * below + float(rule.weights @ rule.nodes**alpha)
+    est, se = mc_ball_integral(
+        lambda X: hnorm_arrays(X, n) ** alpha, center, R, gp,
+        MCSpec(samples=1_000_000, seed=50 + n, shards=8), origin_exponent=min(alpha, 0.0),
+    )
+    assert abs(value - est) <= 4.0 * se
+
+
+def test_ball_rule_zero_only_off_the_support():
+    # |a| = 4, R = 0.01 sweeps radii within 0.01 of 4: a support around 4
+    # gives a positive cell, one it misses gives exactly 0
+    from hlp_sharp.operators import RadialProfile
+
+    gp = GroupParams(2)
+    wide, off = RadialProfile.power(-1.0, 1e-2, 1e2), RadialProfile.power(-1.0, 0.5, 3.9)
+    for v in (0.0, 1.0):
+        center = _center(2, 1.0 - v, v, scale=4.0)
+        for prof, positive in ((wide, True), (off, False)):
+            rule = quad.ball_rule(center, 0.01, gp, prof.breakpoints())
+            assert rule.inner == 0.0
+            value = float(rule.weights @ prof(rule.nodes))
+            if positive:
+                assert value == pytest.approx(gp.Omega_Q * 0.01**gp.Q * prof(4.0), rel=1e-3)
+            else:
+                assert value == 0.0
+
+
+def test_ball_rule_touching_vertical_cell_with_singular_content():
+    # |a| = R puts the origin on the boundary; with Q + exponent = 0.75 the
+    # radii next to the origin carry the content, where the vertical kink
+    # sin(theta) = (r^4 + t^2 - R^4) / (2 r^2 t) tends to 0 and the occupied
+    # share P(w > sin theta) to 1/2 (a Beta(3/2, 3/2) tail at n = 3)
+    import mpmath
+
+    n, exponent = 3, -7.25
+    gp = GroupParams(n)
+    rule = quad.ball_rule(_center(n, 0.0, 1.0), 1.0, gp)
+    below = rule.r_in ** (gp.Q + exponent) / (gp.Q + exponent)
+    value = rule.inner * below + float(rule.weights @ rule.nodes**exponent)
+
+    def share(r):
+        x = min(r * r / 2, 1)
+        return (mpmath.acos(x) - x * mpmath.sqrt(1 - x * x)) / mpmath.pi
+
+    with mpmath.workdps(30):
+        edges = [0, *(mpmath.sqrt(2) * mpmath.mpf(10) ** -k for k in (12, 6, 3, 1)), mpmath.sqrt(2)]
+        exact = gp.omega_Q * mpmath.quad(lambda r: r ** (gp.Q - 1 + exponent) * share(r), edges)
+    assert value == pytest.approx(float(exact), rel=1e-12)
