@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import re
 import sys
@@ -88,7 +89,9 @@ class RunConfig:
     widths: Tuple[Tuple[float, float], ...] = ((1e-1, 1e1), (1e-2, 1e2))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on first use."""
     ap = argparse.ArgumentParser(
         prog="hlp-sharp",
         description="Numerical verification runs for the sharp m-linear "
@@ -284,8 +287,7 @@ def _cmd_oracle_compare(config: RunConfig) -> List[VerificationReport]:
     e = derive_exponents(p)
     t0 = time.perf_counter()
     closed = hilbert_closed_form(e, gp).value
-    offsets = [s / gp.Q for s in e.sigma_list]
-    recursed = gp.Omega_Q**p.m * beta_recursion_Im(offsets, float(p.m))
+    recursed = gp.Omega_Q**p.m * beta_recursion_Im(e.sigma_list, float(p.m), scale=gp.Q)
     ms = int(round((time.perf_counter() - t0) * 1000))
     records.append(
         compare(

@@ -99,24 +99,26 @@ KINDS = {
 }
 
 
-def beta_recursion_Im(offsets: Sequence[float], outer_power: float) -> float:
-    """Evaluate I_m(a_1..a_m; s), a_j = 1 + d_j, peeling one Beta per step.
+def beta_recursion_Im(offsets: Sequence[float], outer_power: float, scale: float = 1.0) -> float:
+    """Evaluate I_m(a_1..a_m; s), a_j = 1 + d_j/scale, peeling one Beta per step.
 
     I_m(a_1..a_m; s) = B(a_m, s - a_m) * I_{m-1}(a_1..a_{m-1}; s - a_m) with
     I_0 = 1, equal to prod Gamma(a_i) * Gamma(s - sum a_i) / Gamma(s).  Taking
-    the offsets d_j (sigma_j/Q for B_m) keeps the outer power as k + e_k with
-    k factors left, where e_k = (s - m) - (d_{k+1} + ... + d_m) is one
-    math.fsum of the peeled offsets, so no rounding accumulates from step to
-    step and the last argument s - m - sum d_j is correctly rounded.
+    the offsets d_j (sigma_j with scale Q for B_m) keeps the outer power as
+    k + e_k with k factors left, where e_k = (s - m) - (d_{k+1} + ... +
+    d_m)/scale is one math.fsum of the peeled offsets divided by scale once,
+    so no rounding accumulates from step to step and, for s = m, the last
+    argument -sum d_j/scale is the same double as -sigma/Q in the closed form.
     Computed in log space; every peeled Beta must have positive arguments.
     """
     d = [float(x) for x in offsets]
-    e0 = float(outer_power) - len(d)
+    scale = float(scale)
+    e0 = (float(outer_power) - len(d)) * scale
     log_value = 0.0
     for k in range(len(d), 0, -1):
-        a = 1.0 + d[k - 1]
-        s = k + math.fsum([e0, *(-x for x in d[k:])])
-        rest = (k - 1) + math.fsum([e0, *(-x for x in d[k - 1 :])])
+        a = 1.0 + d[k - 1] / scale
+        s = k + math.fsum([e0, *(-x for x in d[k:])]) / scale
+        rest = (k - 1) + math.fsum([e0, *(-x for x in d[k - 1 :])]) / scale
         if a <= 0.0 or rest <= 0.0:
             raise ValueError(f"nonpositive Beta argument in recursion: B({a}, {rest})")
         log_value += math.lgamma(a) + math.lgamma(rest) - math.lgamma(s)

@@ -90,11 +90,41 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 _NODES_PER_PANEL = 12
+_EPS = np.finfo(float).eps
 
 
 @lru_cache(maxsize=16)
 def leggauss(k: int):
-    return np.polynomial.legendre.leggauss(k)
+    """Gauss-Legendre nodes (ascending) and weights of order k on [-1, 1].
+
+    Newton's method on the three-term recurrence of P_k from Tricomi's first
+    guesses finds the roots in [0, 1); the weight 2 / ((1 - x^2) P_k'(x)^2)
+    is taken at the root corrected by its last sub-ulp Newton step.  The
+    negative nodes are the positive ones negated, so the rule is exactly
+    symmetric."""
+    half = k // 2
+    x = np.cos(math.pi * (np.arange((k + 1) // 2) + 0.75) / (k + 0.5))
+    if k % 2:
+        x[-1] = 0.0  # P_k(0) = 0 exactly for odd k
+
+    def legendre(x):
+        """P_k(x) and P_k'(x)."""
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, k + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, k * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    for _ in range(20):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.all(np.abs(step) <= _EPS * x):
+            break
+    p, dp = legendre(x)
+    d = -p / dp  # the root's offset from x, below one ulp
+    dp = dp + d * (2.0 * x * dp - k * (k + 1) * p) / ((1.0 - x) * (1.0 + x))
+    w = 2.0 / (((1.0 - x) * (1.0 + x) - 2.0 * x * d) * dp * dp)
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
 
 
 def _panel_sums(g, edges: np.ndarray, nodes: int) -> np.ndarray:
@@ -234,12 +264,13 @@ def hilbert_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpe
 # ---------------------------------------------------------------------------
 
 _HALF_PI = 0.5 * math.pi
-_EPS = np.finfo(float).eps
 _RULE_NODES = 24  # Gauss-Legendre nodes per panel, in r, in the angle and in rho
 _GRADE = 4.0  # ratio of the geometric grading toward nearby singular points
 _GRADE_LEVELS = 40
 _TOUCH_LEVELS = 27  # a boundary through the origin: r graded down to 4^-27 of the first break
-_ROWS = 16  # radii whose angle panels are built at once
+_ZONE = 0.25 * math.pi  # polar zones |theta| > _ZONE, p < _P_ZONE, with a kink are valued in p
+_P_ZONE = math.cos(_ZONE) ** 0.5
+_ROWS = 256  # radii whose angle panels are built at once
 _CHUNK = 1 << 13  # node values computed at once; both bound the rule's memory
 _VOLUME_TOL = 1e-7  # largest accepted error of a rule's own ball volume
 
@@ -272,13 +303,18 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     (u, v) (_disc_share).  The disc test changes form at the kink angles of
     _kink_angles and phi at the radii of _radial_breaks; both integrals are
     split there and at the given breakpoints, graded toward nearby singular
-    points (_graded), and valued by sine-mapped Gauss-Legendre panels
-    (Golub-Welsch nodes, Math. Comp. 1969).  Weights are
-    omega_Q * (r-panel weight) * r^(Q-1) * phi(r).  The center may point in
-    any direction; only one with both a horizontal and a vertical part
-    brackets its radial breaks numerically.  The rounding of the node
-    radii grows as R shrinks against |a|_h (like eps (|a|_h / R)^2 at a
-    vertical center), so a ball whose rule misses its own volume
+    points (_subpanels), and valued by sine-mapped Gauss-Legendre panels.
+    _occupancy values phi: a vertical center's cap in closed form, a
+    horizontal center's even share on the upper half only, and a polar zone
+    that holds a kink in p = cos(theta)^(1/2), where the pole is no branch
+    point.  Weights are omega_Q * (r-panel weight) * r^(Q-1) * phi(r).
+    At n = 2 a horizontal rule values psi_2 at 1e3 to 4e3 points, and at
+    1.4e4 when the boundary passes through the origin (648 radii, 12 points
+    at each radius below 0.05 |a|).  The center may point in any direction;
+    only one with both a horizontal and a vertical part brackets its radial
+    breaks numerically.  The rounding of the node radii grows as R shrinks
+    against |a|_h (like eps (|a|_h / R)^2 at a vertical center), so a ball
+    whose rule misses its own volume
     Omega_Q R^Q by more than 1e-7 (R below ~1e-5 |a|_h) raises ValueError
     rather than return a wrong or zero cell.
     """
@@ -307,9 +343,8 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     touching = edges[0] == 0.0
     if touching:
         edges[0] = edges[1] * _GRADE**-_TOUCH_LEVELS
-    r_edges = _graded(np.array(edges), left=0.0)
-    r_edges = r_edges[np.append(True, np.diff(r_edges) > 0.0)]
-    r, w = (a.ravel() for a in _sine_panels(r_edges[:-1], r_edges[1:]))
+    _, lo_r, hi_r = _subpanels(np.array(edges)[None, :], left=0.0)
+    r, w = (a.ravel() for a in _sine_panels(lo_r, hi_r))
     phi = _occupancy(np.append(r, edges[0]) if touching else r, geo, gp.n)
     inner = float(phi[-1]) if touching else float(geo[3] < 0.0)
     weights = gp.omega_Q * w * r ** (gp.Q - 1) * phi[: r.size]
@@ -335,24 +370,40 @@ def _sine_panels(lo, hi):
     return mid + half * np.sin(u), half * (_HALF_PI * w * np.cos(u))
 
 
-def _graded(edges, left=None):
-    """Sorted edges (last axis) plus, in each panel, the points at
-    gap * (_GRADE^j - 1), j = 1.._GRADE_LEVELS, from each end up to the
-    panel's middle, gap being the distance from that end to the next edge
-    beyond it (or to `left` before the first).  A singular point just outside
-    a panel then sits 1/(_GRADE - 1) of a sub-panel away from it."""
-    lo, hi = edges[..., :-1], edges[..., 1:]
+_STEPS = _GRADE ** np.arange(1.0, _GRADE_LEVELS + 1.0) - 1.0
+
+
+def _subpanels(edges, left=None):
+    """The panels between the sorted edges of each row of a 2-D array, each
+    split at the points gap * (_GRADE^j - 1), j = 1.._GRADE_LEVELS, from
+    each end up to the panel's middle, gap being the distance from that end
+    to the next edge beyond it (or to `left` before the first).  A singular
+    point just outside a panel then sits 1/(_GRADE - 1) of a sub-panel away
+    from it.  Returns the row, lower and upper end of each nonempty
+    sub-panel, in order; only the levels some panel uses are built."""
+    lo, hi = edges[:, :-1], edges[:, 1:]
     half = 0.5 * (hi - lo)[..., None]
-    none = np.zeros(edges.shape[:-1] + (1,))
-    gap_lo = np.concatenate([none if left is None else edges[..., :1] - left, np.diff(lo)], -1)
-    gap_hi = np.concatenate([np.diff(hi), none], -1)
-    steps = _GRADE ** np.arange(1.0, _GRADE_LEVELS + 1.0) - 1.0
-    d_lo, d_hi = gap_lo[..., None] * steps, gap_hi[..., None] * steps
-    extra = np.concatenate([
-        np.where((d_lo > 0.0) & (d_lo < half), lo[..., None] + d_lo, lo[..., None]),
-        np.where((d_hi > 0.0) & (d_hi < half), hi[..., None] - d_hi, hi[..., None]),
-    ], -1)
-    return np.sort(np.concatenate([edges, extra.reshape(edges.shape[:-1] + (-1,))], -1), axis=-1)
+    gap_lo, gap_hi = np.zeros_like(lo), np.zeros_like(hi)
+    gap_lo[:, 1:], gap_hi[:, :-1] = lo[:, 1:] - lo[:, :-1], hi[:, 1:] - hi[:, :-1]
+    if left is not None:
+        gap_lo[:, 0] = edges[:, 0] - left
+    gaps = np.stack([gap_lo, gap_hi])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        most = np.max(np.where(gaps > 0.0, half[..., 0] / gaps, 0.0), initial=0.0)
+    steps = _STEPS[: np.searchsorted(_STEPS, most) + 1]  # one level more: the quotient rounds
+    d_lo, d_hi = gap_lo[..., None] * steps, gap_hi[..., None] * steps[::-1]
+    points = np.concatenate([
+        lo[..., None],
+        np.where((d_lo > 0.0) & (d_lo < half), lo[..., None] + d_lo, np.nan),
+        np.where((d_hi > 0.0) & (d_hi < half), hi[..., None] - d_hi, np.nan),
+    ], axis=-1)
+    used = ~np.isnan(points)
+    row, start = np.nonzero(used)[0], points[used]
+    end = np.append(start[1:], 0.0)
+    last = np.append(row[1:] != row[:-1], True)  # a row's last sub-panel ends at its last edge
+    end[last] = edges[row[last], -1]
+    keep = end > start
+    return row[keep], start[keep], end[keep]
 
 
 def _radial_breaks(c, t, R, E0):
@@ -415,76 +466,137 @@ def _quartic_roots(r, c, t, R, E0, sign):
     return p, real
 
 
+def _cap(r, t, R, E0, n):
+    """The integral of cos(theta)^(n-1) over the angles a vertical center's
+    ball holds at each radius r: those above its one kink, where
+    sin(theta) = K / (2 r^2 t), K = r^4 + E0.  With delta = pi/2 - theta_k
+    that is int_0^delta sin(s)^(n-1) ds, one Gauss-Legendre panel of an
+    entire function; delta = arctan2(cos theta_k, sin theta_k) keeps its
+    relative accuracy however near the pole the kink lies."""
+    # cos theta_k from 2 r^2 t -+ K = +-(R^4 - (r^2 -+ t)^2), each factored or
+    # expanded about E0 = t^2 - R^4, whichever rounds less
+    r2, R2 = r * r, R * R
+    terms = r2 * (r2 + 2.0 * t) + abs(E0)
+    below = np.where(np.maximum(R2, np.abs(r2 - t)) * (R2 + np.abs(r2 - t)) <= terms,
+                     (R2 - (r2 - t)) * (R2 + (r2 - t)), r2 * (2.0 * t - r2) - E0)
+    above = np.where(np.maximum(R2, r2 + t) * (R2 + r2 + t) <= terms,
+                     (r2 + t - R2) * (r2 + t + R2), r2 * (r2 + 2.0 * t) + E0)
+    delta = np.arctan2(np.sqrt(np.maximum(below * above, 0.0)), E0 + r2 * r2)
+    x, w = leggauss(_RULE_NODES)
+    half = 0.5 * delta[:, None]
+    return np.sum(half * w * np.sin(half * (1.0 + x)) ** (n - 1), axis=1)
+
+
 def _kink_angles(r, c, t, R, E0):
-    """Angles theta = arcsin(w) in (-pi/2, pi/2) where the disc test changes
-    form at each radius r: the roots of
-    2 r^2 c^2 eta^2 +- 4 r c R^2 eta + 2 r^2 t w = r^4 + E0, eta = cos(theta)^(1/2),
+    """Angles theta = arcsin(w) in (-pi/2, pi/2) where the disc test of a
+    center with c > 0 changes form at each radius r, and their
+    p = cos(theta)^(1/2): the roots of
+    2 r^2 c^2 p^2 +- 4 r c R^2 p + 2 r^2 t w = r^4 + E0,
     where the disc's boundary passes the edge of the unit disc (d - l = 1,
-    l - d = 1 or d + l = 1 below).  Linear in w for a vertical center (whose
-    one entry is -pi/2 or pi/2 when every or no angle is inside), quadratic in
-    eta for a horizontal one, a quartic for a mixed one.  Returns a
-    (len(r), k) array padded with pi/2."""
+    l - d = 1 or d + l = 1 below).  Quadratic in p for a horizontal center,
+    a quartic for a mixed one.  Returns two (len(r), k) arrays, padded with
+    theta = pi/2 and p = 0."""
     K = E0 + r**4
-    if c == 0.0:
-        # sin = K / (2 r^2 t) and cos from 2 r^2 t -+ K = +-(R^4 - (r^2 -+ t)^2),
-        # each factored or expanded about E0 = t^2 - R^4, whichever rounds less
-        r2, R2 = r * r, R * R
-        terms = r2 * (r2 + 2.0 * t) + abs(E0)
-        below = np.where(np.maximum(R2, np.abs(r2 - t)) * (R2 + np.abs(r2 - t)) <= terms,
-                         (R2 - (r2 - t)) * (R2 + (r2 - t)), r2 * (2.0 * t - r2) - E0)
-        above = np.where(np.maximum(R2, r2 + t) * (R2 + r2 + t) <= terms,
-                         (r2 + t - R2) * (r2 + t + R2), r2 * (r2 + 2.0 * t) + E0)
-        return np.arctan2(K, np.sqrt(np.maximum(below * above, 0.0)))[:, None]
     if t == 0.0:
         s = 2.0 * R * R + np.sqrt(2.0 * (R**4 + r**4 + c**4))
-        eta = np.stack([np.abs(K) / (r * c * s), s / (2.0 * r * c)], axis=1)
-        theta = np.arccos(np.minimum(eta * eta, 1.0))
-        keep = (eta > 0.0) & (eta < 1.0)
-        keep = np.concatenate([keep, keep], 1)
-        return np.where(keep, np.concatenate([theta, -theta], 1), _HALF_PI)
+        p = np.stack([np.abs(K) / (r * c * s), s / (2.0 * r * c)], axis=1)
+        p = np.where((p > 0.0) & (p < 1.0), p, 0.0)
+        theta = np.where(p > 0.0, np.arccos(p * p), _HALF_PI)
+        return np.concatenate([theta, -theta], 1), np.concatenate([p, p], 1)
     al, be, ga = 2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t
-    out = []
+    thetas, ps = [], []
     for sign in (1.0, -1.0):
         p, real = _quartic_roots(r, c, t, R, E0, sign)
-        p2 = np.clip(p, 0.0, 1.0) ** 2
-        w = (K[:, None] - al[:, None] * p2 - sign * be[:, None] * np.sqrt(p2)) / ga[:, None]
-        out.append(np.where(real & (p > 0.0) & (p <= 1.0), np.arctan2(w, p2), _HALF_PI))
-    return np.concatenate(out, axis=1)
+        p = np.where(real & (p > 0.0) & (p <= 1.0), p, 0.0)
+        w = (K[:, None] - al[:, None] * p * p - sign * be[:, None] * p) / ga[:, None]
+        thetas.append(np.where(p > 0.0, np.arctan2(w, p * p), _HALF_PI))
+        ps.append(p)
+    return np.concatenate(thetas, axis=1), np.concatenate(ps, axis=1)
+
+
+def _angle_panels(r, geo, n, mirror):
+    """The panels _occupancy integrates over at the radii r, as arrays of
+    row, lower end, upper end and zone: 0 for a panel in theta, 1 and -1 for
+    a panel in p of the north and south polar zone.  A polar zone
+    |theta| > _ZONE is valued in p when it holds a kink; kinks merged into
+    the pole do not count.  With mirror, only the half theta > 0."""
+    theta, p = _kink_angles(r, *geo)
+    p = np.where((4.0 * p) ** (2 * n) <= _EPS, 0.0, p)  # merged into the pole
+    theta = np.where(p > 0.0, theta, _HALF_PI)
+    polar = (p > 0.0) & (p < _P_ZONE)
+    north = np.any(polar & (theta > 0.0), axis=1)
+    south = north if mirror else np.any(polar & (theta < 0.0), axis=1)
+    pole = np.full(r.size, _HALF_PI)
+    edges = np.column_stack([-pole, np.where(south, -_ZONE, -pole), theta,
+                             np.where(north, _ZONE, pole), pole])
+    row, lo, hi = _subpanels(np.sort(edges, 1))
+    keep = ~(north[row] & (lo >= _ZONE)) & ~(south[row] & (hi <= -_ZONE))
+    if mirror:
+        keep &= hi > 0.0
+    out = [(row[keep], lo[keep], hi[keep], np.zeros(np.count_nonzero(keep)))]
+    for zone, sign in ((north, 1.0), (south, -1.0))[: 1 if mirror else 2]:
+        rows = np.nonzero(zone)[0]
+        if rows.size:
+            # p runs from the pole to the zone's end; the hemisphere's kinks
+            # beyond that end and the equator p = 1 only set the grading
+            kinks = np.where(sign * theta[rows] > 0.0, p[rows], 1.0)
+            ends = np.zeros((rows.size, 1)) + [0.0, _P_ZONE, 1.0]
+            prow, plo, phi = _subpanels(np.sort(np.column_stack([ends, kinks]), 1))
+            inside = phi <= _P_ZONE
+            out.append((rows[prow[inside]], plo[inside], phi[inside],
+                        np.full(np.count_nonzero(inside), sign)))
+    return (np.concatenate(a) for a in zip(*out))
 
 
 def _occupancy(r, geo, n):
-    """phi(r): the share of the gauge sphere of radius r inside the ball,
-    integrated over theta on panels split at the kink angles and graded
-    toward close ones; a vertical center holds exactly the angles above its
-    one kink.  Radii go in blocks and panels in chunks, so memory stays
-    bounded whatever the grading."""
-    c = geo[0]
+    """phi(r): the share of the gauge sphere of radius r inside the ball.
+
+    A vertical center holds the angles above its one kink, a cap valued by
+    _cap.  Otherwise the share psi_n of _disc_share is integrated with the
+    sphere's polar law on sine-mapped panels split at the kinks and graded
+    toward close ones (_subpanels, _angle_panels): in theta, weight
+    cos(theta)^(n-1), except in a polar zone |theta| > pi/4 that holds a
+    kink, which goes over to p = cos(theta)^(1/2), weight
+    2 p^(2n-1) / (1 - p^4)^(1/2).  The pole is a branch point in theta but
+    not in p, so a kink at p from the pole needs about log4(1/p) grading
+    levels in p against log4(1/p^2) in theta.  A kink so near a pole that
+    the sphere's measure between them, ~(4p)^(2n)/n, is below rounding is
+    merged into the pole.  A horizontal center's share is even in theta and
+    its edges are symmetric, so only the panels above 0 and the middle
+    panel's nodes above 0 are valued, twice.  Radii go in blocks and panels
+    in chunks, so memory stays bounded whatever the grading."""
+    norm = math.gamma((n + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(n / 2.0))
+    if geo[0] == 0.0:
+        return norm * _cap(r, *geo[1:], n)
+    mirror = geo[1] == 0.0
+    upper = leggauss(_RULE_NODES)[0] > 0.0
     step = max(1, _CHUNK // (_RULE_NODES if n < 3 else _RULE_NODES**2))
     phi = np.zeros(r.size)
     for start in range(0, r.size, _ROWS):
         rb = r[start : start + _ROWS]
-        edges = np.sort(np.concatenate([np.full((rb.size, 1), -_HALF_PI), _kink_angles(rb, *geo),
-                                        np.full((rb.size, 1), _HALF_PI)], axis=1), axis=1)
-        if c > 0.0:
-            edges = _graded(edges)
-        row, col = np.nonzero(edges[:, 1:] > edges[:, :-1])
-        lo, hi, first_kink = edges[row, col], edges[row, col + 1], edges[row, 1]
+        row, lo, hi, zone = _angle_panels(rb, geo, n, mirror)
         for i in range(0, row.size, step):
             part = slice(i, i + step)
-            theta, w = _sine_panels(lo[part], hi[part])
-            if c == 0.0:
-                share = (lo[part] >= first_kink[part])[:, None]
-            else:
-                share = _disc_share(rb[row[part]][:, None], theta, geo, n)
-            phi[start : start + rb.size] += np.bincount(
-                row[part], np.sum(w * np.cos(theta) ** (n - 1) * share, axis=1), minlength=rb.size
-            )
-    return phi * (math.gamma((n + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(n / 2.0)))
+            x, w = _sine_panels(lo[part], hi[part])
+            take = np.ones(x.shape, dtype=bool)
+            if mirror:
+                take[lo[part] < 0.0] = upper  # the middle panel: its nodes above 0
+            rows, sign = (np.broadcast_to(a[part][:, None], x.shape)[take] for a in (row, zone))
+            x, w = x[take], w[take]
+            polar = sign != 0.0
+            p2 = np.where(polar, x * x, 0.0)
+            cw = np.sqrt((1.0 - p2) * (1.0 + p2))  # |sin(theta)| in a polar zone
+            eta2 = np.where(polar, p2, np.cos(x))
+            weight = w * np.where(polar, 2.0 * x ** (2 * n - 1) / cw, eta2 ** (n - 1))
+            share = _disc_share(rb[rows], eta2, np.where(polar, sign * cw, np.sin(x)), geo, n)
+            phi[start : start + rb.size] += np.bincount(rows, weight * share, minlength=rb.size)
+    return (2.0 * norm if mirror else norm) * phi
 
 
-def _disc_share(r, theta, geo, n):
+def _disc_share(r, eta2, w, geo, n):
     """psi_n: the mass, under the law of (u, v), of the disc that
-    |a^-1 x|_h < R cuts out at x = delta_r(theta, g).  Its center lies at
+    |a^-1 x|_h < R cuts out at x = delta_r(theta, g), given eta2 = cos(theta)
+    and w = sin(theta) (arrays of one shape, like r).  Its center lies at
     d = H/B and its radius is l = R^2/B, with B = 2 r c cos(theta)^(1/2) and
     H^2 = (r^2 cos(theta) + c^2)^2 + (r^2 w - t)^2; k = (1 + d^2 - l^2)/(2d).
     n = 1: (u, v) is uniform on the unit circle and psi = arccos(k)/pi.
@@ -494,7 +606,6 @@ def _disc_share(r, theta, geo, n):
     1 - k and 1 + k come from R^4 - (H - B)^2 and (H + B)^2 - R^4, each in
     the algebraic form with the smaller rounding bound."""
     c, t, R, E0 = geo
-    eta2, w = np.cos(theta), np.sin(theta)
     r2, R2 = r * r, R * R
     D = r2 * w - t
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -167,51 +167,54 @@ def test_beta_recursion_near_sigma_zero_matches_mpmath(gp1, m, gap):
 
 
 # Boundary-band draws of the benchmark (perfbench/workloads.band_draws,
-# margin 1e-6..1e-2) whose hilbert-recursion-identity record missed 1e-12
-# while the recursion carried a running sum of the peeled offsets:
-# (seed, m, n, q, q_j, lambda, gamma_j, alpha, passes at 1e-12 now).
+# margin 1e-6..1e-2) whose hilbert-recursion-identity record missed 1e-12,
+# first while the recursion carried a running sum of the peeled offsets and
+# then, for the last two, while each offset sigma_j/Q was rounded before the
+# sum: (seed, m, n, q, q_j, lambda, gamma_j, alpha).
 _BAND_RECURSION_DRAWS = [
     (3, 4, 2, 3.286292055619861,
      (14.276788314632558, 9.328921412595104, 9.542780516623969, 44.91199890211542),
      -0.26816978140072384,
      (-3.9998145541571124, 0.31223258227181727, -0.2846395122881362, -1.4160107505681996),
-     -0.8472523658546653, True),
+     -0.8472523658546653),
     (6, 3, 1, 1.8368663144359063, (8.200818092596851, 4.341605423721882, 5.204624123668804),
      -0.14403768419107957, (-2.9640814728286156, 1.1692487483317673, 1.1243201305483073),
-     0.527236301325547, True),
-    # -sigma/Q is ~1e-5 here, so the rounding of each offset sigma_j/Q
-    # already moves Gamma(-sigma/Q) by ~1e-12 before any summation
+     0.527236301325547),
+    # -sigma/Q is ~1e-5 here: rounding each sigma_j/Q on its own moved
+    # Gamma(-sigma/Q) by ~1e-12
     (4, 3, 2, 1.4631013604002985, (2.7098599487316286, 8.224748769248885, 5.184768982561155),
      -0.34998790339141095, (-1.2514559047420557, -2.241244390407156, 0.6053954145221283),
-     0.3791660666554231, False),
+     0.3791660666554231),
     (6, 3, 2, 1.3089226101359146, (9.434110489722205, 3.093501210995626, 2.987478385637025),
      -0.6765873238793497, (0.4415476882790057, -5.889543749237763, 0.220105587943475),
-     0.7491009283286028, False),
+     0.7491009283286028),
 ]
 
 
 @pytest.mark.parametrize("draw", range(len(_BAND_RECURSION_DRAWS)))
 def test_beta_recursion_on_boundary_band_draws(draw):
-    # Each Beta argument is one fsum of the peeled offsets, so the recursion
-    # matches mpmath on its own double offsets to ~1e-14; the record passes
-    # its 1e-12 tolerance wherever the offsets carry -sigma/Q to that accuracy.
-    seed, m, n, q, q_list, lam, gammas, alpha, passes = _BAND_RECURSION_DRAWS[draw]
+    # Each Beta argument is one fsum of the peeled sigma_j divided by Q once,
+    # so the recursion matches mpmath on its own double inputs to ~1e-14 and
+    # its last argument is the closed form's -sigma/Q: every record passes
+    # its 1e-12 tolerance.
+    seed, m, n, q, q_list, lam, gammas, alpha = _BAND_RECURSION_DRAWS[draw]
     p = ParamSet(
         m=m, n=n, q=q, q_list=q_list, lam=lam, lam_list=tuple(q * lam / qj for qj in q_list),
         gamma_list=gammas, alpha=alpha,
     )
     gp = GroupParams(n)
     e = derive_exponents(p)
-    offsets = [s / gp.Q for s in e.sigma_list]
+    Q = mpmath.mpf(gp.Q)
     with mpmath.workdps(40):
+        sig = [mpmath.mpf(s) for s in e.sigma_list]
         exact = mpmath.mpf(1) / mpmath.gamma(m)
-        for d in offsets:
-            exact *= mpmath.gamma(1 + mpmath.mpf(d))
-        exact = float(exact * mpmath.gamma(-mpmath.fsum(mpmath.mpf(d) for d in offsets)))
-    assert beta_recursion_Im(offsets, float(m)) == pytest.approx(exact, rel=1e-14)
+        for s in sig:
+            exact *= mpmath.gamma(1 + s / Q)
+        exact = float(exact * mpmath.gamma(-mpmath.fsum(sig) / Q))
+    recursion = beta_recursion_Im(e.sigma_list, float(m), scale=gp.Q)
+    assert recursion == pytest.approx(exact, rel=1e-14)
     closed = hilbert_closed_form(e, gp).value
-    recursed = gp.Omega_Q**m * beta_recursion_Im(offsets, float(m))
-    assert (abs(recursed - closed) <= 1e-12 * closed) == passes
+    assert abs(gp.Omega_Q**m * recursion - closed) <= 1e-12 * closed
 
 
 def test_reconcile_produces_passing_reports(gp1, quad_spec):

@@ -459,3 +459,121 @@ def test_ball_rule_touching_vertical_cell_with_singular_content():
         edges = [0, *(mpmath.sqrt(2) * mpmath.mpf(10) ** -k for k in (12, 6, 3, 1)), mpmath.sqrt(2)]
         exact = gp.omega_Q * mpmath.quad(lambda r: r ** (gp.Q - 1 + exponent) * share(r), edges)
     assert value == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vertical_cells_take_the_cap_in_closed_form(monkeypatch, n):
+    # a vertical center holds the angles above its one kink, so no disc
+    # share is evaluated; at |a| = R = 1 the kink is sin(theta) = r^2 / 2,
+    # whose rounding in r^2 alone moves the share by ~1e-13 where the kink
+    # meets the pole at r = 2^(1/2)
+    import mpmath
+
+    def refuse(*args):
+        raise AssertionError("a vertical cell evaluated a disc share")
+
+    monkeypatch.setattr(quad, "_disc_share", refuse)
+    gp = GroupParams(n)
+    for R in (0.5, 1.0, 2.0):
+        quad.ball_rule(_center(n, 0.0, 1.0), R, gp)
+    r = np.geomspace(1e-8, math.sqrt(2.0) * (1.0 - 1e-6), 60)
+    phi = quad._occupancy(r, (0.0, 1.0, 1.0, 0.0), n)
+    with mpmath.workdps(30):
+        norm = mpmath.gamma(mpmath.mpf(n + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n) / 2))
+        for ri, got in zip(r, phi):
+            x = mpmath.mpf(ri) ** 2 / 2
+            exact = norm * mpmath.quad(lambda th: mpmath.cos(th) ** (n - 1), [mpmath.asin(x), mpmath.pi / 2])
+            assert got == pytest.approx(float(exact), rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_horizontal_rules_value_only_the_upper_half(monkeypatch, n):
+    # the share is even in theta at a horizontal center: every angle valued
+    # has sin(theta) > 0, and the lower half is their mirror image
+    seen = []
+    share = quad._disc_share
+
+    def record(r, eta2, w, geo, n):
+        seen.append(np.asarray(w).ravel())
+        return share(r, eta2, w, geo, n)
+
+    monkeypatch.setattr(quad, "_disc_share", record)
+    gp = GroupParams(n)
+    for scale, R in ((1.0, 1.0), (0.25, 1.0), (4.0, 0.01), (1.0, 100.0)):
+        seen.clear()
+        rule = quad.ball_rule(_center(n, 1.0, 0.0, scale), R, gp)
+        w = np.concatenate(seen)
+        assert w.size > 0 and np.all(w > 0.0)
+        assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10)
+
+
+def test_ball_rule_touching_horizontal_cell_with_singular_content():
+    # |a| = R = 1 at n = 1 (Q = 4) with Q + exponent = 0.75: the share at
+    # radius r is (2/pi^2) int arccos(min(k, 1)) dtheta over theta in
+    # [0, pi/2], k = r (6 p^2 + r^2) / (4 p (1 + r^4 + 2 r^2 p^2)^(1/2)),
+    # p = cos(theta)^(1/2); the ball holds no direction with p below the
+    # kink p1 = r^3 / (2 + (4 + 2 r^4)^(1/2)).  Reference: 20-digit mpmath
+    # with 24-node Gauss-Legendre panels, the end behaviors mapped out
+    # (48 nodes agree to 3e-16).
+    import mpmath
+
+    n, exponent = 1, -3.25
+    gp = GroupParams(n)
+    rule = quad.ball_rule(_center(n, 1.0, 0.0), 1.0, gp)
+    below = rule.r_in ** (gp.Q + exponent) / (gp.Q + exponent)
+    value = rule.inner * below + float(rule.weights @ rule.nodes**exponent)
+
+    with mpmath.workdps(20):
+        nodes = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(4, mpmath.mp.prec)
+
+        def gauss(f, a, b):
+            h = (b - a) / 2
+            return h * mpmath.fsum(w * f(a + h * (1 + x)) for x, w in nodes)
+
+        def share(r):
+            def arc(p):
+                k = r * (6 * p * p + r * r) / (4 * p * mpmath.sqrt(1 + r**4 + 2 * r * r * p * p))
+                return mpmath.acos(min(k, 1))
+
+            polar = lambda p: arc(p) * 2 * p / mpmath.sqrt(1 - p**4)  # dtheta = 2p dp / (1 - p^4)^(1/2)
+            p1 = r**3 / (2 + mpmath.sqrt(4 + 2 * r**4))
+            pz = mpmath.sqrt(mpmath.cos(mpmath.pi / 4))
+            if p1 >= pz:  # only theta < theta1 = arccos(p1^2), with a square root at theta1
+                th1 = mpmath.acos(p1**2)
+                total = gauss(lambda v: arc(mpmath.sqrt(mpmath.cos(th1 * (1 - v * v)))) * 2 * th1 * v, 0, 1)
+                return 2 * total / mpmath.pi**2
+            # p in [p1, pz] on panels growing 8-fold, the first mapped by its square root at p1
+            top = min(pz, 8 * p1)
+            total = gauss(lambda u: polar(p1 + (top - p1) * u * u) * 2 * (top - p1) * u, 0, 1)
+            while top < pz:
+                lo, top = top, min(pz, 8 * top)
+                total += gauss(polar, lo, top)
+            total += gauss(lambda th: arc(mpmath.sqrt(mpmath.cos(th))), 0, mpmath.pi / 4)
+            return 2 * total / mpmath.pi**2
+
+        w = gp.Q - 1 + mpmath.mpf(exponent)  # -1/4
+        exact = gp.omega_Q * (
+            gauss(lambda v: share(v**4 / 2) * 4 * v * v / mpmath.mpf(2) ** 0.75, 0, 1)  # r = v^4 / 2
+            + gauss(lambda r: share(r) * r**w, mpmath.mpf(1) / 2, mpmath.mpf(3) / 2)
+            + gauss(lambda u: share(2 - u * u / 2) * (2 - u * u / 2) ** w * u, 0, 1)  # r = 2 - u^2 / 2
+        )
+    assert value == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_leggauss_matches_numpy_nodes_and_exact_weights():
+    # Newton on the three-term recurrence: nodes within 2 ulp of numpy's
+    # eigenvalue rule and exactly symmetric; weights within 1e-14 of their
+    # 40-digit values (numpy's own are off by up to 1.2e-13 at k = 24)
+    import mpmath
+
+    for k in (12, 24):
+        x, w = quad.leggauss(k)
+        xn, wn = np.polynomial.legendre.leggauss(k)
+        assert np.all(np.abs(x - xn) <= 2 * np.spacing(np.abs(xn)))
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.allclose(w, wn, rtol=2e-13, atol=0.0)
+        with mpmath.workdps(40):
+            for xi, wi in zip(x, w):
+                root = mpmath.findroot(lambda s: mpmath.legendre(k, s), mpmath.mpf(xi))
+                exact = 2 * (1 - root**2) / (k * mpmath.legendre(k - 1, root)) ** 2
+                assert wi == pytest.approx(float(exact), rel=1e-14)

@@ -211,8 +211,10 @@ def test_constant_command_passes_and_writes_report(tmp_path):
 
 
 def test_forced_failure_still_writes_report(tmp_path):
+    # the Hilbert oracle's rounding (~1e-15) cannot meet 1e-20; the HLP
+    # oracle can match its closed form to the last bit at m = 1
     status, path = run_main(
-        ["--command", "constant", "--tolerance", "1e-20"], tmp_path
+        ["--command", "constant", "--kind", "hilbert", "--tolerance", "1e-20"], tmp_path
     )
     assert status == 1
     record = json.loads(path.read_text().splitlines()[1])
