@@ -27,7 +27,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -247,8 +247,8 @@ def _header_record(config: RunConfig) -> dict:
         "format": config.format,
         "kind": config.kind,
         "params": config.params.to_dict(),
-        "quad": asdict(config.quad),
-        "mc": asdict(config.mc),
+        "quad": dict(vars(config.quad)),
+        "mc": dict(vars(config.mc)),
         "grid": {
             "center_radii": [float(v) for v in g.center_radii],
             "n_directions": len(g.center_directions),
@@ -454,7 +454,9 @@ def run(config: RunConfig, stream=None) -> int:
     for r in records:
         status = "passed" if r.passed else "FAILED"
         ok = ok and r.passed
-        print(f"{status}  {r.label}  rel_err={r.rel_err:.3e}  tol={r.tolerance:g}", file=out)
+        # a comparison against zero fell back to its absolute error
+        err = f"abs_err={r.abs_err:.3e}" if r.rel_err == math.inf else f"rel_err={r.rel_err:.3e}"
+        print(f"{status}  {r.label}  {err}  tol={r.tolerance:g}", file=out)
     print(f"wrote {len(records)} records to {config.output_path}", file=out)
     return 0 if ok else 1
 

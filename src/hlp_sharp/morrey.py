@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,17 +109,22 @@ def source_space(p: ParamSet, j: int) -> MorreySpaceSpec:
     )
 
 
+@lru_cache(maxsize=None)
 def default_grid(n: int) -> BallGrid:
     """Center norms {0, 0.25, 1, 4}, one horizontal and the vertical
-    direction, 17 log-spaced radii over [1e-2, 1e2]."""
+    direction, 17 log-spaced radii over [1e-2, 1e2].  Built once per n on
+    first use and shared, so its direction coordinates are read-only."""
     dim = 2 * n + 1
     horiz = [0.0] * dim
     horiz[0] = 1.0
     vert = [0.0] * dim
     vert[-1] = 1.0
+    directions = (HPoint(tuple(horiz)), HPoint(tuple(vert)))
+    for d in directions:
+        d.coords.flags.writeable = False
     return BallGrid(
         center_radii=(0.0, 0.25, 1.0, 4.0),
-        center_directions=(HPoint(tuple(horiz)), HPoint(tuple(vert))),
+        center_directions=directions,
         radii=tuple(np.geomspace(1e-2, 1e2, 17)),
     )
 
@@ -176,6 +182,11 @@ def _cells(
                     cells.append(MorreyEstimate(0.0, cr, R, 0.0))
                     continue
                 value = w1**pref_exp * content ** (1.0 / q)
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"Morrey cell B(|a|={cr:g}, R={R:g}) is not finite in double precision: "
+                        f"content {content:.6g}, ball weight {w1:.6g}, value {value:.6g}"
+                    )
                 cells.append(MorreyEstimate(value, cr, R, value * se / (q * content)))
     return cells
 
@@ -222,20 +233,22 @@ def _cell_values_profile(
     split at the profile's breakpoints, with the exact moment below the
     rule's r_in."""
     space.check_weights(gp.Q)
-    gw = space.gamma_w
     fq = f.power_q(space.q) if not f.is_zero else f
-    p0 = fq.origin_exponent()
+    # |f|^q |x|^gamma_w as one power per segment: two separate powers with
+    # large opposite exponents overflow to inf * 0 at the rule's nodes
+    fw = RadialProfile(tuple((lo, hi, A, p + space.gamma_w) for lo, hi, A, p in fq.segments))
+    p0 = fw.origin_exponent()
     if p0 is not None:
-        _check_origin(p0 + gw, gp.Q)
-    k = gw + gp.Q - 1.0
+        _check_origin(p0, gp.Q)
+    k = gp.Q - 1.0
 
     def integral(cell, cr, center, R, rule):
         if rule is None:
-            return gp.omega_Q * fq.moment(k, 0.0, R), 0.0
-        inner = fq.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
-        return rule.inner * inner + float(rule.weights @ (fq(rule.nodes) * rule.nodes**gw)), 0.0
+            return gp.omega_Q * fw.moment(k, 0.0, R), 0.0
+        inner = fw.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
+        return rule.inner * inner + float(rule.weights @ fw(rule.nodes)), 0.0
 
-    return _cells(space, grid, gp, integral, fq.breakpoints())
+    return _cells(space, grid, gp, integral, fw.breakpoints())
 
 
 def _reduce(cells: Sequence[MorreyEstimate]) -> MorreyEstimate:

@@ -7,7 +7,9 @@ Four layers:
   composite Gauss-Legendre on panels geometrically refined toward the
   singular endpoint, with geometric-series extrapolation of the leftover
   mass; infinite tails are folded to (0, 1/2] by the rational map
-  r = c(1-s)/s;
+  r = c(1-s)/s; the nodes, half-widths and tail Jacobian depend only on
+  the panel geometry, so each table is built once per process, on first
+  use, and shared read-only;
 * quadrature oracles for the two sharp constants, built on the region
   decomposition of the max kernel and the iterated Beta-type reduction of
   the additive kernel — independent of the closed forms they certify;
@@ -101,7 +103,7 @@ def leggauss(k: int):
     guesses finds the roots in [0, 1); the weight 2 / ((1 - x^2) P_k'(x)^2)
     is taken at the root corrected by its last sub-ulp Newton step.  The
     negative nodes are the positive ones negated, so the rule is exactly
-    symmetric."""
+    symmetric.  The arrays are cached and shared, so they are read-only."""
     half = k // 2
     x = np.cos(math.pi * (np.arange((k + 1) // 2) + 0.75) / (k + 0.5))
     if k % 2:
@@ -124,35 +126,59 @@ def leggauss(k: int):
     d = -p / dp  # the root's offset from x, below one ulp
     dp = dp + d * (2.0 * x * dp - k * (k + 1) * p) / ((1.0 - x) * (1.0 + x))
     w = 2.0 / (((1.0 - x) * (1.0 + x) - 2.0 * x * d) * dp * dp)
-    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+    nodes, weights = np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _panel_sums(g, edges: np.ndarray, nodes: int) -> np.ndarray:
-    """Gauss-Legendre sums of g over consecutive panels [edges_i, edges_{i+1}]."""
-    x, w = leggauss(nodes)
+@lru_cache(maxsize=32)
+def _panel_table(b: float, K: int, folded: bool):
+    """The fixed geometry of one 1-D integral over (0, b]: _NODES_PER_PANEL
+    Gauss-Legendre nodes on each of K panels, geometric by half-octaves
+    toward 0, with the panels' half-widths.  Folded, the nodes s are
+    mapped to r = (1-s)/s and the Jacobian 1/s^2 is returned too (else
+    None).  Built once per process on first use; the arrays are read-only,
+    so an integrand that writes into its argument raises instead of
+    corrupting later integrals."""
+    x, _ = leggauss(_NODES_PER_PANEL)
+    # half-octave refinement toward 0: resolves sharp decay near b while the
+    # geometric-series extrapolation still handles the sub-panel mass exactly
+    # for power behavior
+    edges = b * np.exp2(-0.5 * np.arange(K + 1, dtype=float))[::-1]  # ascending
     a = edges[:-1]
     h = 0.5 * (edges[1:] - a)
-    mid = a + h
-    pts = mid[:, None] + h[:, None] * x[None, :]
+    s = ((a + h)[:, None] + h[:, None] * x[None, :]).ravel()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nodes, jac = ((1.0 - s) / s, 1.0 / (s * s)) if folded else (s, None)
+    for arr in (nodes, h, jac):
+        if arr is not None:
+            arr.flags.writeable = False
+    return nodes, h, jac
+
+
+def _panel_sums(g, b: float, K: int, folded: bool) -> np.ndarray:
+    """Gauss-Legendre sums of g over the panels of _panel_table(b, K, folded),
+    innermost first."""
+    nodes, h, jac = _panel_table(b, K, folded)
+    _, w = leggauss(_NODES_PER_PANEL)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        vals = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
-    return h * (vals @ w)
+        vals = np.asarray(g(nodes), dtype=float)
+        if folded:
+            # a decayed integrand kills the (possibly overflowing) Jacobian
+            vals = vals * np.where(vals == 0.0, 0.0, jac)
+    return h * (vals.reshape(K, _NODES_PER_PANEL) @ w)
 
 
-def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
-    """Integral over (0, b] with a possible power singularity at 0.
+def _int_singular0(g, b: float, spec: QuadratureSpec, where: str, folded: bool = False) -> float:
+    """Integral over (0, b] with a possible power singularity at 0; when
+    folded, of g((1-s)/s)/s^2 in s.
 
     Panels are geometric toward 0; the mass below the innermost breakpoint is
     estimated by geometric-series extrapolation of the trailing panel sums,
     which is exact for pure power integrands.  Panel sums that fail to decay
     signal a non-integrable endpoint.
     """
-    K = max(8, spec.panels)
-    # half-octave refinement toward 0: resolves sharp decay near b while the
-    # geometric-series extrapolation still handles the sub-panel mass exactly
-    # for power behavior
-    edges = b * np.exp2(-0.5 * np.arange(K + 1, dtype=float))[::-1]  # ascending
-    sums = _panel_sums(g, edges, _NODES_PER_PANEL)[::-1]  # [0]=outermost
+    sums = _panel_sums(g, b, max(8, spec.panels), folded)[::-1]  # [0]=outermost
     total = float(np.sum(sums))
     tail = sums[-1]
     scale = max(abs(total), float(np.max(np.abs(sums))), 1e-300)
@@ -179,14 +205,7 @@ def _int_singular0(g, b: float, spec: QuadratureSpec, where: str) -> float:
 def _int_tail(g, spec: QuadratureSpec) -> float:
     """Integral of g over (1, inf), folded to (0, 1/2] by the rational map
     r = (1-s)/s, which is exact for power tails."""
-
-    def h(s):
-        vals = np.asarray(g((1.0 - s) / s), dtype=float)
-        # a decayed integrand kills the (possibly overflowing) Jacobian
-        jac = np.where(vals == 0.0, 0.0, 1.0 / (s * s))
-        return vals * jac
-
-    return _int_singular0(h, 0.5, spec, "tail")
+    return _int_singular0(g, 0.5, spec, "tail", folded=True)
 
 
 def integrate_curve(g, spec: QuadratureSpec) -> float:

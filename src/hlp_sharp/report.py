@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["VerificationReport", "compare", "to_json_line", "write_reports"]
@@ -37,7 +37,8 @@ class VerificationReport:
     runtime_ms: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a shallow dict: every value is a scalar."""
+        return dict(vars(self))
 
 
 def compare(
@@ -85,6 +86,16 @@ def compare(
     )
 
 
+# json.dumps builds a new encoder on every call that sorts keys
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _clean(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    return v
+
+
 def to_json_line(record) -> str:
     """Serialize a report (or any mapping) to one flat JSON line.
 
@@ -93,13 +104,7 @@ def to_json_line(record) -> str:
     """
     if hasattr(record, "to_dict"):
         record = record.to_dict()
-
-    def _clean(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return repr(v)
-        return v
-
-    return json.dumps({k: _clean(v) for k, v in record.items()}, sort_keys=True)
+    return _ENCODER.encode({k: _clean(v) for k, v in record.items()})
 
 
 def write_reports(path, records) -> int:

@@ -89,6 +89,18 @@ def test_default_grid_shape():
     assert all(d.n == 2 for d in g.center_directions)
 
 
+def test_default_grid_is_one_shared_read_only_object():
+    g = default_grid(2)
+    assert default_grid(2) is g
+    assert default_grid(1) is not g
+    for d in g.center_directions:
+        with pytest.raises(ValueError, match="read-only"):
+            d.coords[0] = 5.0
+    assert [d.coords.tolist() for d in g.center_directions] == [
+        [1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Norm estimator
 # ---------------------------------------------------------------------------
@@ -173,6 +185,14 @@ def test_norm_estimates_are_deterministic(gp1, mc_small):
     a = morrey_norm(f, space, small_grid(), gp1, mc_small)
     b = morrey_norm(f, space, small_grid(), gp1, mc_small)
     assert a == b
+
+
+def test_a_non_finite_cell_raises_rather_than_drop_out_of_the_max(gp1, mc_small):
+    # |f|^2 = 1e400 overflows every content to inf; max() skips NaN cells
+    space = MorreySpaceSpec(q=2.0, lam=-0.3)
+    f = lambda X: np.full(X.shape[0], 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        morrey_norm_mc(f, space, small_grid(), gp1, mc_small)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,22 @@ def test_integrate_curve_flags_tail_divergence(quad_spec):
     assert "tail" in exc.value.conditions
 
 
+def test_integrand_writing_into_its_argument_raises_and_changes_nothing(quad_spec):
+    # the panel nodes are shared by every integral of the process
+    def g(r):
+        r *= 2.0
+        return r
+
+    def beta(t):
+        return t ** (0.3 - 1.0) * (1.0 + t) ** (-1.5)
+
+    before = integrate_curve(beta, quad_spec)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate_curve(g, quad_spec)
+    assert integrate_curve(beta, quad_spec) == before
+    assert before == pytest.approx(math.gamma(0.3) * math.gamma(1.2) / math.gamma(1.5), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Constant oracles
 # ---------------------------------------------------------------------------
@@ -127,6 +143,27 @@ def test_oracles_match_frozen_bilinear_values(gp1, quad_spec):
     assert hilbert_constant_oracle(e, gp1, quad_spec) == pytest.approx(
         FROZEN_B2, rel=1e-8
     )
+
+
+# Both oracles to the bit (float.hex).  panels = 7 uses 8, a second panel
+# table beside the default one.
+ORACLE_PINS = [
+    (1, (-1.5,), 96, "0x1.50e1eb50f3974p+4", "0x1.0c7cd46c2c612p+4"),
+    (1, (-1.5,), 7, "0x1.50c49bfd52d4fp+4", "0x1.0d33a713a417bp+4"),
+    (1, (-0.5, -0.5), 96, "0x1.fce9ad669d665p+7", "0x1.a3549e2437a08p+6"),
+    (2, (-0.7, -2.3), 96, "0x1.3de8868f57c02p+8", "0x1.e279d16593657p+6"),
+    (2, (-1.2, 0.4, -0.9), 96, "0x1.03e41fc68401ap+12", "0x1.1af83f3e9813fp+9"),
+    (3, (-3.0, -2.5, 1.5), 96, "0x1.4bacf06d0b1a2p+11", "0x1.5c873962e9a48p+8"),
+    (3, (-0.25, -0.5, -1.0, -2.0), 96, "0x1.335463ea1ed77p+14", "0x1.3222726b95c1bp+9"),
+]
+
+
+@pytest.mark.parametrize("n, sigmas, panels, hlp_hex, hilbert_hex", ORACLE_PINS)
+def test_oracles_are_bit_pinned(n, sigmas, panels, hlp_hex, hilbert_hex):
+    e = ExponentSet(sigma_list=sigmas, sigma=math.fsum(sigmas))
+    gp, spec = GroupParams(n=n), QuadratureSpec(panels=panels)
+    assert hlp_constant_oracle(e, gp, spec).hex() == hlp_hex
+    assert hilbert_constant_oracle(e, gp, spec).hex() == hilbert_hex
 
 
 def test_hlp_oracle_keeps_steep_tails_at_large_mQ(quad_spec):
@@ -571,6 +608,7 @@ def test_leggauss_matches_numpy_nodes_and_exact_weights():
         xn, wn = np.polynomial.legendre.leggauss(k)
         assert np.all(np.abs(x - xn) <= 2 * np.spacing(np.abs(xn)))
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert not (x.flags.writeable or w.flags.writeable)  # shared by every caller
         assert np.allclose(w, wn, rtol=2e-13, atol=0.0)
         with mpmath.workdps(40):
             for xi, wi in zip(x, w):

@@ -361,6 +361,41 @@ def test_group_check_records(tmp_path):
     assert all(r["passed"] for r in records)
 
 
+def test_group_check_console_shows_the_absolute_error_of_axioms(tmp_path):
+    # the axioms compare against 0, so rel_err is the flag inf: the console
+    # prints abs_err, the report keeps rel_err "inf"
+    path = tmp_path / "g.jsonl"
+    buf = io.StringIO()
+    assert run(config_from_args(["--command", "group-check", "--out", str(path)]), stream=buf) == 0
+    lines = buf.getvalue().splitlines()
+    records = [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
+    for line, r in zip(lines, records):
+        if r["rel_err"] == "inf":
+            assert f"abs_err={r['abs_err']:.3e}" in line and "rel_err" not in line
+        else:
+            assert f"rel_err={r['rel_err']:.3e}" in line
+    assert sum(r["rel_err"] == "inf" for r in records) >= 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_morrey_norm_with_opposite_huge_exponents_has_finite_cells(tmp_path):
+    # q_1 gamma_1 / q and q_1 sigma_1 are near +-18,200: as two separate
+    # powers they overflow to inf * 0 = NaN (92 of 119 cells), which max()
+    # would skip
+    argv = [
+        "--command", "morrey-norm", "--m", "2", "--n", "2", "--q", "1.8572411965649802",
+        "--qj", "166513.5165411988,1.8572619119003309",
+        "--lambda", "-0.051327616140734014",
+        "--lambdaj", "-5.724926432291088e-07,-0.051327043648090785",
+        "--gammaj", "0.203140462479235,-0.16469269491701155",
+        "--alpha", "-4.240882125702899",
+    ]
+    status, path = run_main(argv, tmp_path)
+    assert status == 0
+    record = json.loads(path.read_text().splitlines()[1])
+    assert record["passed"] and math.isfinite(record["oracle"])
+
+
 def test_verify_dilation_command(tmp_path):
     status, path = run_main(
         ["--command", "verify-dilation", "--t", "0.5,2", "--samples", "5000"],
@@ -602,6 +637,19 @@ def test_package_import_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_table_or_grid():
+    # per-process tables are built on first use, never at import
+    probe = (
+        "import hlp_sharp.cli, hlp_sharp.morrey as m, hlp_sharp.quad as q; "
+        "print([f.cache_info().currsize for f in (q._panel_table, q.leggauss, m.default_grid)])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0]"
 
 
 @pytest.mark.skipif(
