@@ -55,9 +55,10 @@ for n in (1, 2):
         print(f"  n={n} r={r:3.1f}  mc={est:10.6f}  exact={exact:10.6f}  z={(est - exact) / se:+5.2f}")
 
 # ---------------------------------------------------------------------------
-# The Morrey norm estimator is built to make the dilation law exact: the
-# same seeded sample stream evaluates both sides, so the cell-by-cell
-# ratio comes out at machine precision even though each side is random.
+# The Morrey cells of a radial profile are exact and scale-covariant:
+# origin cells are closed-form moments and off-center cells ball rules
+# whose nodes dilate with the ball, so the dilation law holds cell by cell
+# to rounding.
 # ---------------------------------------------------------------------------
 gp = GroupParams(n=1)
 space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=1.2, gamma_w=-0.8)
@@ -69,7 +70,7 @@ grid = BallGrid(
 f = RadialProfile.power(-1.1)
 mc = MCSpec(samples=20_000, seed=9, shards=8)
 
-norm = morrey_norm(f, space, grid, gp, mc)
+norm = morrey_norm(f, space, grid, gp)
 print(f"\n||f||_Morrey (grid lower bound) = {norm.value:.8f}")
 print(f"attained at center radius {norm.argmax_center_radius}, R = {norm.argmax_R}")
 

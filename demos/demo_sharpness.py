@@ -24,8 +24,10 @@ p = ParamSet(
 )
 
 # one full report for a single window: exact origin cells of the operator
-# output over exact norms of the pure powers, so the ratio is a certified
-# lower bound of the operator norm (no Monte Carlo draw in this regime)
+# output over exact norms of the pure powers.  For every strict set the
+# centered ball is the sup of a pure power's cells (bathtub principle), so
+# the ratio is a certified lower bound of the operator norm, with no Monte
+# Carlo draw
 mc = MCSpec(seed=1)
 rep = sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), mc)
 print(rep.label)

@@ -36,6 +36,7 @@ __all__ = [
     "source_space",
     "morrey_norm",
     "morrey_norm_mc",
+    "power_norm",
     "verify_dilation",
     "sharpness_ratio",
 ]
@@ -263,13 +264,25 @@ def morrey_norm(
     space: MorreySpaceSpec,
     grid: BallGrid,
     gp: GroupParams,
-    mc: MCSpec,
 ) -> MorreyEstimate:
     """Largest grid cell of the weighted Morrey norm of a radial profile:
     origin cells in closed form, off-center cells by their ball_rule, so the
-    value is a lower bound of the norm with stderr 0 and no random draw.  mc
-    is not used."""
+    value is a lower bound of the norm with stderr 0 and no random draw."""
     return _reduce(_cell_values_profile(f, space, grid, gp))
+
+
+def power_norm(p: ParamSet, j: int, gp: GroupParams) -> float:
+    """Exact norm of the extremizer r^{sigma_j} in the j-th (1-based) source
+    space of a strict set: its origin cell at any radius,
+    (omega_Q/(Q+alpha))^-(lambda_j+1/q_j) (omega_Q/(Q+a_j))^(1/q_j).  The
+    content exponent a_j = q_j sigma_j + q_j gamma_j / q then satisfies
+    a_j - alpha = (Q + alpha) q_j lambda_j < 0, so by the bathtub principle
+    (Lieb and Loss, Analysis, Thm 1.14) the centered ball holds the most
+    content of all sets of equal weight int_S |x|^alpha: the origin cell is
+    the sup over all balls."""
+    qj, lj = p.q_list[j - 1], p.lam_list[j - 1]
+    qa = gp.Q + qj * derive_exponents(p).sigma_list[j - 1] + qj * p.gamma_list[j - 1] / p.q
+    return (gp.omega_Q / (gp.Q + p.alpha)) ** -(lj + 1.0 / qj) * (gp.omega_Q / qa) ** (1.0 / qj)
 
 
 def morrey_norm_mc(
@@ -324,7 +337,7 @@ def verify_dilation(
     integrals, and the ball_rule of a dilated off-center cell places its
     nodes at the dilated radii, since its breaks and kinks depend only on
     the ratios of the radii, the center and the profile's breakpoints.
-    mc is not used.
+    mc only supplies the seed echoed in the records.
     """
     ts = [float(t) for t in factors]
     if not all(t > 0.0 for t in ts):
@@ -378,15 +391,9 @@ def sharpness_ratio(
     is T(r_0)^q r_0^(Q+gamma)/(Q+gamma), a lower bound as T is
     nonincreasing, and exact for the max kernel, constant below r_min.
 
-    When alpha >= 0 and q*sigma + gamma <= 0, each factor's content
-    integrand r^(q_j sigma_j + q_j gamma_j / q) = r^(q sigma + gamma) is
-    nonincreasing and the ball weight |x|^alpha nondecreasing, so by the
-    Hardy-Littlewood rearrangement inequality the origin cell of the pure
-    power r^{sigma_j}, which does not depend on R, is the sup over all
-    balls and bounds ||f_j|| from above: the ratio is a certified lower
-    bound of the operator norm.  Otherwise each denominator is the largest
-    grid-cell estimate of ||f_j||.  One denominator is computed per
-    distinct pair of profile and source space.
+    Each denominator is power_norm, the exact norm of the pure power
+    r^{sigma_j}, which bounds ||f_j|| from above: the ratio is a certified
+    lower bound of the operator norm for every strict set.
     """
     vr = validate(p, strict_sharpness=True)
     if not vr:
@@ -400,17 +407,7 @@ def sharpness_ratio(
     constant = KINDS[kind][0](e, gp)
 
     extremizers = [extremizer_profile(e, j + 1, truncation=(r_min, r_max)) for j in range(p.m)]
-    certified = p.alpha >= 0.0 and p.q * e.sigma + p.gamma <= 0.0
-    factors = [extremizer_profile(e, j + 1) for j in range(p.m)] if certified else extremizers
-    factor_grid = BallGrid((0.0,), grid.center_directions, (1.0,)) if certified else grid
-    norms = {}
-    denom = 1.0
-    for j, f in enumerate(factors):
-        space = source_space(p, j + 1)
-        key = (f.segments, space)
-        if key not in norms:
-            norms[key] = morrey_norm(f, space, factor_grid, gp, mc).value
-        denom *= norms[key]
+    denom = math.prod(power_norm(p, j + 1, gp) for j in range(p.m))
 
     Q, q, gw = gp.Q, p.q, p.gamma
     R = np.asarray(grid.radii, dtype=float)
@@ -425,10 +422,6 @@ def sharpness_ratio(
     num = float(np.max(w1 ** -(p.lam + 1.0 / q) * content ** (1.0 / q)))
 
     ratio = num / denom
-    bound = (
-        "certified lower bound: exact origin cells over pure-power denominators"
-        if certified else "estimate: exact origin cells over grid-estimate denominators"
-    )
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     return compare(
         f"sharpness {kind} m={p.m} truncation=({r_min:g},{r_max:g})",
@@ -436,7 +429,8 @@ def sharpness_ratio(
         ratio,
         0.1,
         convention_note=(
-            f"ratio/constant = {ratio / constant.value:.8f}; {bound}; "
+            f"ratio/constant = {ratio / constant.value:.8f}; "
+            "certified lower bound: exact origin cells over pure-power denominators; "
             f"{constant.convention_note}"
         ),
         seed=mc.seed,

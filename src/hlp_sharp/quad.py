@@ -431,8 +431,9 @@ def _radial_breaks(c, t, R, E0):
     angle reaches +-pi/2 at r^2 = t + sqrt(R^4 - c^4) and |t - sqrt(R^4 - c^4)|;
     for a horizontal center two kinks merge at theta = 0 at r = c + R and
     |c - R|; for a mixed one kinks merge where a quartic of _quartic_roots
-    gains or loses a pair of real roots, bracketed on a 257-point scan and
-    bisected.  The first and last break bound the ball's radial range."""
+    gains or loses a pair of real roots, bracketed on a 257-point scan just
+    wider than |a| -+ R and bisected.  The first and last break bound the
+    ball's radial range."""
     out = set()
     S = R**4 - c**4
     if S >= 0.0:
@@ -443,45 +444,72 @@ def _radial_breaks(c, t, R, E0):
         out |= {c + R, abs(c - R)}
     elif c > 0.0:
         a = (c**4 + t * t) ** 0.25
-        scan = np.linspace(abs(a - R), a + R, 257)
+        # a nearly horizontal center merges kinks within rounding of |a| -+ R
+        slack = 1e-9 * (a + R)
+        scan = np.linspace(abs(a - R) - slack, a + R + slack, 257)
         scan = scan[scan > 0.0]
-        for sign in (1.0, -1.0):
-            count = lambda r: np.sum(_quartic_roots(r, c, t, R, E0, sign)[1], axis=1)
-            n_real = count(scan)
-            j = np.nonzero(np.diff(n_real))[0]
-            lo, hi, n_lo = scan[j], scan[j + 1], n_real[j]
-            for _ in range(55):
-                mid = 0.5 * (lo + hi)
-                moved = count(mid) != n_lo
-                lo, hi = np.where(moved, lo, mid), np.where(moved, mid, hi)
-            out.update(0.5 * (lo + hi))
+        count = lambda r: np.sum(_quartic_roots(r, c, t, R, E0)[1], axis=1)
+        n_real = count(scan)
+        j = np.nonzero(np.diff(n_real))[0]
+        lo, hi, n_lo = scan[j], scan[j + 1], n_real[j]
+        for _ in range(55):
+            mid = 0.5 * (lo + hi)
+            moved = count(mid) != n_lo
+            lo, hi = np.where(moved, lo, mid), np.where(moved, mid, hi)
+        out.update(0.5 * (lo + hi))
     return sorted(out)
 
 
-def _quartic_roots(r, c, t, R, E0, sign):
-    """Roots p = (cos theta)^(1/2) of the kink equation of a mixed center,
-    squared free of w: (alpha p^2 + sign beta p - K)^2 = gamma^2 (1 - p^4),
-    alpha = 2 r^2 c^2, beta = 4 r c R^2, gamma = 2 r^2 t, K = r^4 + E0.  Each
-    real root in [0, 1] is a kink with w = (K - alpha p^2 - sign beta p) /
-    gamma.  Returns the roots' real parts, polished by Newton steps, and
-    whether each is real; (len(r), 4) arrays."""
+def _quartic_roots(r, c, t, R, E0):
+    """Roots of the kink equation of a mixed center, squared free of w:
+    h(p) = q(p)^2 - gamma^2 (1 - p^4) = 0 with q = alpha p^2 + beta p - K,
+    alpha = 2 r^2 c^2, beta = 4 r c R^2, gamma = 2 r^2 t, K = r^4 + E0.  A
+    real root p in (0, 1] is a kink at (cos theta)^(1/2) = p, one in [-1, 0)
+    a kink of the equation with -beta at -p; both have w = -q(p) / gamma.
+    The companion matrix finds the roots but loses half the digits of a
+    near-double pair: at gamma = 0 each root of the quadratic q is a double
+    root, and a pair also closes near p = +-1.  Such a pair is real when h,
+    in the factored form above, is not positive at the critical point
+    between its two roots, found by Newton on h'; it is split from there
+    along the local parabola.  Every real root is then polished by Newton
+    on the factored h, which keeps q's own relative accuracy.  Returns the
+    roots' real parts and whether each is real; (len(r), 4) arrays."""
     K = E0 + r**4
     al, be, ga = 2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t
-    coef = np.stack([al * al + ga * ga, 2.0 * sign * al * be, be * be - 2.0 * al * K,
-                     -2.0 * sign * be * K, K * K - ga * ga], axis=1)
+    coef = np.stack([al * al + ga * ga, 2.0 * al * be, be * be - 2.0 * al * K,
+                     -2.0 * be * K, K * K - ga * ga], axis=1)
     coef /= coef[:, :1]
     companion = np.zeros((r.size, 4, 4))
     companion[:, 0, :] = -coef[:, 1:]
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     roots = np.linalg.eigvals(companion)
-    p = roots.real
-    real = np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(p))
-    a4, a3, a2, a1, a0 = (coef[:, i : i + 1] for i in range(5))
+    p, real = roots.real, roots.imag == 0.0
+    al, be, ga2, K = al[:, None], be[:, None], (ga * ga)[:, None], K[:, None]
+
+    def h(x):
+        """h, h' and h'' at x, with q unsquared."""
+        q, dq = (al * x + be) * x - K, 2.0 * al * x + be
+        return (q * q - ga2 * (1.0 - x * x) * (1.0 + x * x), 2.0 * q * dq + 4.0 * ga2 * x**3,
+                2.0 * (dq * dq + 2.0 * al * q) + 12.0 * ga2 * x * x)
+
+    gap = np.abs(roots[:, :, None] - roots[:, None, :])
+    gap[:, range(4), range(4)] = np.inf
+    pair = np.min(gap, axis=2) <= 1e-6 * (1.0 + np.abs(roots))
     with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(pair):
+            partner = np.argmin(gap, axis=2)
+            x = 0.5 * (p + np.take_along_axis(p, partner, 1))
+            for _ in range(3):
+                _, d1, d2 = h(x)
+                x = np.where(pair & np.isfinite(d1 / d2), x - d1 / d2, x)
+            v, _, d2 = h(x)
+            half = np.sqrt(np.maximum(-2.0 * v / d2, 0.0))
+            upper = (roots.imag > 0.0) | ((roots.imag == 0.0) & (np.arange(4) > partner))
+            p = np.where(pair, x + np.where(upper, half, -half), p)
+            real = np.where(pair, v * d2 <= 0.0, real)
         for _ in range(3):
-            value = (((a4 * p + a3) * p + a2) * p + a1) * p + a0
-            step = value / (((4.0 * a4 * p + 3.0 * a3) * p + 2.0 * a2) * p + a1)
-            p = np.where(real & np.isfinite(step), p - step, p)
+            v, d1, _ = h(p)
+            p = np.where(real & np.isfinite(v / d1), p - v / d1, p)
     return p, real
 
 
@@ -522,15 +550,11 @@ def _kink_angles(r, c, t, R, E0):
         p = np.where((p > 0.0) & (p < 1.0), p, 0.0)
         theta = np.where(p > 0.0, np.arccos(p * p), _HALF_PI)
         return np.concatenate([theta, -theta], 1), np.concatenate([p, p], 1)
-    al, be, ga = 2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t
-    thetas, ps = [], []
-    for sign in (1.0, -1.0):
-        p, real = _quartic_roots(r, c, t, R, E0, sign)
-        p = np.where(real & (p > 0.0) & (p <= 1.0), p, 0.0)
-        w = (K[:, None] - al[:, None] * p * p - sign * be[:, None] * p) / ga[:, None]
-        thetas.append(np.where(p > 0.0, np.arctan2(w, p * p), _HALF_PI))
-        ps.append(p)
-    return np.concatenate(thetas, axis=1), np.concatenate(ps, axis=1)
+    al, be, ga = (v[:, None] for v in (2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t))
+    root, real = _quartic_roots(r, c, t, R, E0)
+    w = (K[:, None] - (al * root + be) * root) / ga
+    p = np.where(real & (np.abs(root) <= 1.0), np.abs(root), 0.0)
+    return np.where(p > 0.0, np.arctan2(w, p * p), _HALF_PI), p
 
 
 def _angle_panels(r, geo, n, mirror):

@@ -1,10 +1,13 @@
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hlp_sharp.hgroup import GroupParams, HPoint, hnorm_arrays
+from hlp_sharp.hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
+import hlp_sharp.cli as cli
 import hlp_sharp.morrey as morrey
 import hlp_sharp.quad as quad
 from hlp_sharp.morrey import (
@@ -14,11 +17,13 @@ from hlp_sharp.morrey import (
     default_grid,
     morrey_norm,
     morrey_norm_mc,
+    power_norm,
     sharpness_ratio,
+    source_space,
     verify_dilation,
 )
-from hlp_sharp.operators import RadialProfile
-from hlp_sharp.params import ParamSet
+from hlp_sharp.operators import RadialProfile, extremizer_profile
+from hlp_sharp.params import ParamSet, derive_exponents, validate
 from hlp_sharp.quad import DivergenceError, MCSpec, mc_ball_integral
 
 
@@ -106,12 +111,12 @@ def test_default_grid_is_one_shared_read_only_object():
 # ---------------------------------------------------------------------------
 
 
-def test_norm_reduces_to_lq_at_endpoint_lambda(gp1, mc_small):
+def test_norm_reduces_to_lq_at_endpoint_lambda(gp1):
     # lambda = -1/q makes the ball prefactor trivial, so the norm is the
     # global L^q norm, attained exactly by the largest origin ball.
     f = RadialProfile.power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.0, lam=-0.5)
-    est = morrey_norm(f, space, small_grid(), gp1, mc_small)
+    est = morrey_norm(f, space, small_grid(), gp1)
     exact = math.sqrt(gp1.omega_Q * (2.0**3 - 0.5**3) / 3.0)
     assert est.value == pytest.approx(exact, rel=1e-12)
     assert est.argmax_center_radius == 0.0
@@ -119,27 +124,27 @@ def test_norm_reduces_to_lq_at_endpoint_lambda(gp1, mc_small):
     assert isinstance(est, MorreyEstimate)
 
 
-def test_norm_is_positively_homogeneous(gp1, mc_small):
+def test_norm_is_positively_homogeneous(gp1):
     f = RadialProfile.power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=0.5, gamma_w=-0.25)
     f3 = RadialProfile.power(-0.5, 0.5, 2.0, amplitude=3.0)
-    base = morrey_norm(f, space, small_grid(), gp1, mc_small)
-    scaled = morrey_norm(f3, space, small_grid(), gp1, mc_small)
+    base = morrey_norm(f, space, small_grid(), gp1)
+    scaled = morrey_norm(f3, space, small_grid(), gp1)
     assert scaled.value == pytest.approx(3.0 * base.value, rel=1e-13)
     assert scaled.argmax_R == base.argmax_R
 
 
-def test_norm_of_zero_profile_is_zero(gp1, mc_small):
+def test_norm_of_zero_profile_is_zero(gp1):
     zero = RadialProfile.power(0.0, amplitude=0.0)
     space = MorreySpaceSpec(q=2.0, lam=-0.25)
-    est = morrey_norm(zero, space, small_grid(), gp1, mc_small)
+    est = morrey_norm(zero, space, small_grid(), gp1)
     assert est.value == 0.0 and est.stderr == 0.0
 
 
 def test_norm_divergence_condition_names(gp1, mc_small):
     space = MorreySpaceSpec(q=2.0, lam=-0.25)
     with pytest.raises(DivergenceError) as exc:
-        morrey_norm(RadialProfile.power(-2.0), space, small_grid(), gp1, mc_small)
+        morrey_norm(RadialProfile.power(-2.0), space, small_grid(), gp1)
     assert any("Q+sigma_j>0 violated" in c for c in exc.value.conditions)
 
     def f(X):
@@ -150,15 +155,15 @@ def test_norm_divergence_condition_names(gp1, mc_small):
     assert any("Q+sigma_j>0 violated" in c for c in exc.value.conditions)
 
 
-def test_norm_grows_monotonically_under_grid_append(gp1, mc_small):
+def test_norm_grows_monotonically_under_grid_append(gp1):
     f = RadialProfile.power(-0.5, 0.5, 2.0)
     space = MorreySpaceSpec(q=2.0, lam=-0.3, gamma_w=-0.25)
     small = small_grid(radii=(1.0, 5.0))
     bigger_r = small_grid(radii=(1.0, 5.0, 50.0))
     more_centers = small_grid(radii=(1.0, 5.0), center_radii=(0.0, 1.0, 4.0))
-    est = morrey_norm(f, space, small, gp1, mc_small)
-    est_r = morrey_norm(f, space, bigger_r, gp1, mc_small)
-    est_c = morrey_norm(f, space, more_centers, gp1, mc_small)
+    est = morrey_norm(f, space, small, gp1)
+    est_r = morrey_norm(f, space, bigger_r, gp1)
+    est_c = morrey_norm(f, space, more_centers, gp1)
     # appended cells reuse the index-keyed streams of existing cells, so the
     # sup over a superset is exactly >=
     assert est_r.value >= est.value
@@ -173,17 +178,17 @@ def test_norm_profile_and_callable_paths_agree(gp1, mc_small):
     def f(X):
         return hnorm_arrays(X, gp1.n) ** sigma
 
-    a = morrey_norm(prof, space, small_grid(), gp1, mc_small)
+    a = morrey_norm(prof, space, small_grid(), gp1)
     b = morrey_norm_mc(f, space, small_grid(), gp1, mc_small, origin_exponent=sigma)
     slack = 3.0 * (a.stderr + b.stderr) + 1e-6 * a.value
     assert abs(a.value - b.value) <= slack
 
 
-def test_norm_estimates_are_deterministic(gp1, mc_small):
+def test_norm_estimates_are_deterministic(gp1):
     f = RadialProfile.power(-1.1)
     space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=1.2, gamma_w=-0.8)
-    a = morrey_norm(f, space, small_grid(), gp1, mc_small)
-    b = morrey_norm(f, space, small_grid(), gp1, mc_small)
+    a = morrey_norm(f, space, small_grid(), gp1)
+    b = morrey_norm(f, space, small_grid(), gp1)
     assert a == b
 
 
@@ -214,11 +219,11 @@ def test_profile_norms_and_dilation_draw_nothing(monkeypatch, gp1, mc_small):
     grid = default_grid(1)
     f = RadialProfile.power(-1.1)
     space = MorreySpaceSpec(q=2.5, lam=-0.3, alpha=1.2, gamma_w=-0.8)
-    assert morrey_norm(f, space, grid, gp1, mc_small).stderr == 0.0
+    assert morrey_norm(f, space, grid, gp1).stderr == 0.0
     reports = verify_dilation(f, [0.5, 2.0], space, grid, gp1, mc_small)
     assert all(r.passed for r in reports)
     truncated = RadialProfile.power(-1.1, 1e-2, 1e2)
-    est = morrey_norm(truncated, MorreySpaceSpec(q=2.0, lam=-0.3, alpha=-1.0), grid, gp1, mc_small)
+    est = morrey_norm(truncated, MorreySpaceSpec(q=2.0, lam=-0.3, alpha=-1.0), grid, gp1)
     assert est.value > 0.0 and est.stderr == 0.0
 
 
@@ -339,24 +344,84 @@ def test_sharpness_rejects_unknown_kind(mc_small):
 
 
 @pytest.mark.parametrize(
-    "q_list, lam_list, calls",
+    "q_list, lam_list, norms",
     [((4.0, 4.0), (-0.125, -0.125), 1), ((3.0, 6.0), (-1.0 / 6.0, -1.0 / 12.0), 2)],
     ids=["identical", "distinct"],
 )
 def test_sharpness_ratio_one_norm_per_distinct_factor(
-    monkeypatch, mc_small, q_list, lam_list, calls
+    monkeypatch, mc_small, q_list, lam_list, norms
 ):
-    # the numerator takes no call; coincident denominators share one
+    # neither the numerator nor the denominators take a grid norm; each
+    # factor's norm is power_norm's closed form, and coincident factors
+    # share one value
+    def no_grid_norm(*args):
+        raise AssertionError("grid norm valued")
+
     seen = []
 
-    def counting_norm(f, space, grid, gp, mc):
-        seen.append(space)
-        return MorreyEstimate(value=1.0, argmax_center_radius=0.0, argmax_R=1.0, stderr=0.0)
+    def counting_power_norm(p, j, gp):
+        seen.append(power_norm(p, j, gp))
+        return seen[-1]
 
-    monkeypatch.setattr(morrey, "morrey_norm", counting_norm)
+    monkeypatch.setattr(morrey, "morrey_norm", no_grid_norm)
+    monkeypatch.setattr(morrey, "power_norm", counting_power_norm)
     p = ParamSet(
         m=2, n=1, q=2.0, q_list=q_list, lam=-0.25, lam_list=lam_list,
         gamma_list=(0.0, 0.0), alpha=0.0,
     )
-    sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), mc_small)
-    assert len(seen) == calls
+    rep = sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), mc_small)
+    assert len(seen) == 2 and len(set(seen)) == norms
+    assert "certified lower bound" in rep.convention_note
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pure_power_cells_never_exceed_the_closed_norm(n):
+    # bathtub principle: for a strict set no ball holds more of r^{sigma_j}
+    # than a centered one, off-center and in a mixed direction too
+    gp = GroupParams(n)
+    g = default_grid(n)
+    mixed = np.zeros(gp.dim)
+    mixed[0] = mixed[-1] = 1.0
+    grid = BallGrid(
+        g.center_radii,
+        (*g.center_directions, HPoint(dilate_arrays(2.0**-0.25, mixed, n))),
+        g.radii[::8],
+    )
+    for flags in (
+        ["--alpha", "-1"],
+        ["--m", "2", "--qj", "3,6", "--alpha", "-0.5", "--gammaj", "0.3,-0.2"],
+        ["--m", "2", "--q", "3", "--alpha", "-2.5"],
+    ):
+        p = cli.config_from_args(["--command", "verify-sharpness", "--n", str(n), *flags]).params
+        assert validate(p, strict_sharpness=True).ok and p.alpha < 0.0
+        e = derive_exponents(p)
+        for j in range(1, p.m + 1):
+            cell = morrey_norm(extremizer_profile(e, j), source_space(p, j), grid, gp)
+            assert cell.value <= power_norm(p, j, gp) * (1.0 + 1e-10), (flags, j, cell)
+
+
+def test_certified_values_take_no_grid_norm(monkeypatch, tmp_path):
+    # the sharpness denominators and morrey-norm's exact value are closed
+    # forms: no grid norm is valued for either, only morrey-norm's estimate
+    def no_grid_norm(*args):
+        raise AssertionError("grid norm valued")
+
+    estimated = []
+
+    def estimate(f, space, grid, gp):
+        estimated.append(grid)
+        return MorreyEstimate(value=1.0, argmax_center_radius=0.0, argmax_R=1.0, stderr=0.0)
+
+    monkeypatch.setattr(morrey, "morrey_norm", no_grid_norm)
+    monkeypatch.setattr(cli, "morrey_norm", estimate)
+    p = ParamSet(
+        m=2, n=1, q=2.0, q_list=(3.0, 6.0), lam=-0.25, lam_list=(-1.0 / 6.0, -1.0 / 12.0),
+        gamma_list=(0.0, 0.0), alpha=-0.5,
+    )
+    rep = sharpness_ratio("hlp", p, (1e-2, 1e2), default_grid(1), MCSpec())
+    assert "certified lower bound" in rep.convention_note
+    config = cli.config_from_args(["--command", "morrey-norm", "--out", str(tmp_path / "r.jsonl")])
+    assert cli.run(config, stream=io.StringIO()) in (0, 1)
+    assert estimated == [config.grid]
+    record = json.loads(open(config.output_path).read().splitlines()[1])
+    assert record["closed_form"] == power_norm(config.params, 1, GroupParams(1))

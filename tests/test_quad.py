@@ -395,6 +395,29 @@ def test_ball_rule_volume_mixed_direction_center(n):
         assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10)
 
 
+@pytest.mark.parametrize("gauge, t, R", [(0.153, 1.8e-6, 0.0233), (2.34, 0.0123, 0.0070)])
+def test_ball_rule_mixed_center_merging_at_the_ends(gauge, t, R):
+    # kinks merge within rounding of |a| -+ R, where the companion matrix
+    # blurred the near-double roots: neither cell found a radial break
+    gp = GroupParams(1)
+    rule = quad.ball_rule(HPoint(((gauge**4 - t * t) ** 0.25, 0.0, t)), R, gp)
+    assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_rule_volume_from_nearly_horizontal_to_nearly_vertical(n):
+    # unit-gauge centers (cos phi^(1/2), 0, .., sin phi) with t / c^2 = tan phi
+    # from 1e-7 to 1e5; balls inside, through and around the origin
+    gp = GroupParams(n)
+    for u in (-7.0, -4.0, -1.0, 2.0, 5.0):
+        phi = math.atan(10.0**u)
+        coords = np.zeros(gp.dim)
+        coords[0], coords[-1] = math.cos(phi) ** 0.5, math.sin(phi)
+        for R in (0.01, 1.0, 10.0):
+            rule = quad.ball_rule(HPoint(coords), R, gp)
+            assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10), (u, R)
+
+
 def test_ball_rule_rejects_bad_arguments(gp1):
     with pytest.raises(ValueError, match="off-origin"):
         quad.ball_rule(identity(1), 1.0, gp1)
