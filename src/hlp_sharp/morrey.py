@@ -153,17 +153,20 @@ def _cells(
     gp: GroupParams,
     integral: Callable,
     breakpoints: Optional[Sequence[float]] = None,
+    unit: float = 1.0,
 ) -> List[MorreyEstimate]:
     """Every cell of the grid in fixed order, valued as
-    w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with the first-order error
-    of the content.  integral(cell, cr, center, R, rule) is the content and
-    its stderr; cell = (ci, di, ri) keys random streams and rule is the
-    cell's ball_rule (None at the origin).  A radial content passes its
-    breakpoints, and every off-center cell builds its rule split there; a
-    Monte Carlo content passes None, and a cell builds a rule only for a
-    weight alpha != 0.  Rules are built one cell at a time.  The origin is
-    visited with its first direction only, since all directions coincide
-    there."""
+    unit * w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with the first-order
+    error of the content, where f is the function divided by unit.
+    integral(cell, cr, center, R, rule) is the content and its stderr;
+    cell = (ci, di, ri) keys random streams and rule is the cell's ball_rule
+    (None at the origin).  A radial content passes its breakpoints, and
+    every off-center cell takes its rule split there; a Monte Carlo content
+    passes None, and a cell takes a rule only for a weight alpha != 0.
+    Rules come from quad.ball_rule's per-process cache, so a grid valued
+    again, for another function with the same breakpoints, builds none.
+    The origin is visited with its first direction only, since all
+    directions coincide there."""
     q = space.q
     pref_exp = -(space.lam + 1.0 / q)
     radial = breakpoints is not None
@@ -182,7 +185,7 @@ def _cells(
                 if content <= 0.0 or w1 <= 0.0:
                     cells.append(MorreyEstimate(0.0, cr, R, 0.0))
                     continue
-                value = w1**pref_exp * content ** (1.0 / q)
+                value = unit * w1**pref_exp * content ** (1.0 / q)
                 if not math.isfinite(value):
                     raise ValueError(
                         f"Morrey cell B(|a|={cr:g}, R={R:g}) is not finite in double precision: "
@@ -232,9 +235,12 @@ def _cell_values_profile(
     """All grid-cell values for a radial profile, none of them random:
     origin cells are closed-form moments, off-center cells their ball_rule
     split at the profile's breakpoints, with the exact moment below the
-    rule's r_in."""
+    rule's r_in.  A cell is 1-homogeneous in f, so the profile is divided by
+    its largest amplitude before its q-th power, which would otherwise
+    overflow or underflow at large q, and the cells are multiplied back."""
     space.check_weights(gp.Q)
-    fq = f.power_q(space.q) if not f.is_zero else f
+    unit = max((A for _, _, A, _ in f.segments), default=1.0)
+    fq = RadialProfile(tuple((lo, hi, A / unit, p) for lo, hi, A, p in f.segments)).power_q(space.q)
     # |f|^q |x|^gamma_w as one power per segment: two separate powers with
     # large opposite exponents overflow to inf * 0 at the rule's nodes
     fw = RadialProfile(tuple((lo, hi, A, p + space.gamma_w) for lo, hi, A, p in fq.segments))
@@ -249,7 +255,7 @@ def _cell_values_profile(
         inner = fw.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
         return rule.inner * inner + float(rule.weights @ fw(rule.nodes)), 0.0
 
-    return _cells(space, grid, gp, integral, fw.breakpoints())
+    return _cells(space, grid, gp, integral, fw.breakpoints(), unit)
 
 
 def _reduce(cells: Sequence[MorreyEstimate]) -> MorreyEstimate:

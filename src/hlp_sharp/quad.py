@@ -18,7 +18,8 @@ Four layers:
   ball membership to a disc in two horizontal coordinates, whose mass has
   a closed form at n = 1, 2 and a 1-D integral above; Gauss-Legendre
   panels split at the kinks of that reduction, in the radius and the polar
-  angle, carry it to ~1e-10;
+  angle, carry it to ~1e-10; each rule is built once per process per
+  (n, |z|, |t|, R, breakpoints) and shared read-only;
 * Monte Carlo integration over gauge balls with stratified radial sampling
   and importance sampling for origin singularities, drawing directions from
   the exact polar law of the unit gauge sphere, for integrands that are
@@ -292,6 +293,7 @@ _P_ZONE = math.cos(_ZONE) ** 0.5
 _ROWS = 256  # radii whose angle panels are built at once
 _CHUNK = 1 << 13  # node values computed at once; both bound the rule's memory
 _VOLUME_TOL = 1e-7  # largest accepted error of a rule's own ball volume
+_RULE_CACHE = 1024  # rules kept per process; one holds 0.4 to 12 KB of arrays
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,9 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     against |a|_h (like eps (|a|_h / R)^2 at a vertical center), so a ball
     whose rule misses its own volume
     Omega_Q R^Q by more than 1e-7 (R below ~1e-5 |a|_h) raises ValueError
-    rather than return a wrong or zero cell.
+    rather than return a wrong or zero cell.  The rule reads only n, |z|,
+    |t|, R and the breakpoints, so each is built once per process on first
+    use and shared (the last _RULE_CACHE kept); its arrays are read-only.
     """
     radius = float(radius)
     if not radius > 0.0:
@@ -346,6 +350,15 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     c, t = math.sqrt(float(z @ z)), abs(float(center.coords[-1]))
     if c == 0.0 and t == 0.0:
         raise ValueError("ball_rule needs an off-origin center")
+    return _built_rule(c, t, radius, gp, tuple(float(b) for b in breakpoints))
+
+
+@lru_cache(maxsize=_RULE_CACHE)
+def _built_rule(c, t, radius, gp, breakpoints):
+    """The rule of ball_rule, built once per process per (|z|, |t|, R, gp,
+    breakpoints) on first use; its arrays are shared, so they are read-only.
+    A ball that fails the volume check raises on every call, since
+    lru_cache stores no exception."""
     # E0 = |a|^4 - R^4 within its own rounding counts as a boundary through
     # the origin, so a ball and its dilate agree on which case they are
     quartics = (c**4, t * t, radius**4)
@@ -355,7 +368,7 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     geo = (c, t, radius, E0)
     breaks = _radial_breaks(*geo)
     lo, hi = breaks[0], breaks[-1]
-    edges = sorted({*breaks, *(float(b) for b in breakpoints if lo < b < hi)})
+    edges = sorted({*breaks, *(b for b in breakpoints if lo < b < hi)})
     edges = [e for i, e in enumerate(edges) if i == 0 or e - edges[i - 1] > 1e-13 * e]
     if len(edges) < 2:
         edges.append(edges[0])  # no radial range left: the volume check below raises
@@ -376,6 +389,7 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
             f"B(a, {radius:g}) is too small against |a|_h = {(c**4 + t * t) ** 0.25:g} for the "
             f"radial rule: its volume is off by {miss:.1e}"
         )
+    r.flags.writeable = weights.flags.writeable = False
     return BallRule(edges[0], gp.omega_Q * inner, r, weights)
 
 

@@ -98,6 +98,11 @@ def _homogeneous_scale(*points):
 @example(
     HPoint(np.array([0.0, 1.0, 0.0])), HPoint(np.array([1.0, 0.0, 0.0])), HPoint(np.array([1.0, 1e-16, 0.0]))
 )
+@example(  # a near-worst draw of an adversarial search: 1.56 sqrt(eps) S
+    HPoint(np.array([3.0, -3.0, 0.0])),
+    HPoint(np.array([0.0, 0.0, 3.893])),
+    HPoint(np.array([3.88e-15, 4.22e-15, 3.893])),
+)
 @settings(max_examples=200, deadline=None)
 def test_distance_left_invariance(z, x, y):
     # The gauge distance is Holder-1/2 in the vertical coordinate: rounding

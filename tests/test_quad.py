@@ -431,6 +431,44 @@ def test_ball_rule_rejects_bad_arguments(gp1):
             quad.ball_rule(center, 1e-9, gp1)
 
 
+def test_ball_rule_cache_returns_a_cold_build_bit_for_bit():
+    gp = GroupParams(2)
+    center, breaks = _center(2, 0.6, -0.8, scale=1.0), (0.5, 1.5)
+    warm = quad.ball_rule(center, 1.0, gp, breaks)
+    assert quad.ball_rule(center, 1.0, gp, breaks) is warm
+    quad._built_rule.cache_clear()
+    cold = quad.ball_rule(center, 1.0, gp, breaks)
+    assert cold is not warm and quad._built_rule.cache_info().misses == 1
+    assert (cold.r_in, cold.inner) == (warm.r_in, warm.inner)
+    for a, b in ((cold.nodes, warm.nodes), (cold.weights, warm.weights)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cached_rule_arrays_are_read_only(gp1):
+    rule = quad.ball_rule(HPoint((1.0, 0.0, 0.5)), 1.0, gp1)
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_centers_of_equal_horizontal_norm_share_one_rule(gp1):
+    # the rule reads |z| and |t| only, so a rotated or reflected center hits
+    for t in (0.0, 2.0):
+        rule = quad.ball_rule(HPoint((3.0, 4.0, t)), 1.0, gp1)
+        assert quad.ball_rule(HPoint((5.0, 0.0, t)), 1.0, gp1) is rule
+        assert quad.ball_rule(HPoint((0.0, -5.0, -t)), 1.0, gp1) is rule
+
+
+def test_too_small_ball_raises_on_every_call(gp1):
+    # lru_cache stores no exception: the refused rule is rebuilt and refused again
+    quad._built_rule.cache_clear()
+    for calls in (1, 2):
+        with pytest.raises(ValueError, match="too small"):
+            quad.ball_rule(HPoint((1.0, 0.0, 0.0)), 1e-9, gp1)
+        assert quad._built_rule.cache_info().misses == calls
+    assert quad._built_rule.cache_info().currsize == 0
+
+
 _PROFILE_CASES = [
     # n, horizontal, vertical, R, profile (sigma, r_min, r_max)
     (1, 1.0, 0.0, 0.6, (-1.5, 0.0, math.inf)),
@@ -534,8 +572,10 @@ def test_vertical_cells_take_the_cap_in_closed_form(monkeypatch, n):
 
     monkeypatch.setattr(quad, "_disc_share", refuse)
     gp = GroupParams(n)
+    quad._built_rule.cache_clear()  # a cached rule would evaluate nothing
     for R in (0.5, 1.0, 2.0):
         quad.ball_rule(_center(n, 0.0, 1.0), R, gp)
+    assert quad._built_rule.cache_info().misses == 3
     r = np.geomspace(1e-8, math.sqrt(2.0) * (1.0 - 1e-6), 60)
     phi = quad._occupancy(r, (0.0, 1.0, 1.0, 0.0), n)
     with mpmath.workdps(30):
@@ -559,6 +599,7 @@ def test_horizontal_rules_value_only_the_upper_half(monkeypatch, n):
 
     monkeypatch.setattr(quad, "_disc_share", record)
     gp = GroupParams(n)
+    quad._built_rule.cache_clear()  # a cached rule would evaluate nothing
     for scale, R in ((1.0, 1.0), (0.25, 1.0), (4.0, 0.01), (1.0, 100.0)):
         seen.clear()
         rule = quad.ball_rule(_center(n, 1.0, 0.0, scale), R, gp)

@@ -396,6 +396,43 @@ def test_morrey_norm_with_opposite_huge_exponents_has_finite_cells(tmp_path):
     assert record["passed"] and math.isfinite(record["oracle"])
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_dilation_with_a_huge_factor_exponent_passes(tmp_path):
+    # the dilated amplitude t^sigma_1 raised to q_1 = 166,514 overflows at
+    # t = 0.5 and underflows at t = 2, 10 unless the profile is normalized
+    argv = [
+        "--command", "verify-dilation", "--m", "2", "--n", "2", "--q", "1.8572411965649802",
+        "--qj", "166513.5165411988,1.8572619119003309",
+        "--lambda", "-0.051327616140734014",
+        "--lambdaj", "-5.724926432291088e-07,-0.051327043648090785",
+        "--gammaj", "0.203140462479235,-0.16469269491701155",
+        "--alpha", "-4.240882125702899",
+    ]
+    status, path = run_main(argv, tmp_path)
+    assert status == 0
+    records = [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
+    assert len(records) == 3 and all(r["passed"] for r in records)
+
+
+def test_morrey_norm_builds_no_rule_for_a_second_set(tmp_path):
+    # a rule reads only its ball and the profile's breakpoints (none for a
+    # pure power), so another set at the same n reuses every rule of the
+    # grid, and its report is the one a cold cache gives
+    import hlp_sharp.quad as quad
+
+    quad._built_rule.cache_clear()
+    assert run_main(["--command", "morrey-norm", "--n", "2"], tmp_path, "first.jsonl")[0] == 0
+    built = quad._built_rule.cache_info().misses
+    argv = ["--command", "morrey-norm", "--n", "2", "--alpha", "0.5", "--lambda", "-0.3"]
+    status, warm = run_main(argv, tmp_path, "warm.jsonl")
+    assert status == 0 and quad._built_rule.cache_info().misses == built
+    quad._built_rule.cache_clear()
+    status, cold = run_main(argv, tmp_path, "cold.jsonl")
+    assert status == 0 and quad._built_rule.cache_info().misses == built
+    timeless = [re.sub(r'"runtime_ms": \d+', "", p.read_text()) for p in (warm, cold)]
+    assert timeless[0] == timeless[1]
+
+
 def test_verify_dilation_command(tmp_path):
     status, path = run_main(
         ["--command", "verify-dilation", "--t", "0.5,2", "--samples", "5000"],
@@ -643,13 +680,14 @@ def test_cli_import_builds_no_table_or_grid():
     # per-process tables are built on first use, never at import
     probe = (
         "import hlp_sharp.cli, hlp_sharp.morrey as m, hlp_sharp.quad as q; "
-        "print([f.cache_info().currsize for f in (q._panel_table, q.leggauss, m.default_grid)])"
+        "print([f.cache_info().currsize for f in "
+        "(q._panel_table, q.leggauss, m.default_grid, q._built_rule)])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_cli_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
 
 @pytest.mark.skipif(
