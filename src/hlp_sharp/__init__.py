@@ -10,11 +10,12 @@ The package splits into layers:
 - params: the exponent bookkeeping (ParamSet), derived scaling exponents
   sigma_j / sigma, admissibility validation, and DivergenceError.
 - quad: deterministic 1-D quadrature, the two independent constant oracles,
-  and seeded Monte Carlo ball integration.
+  the gauge-ball rule for radial integrands, and seeded Monte Carlo ball
+  integration for group-check's volumes.
 - constants: closed forms of the sharp constants (log-Gamma from
   math.lgamma) and their reconciliation against the oracles.
-- operators: radial profiles, the operators applied to them, extremizers,
-  and radialization.
+- operators: radial profiles, the operators applied to them, and
+  extremizers.
 - morrey: weighted Morrey norms over ball grids, the dilation law check,
   and truncated-extremizer sharpness ratios.
 - report / cli: flat verification records, JSON-lines/CSV plumbing, and the

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--alpha", type=float, default=0.0, help="ball-weight exponent")
     ap.add_argument("--kind", choices=tuple(KINDS), default="hlp")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--samples", type=int, default=100_000, help="Monte Carlo samples per estimate")
+    ap.add_argument("--samples", type=int, default=100_000, help="samples per group-check ball-volume estimate")
     ap.add_argument("--panels", type=int, default=96, help="quadrature panels per segment")
     ap.add_argument("--out", type=str, default=None,
                     help="report path (default hlp_report.jsonl, or hlp_convergence.csv for csv)")
@@ -310,7 +310,7 @@ def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
     e = derive_exponents(p)
     f = extremizer_profile(e, 1)
     space = source_space(p, 1)
-    return verify_dilation(f, config.dilation_factors, space, config.grid, gp, config.mc)
+    return verify_dilation(f, config.dilation_factors, space, config.grid, gp, config.mc.seed)
 
 
 def _cmd_verify_sharpness(config: RunConfig) -> List[VerificationReport]:
@@ -318,7 +318,7 @@ def _cmd_verify_sharpness(config: RunConfig) -> List[VerificationReport]:
     (--rmin, --rmax)."""
     truncations = config.widths if config.format == "csv" else (config.truncation,)
     return [
-        sharpness_ratio(config.kind, config.params, t, config.grid, config.mc)
+        sharpness_ratio(config.kind, config.params, t, config.grid, config.mc.seed)
         for t in truncations
     ]
 
@@ -339,7 +339,7 @@ def _cmd_morrey_norm(config: RunConfig) -> List[VerificationReport]:
     note = (
         f"grid lower bound vs exact origin-cell value (radius-independent "
         f"under the matched content weight); argmax cell |a|="
-        f"{est.argmax_center_radius:g}, R={est.argmax_R:g}, stderr={est.stderr:.3g}"
+        f"{est.argmax_center_radius:g}, R={est.argmax_R:g}"
     )
     return [
         compare(

@@ -2,13 +2,11 @@
 truncated-extremizer sharpness experiment.
 
 The norm evaluates w_1(B)^{-(lambda+1/q)} (int_B |f|^q w_2)^{1/q} over a
-finite grid of balls and reports the largest cell.  For a radial profile
-no cell is random: origin-centered cells are exact 1-D piecewise power
+finite grid of balls and reports the largest cell.  Profiles are radial,
+so no cell is random: origin-centered cells are exact 1-D piecewise power
 integrals, and each off-center cell is one quad.ball_rule, which values
 both the content and the ball weight w_1 = int_B |x|^alpha.  The maximum
-is then a lower bound of the norm (to the rule's ~1e-10 accuracy), with
-stderr 0.  Only a non-radial function (morrey_norm_mc) values its content
-by Monte Carlo, with one fixed random stream per cell.
+is then a lower bound of the norm, to the rule's ~1e-10 accuracy.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .constants import KINDS
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
 from .operators import RadialProfile, apply_radii, extremizer_profile, log_panels
 from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
-from .quad import MCSpec, ball_rule, derive_seed, eval_batch, mc_ball_integral
+from .quad import ball_rule
 from .report import VerificationReport, compare
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "default_grid",
     "source_space",
     "morrey_norm",
-    "morrey_norm_mc",
     "power_norm",
     "verify_dilation",
     "sharpness_ratio",
@@ -98,15 +95,23 @@ class BallGrid:
         )
 
 
+def _factor_index(p: ParamSet, j: int) -> int:
+    """The 0-based index of factor j (1-based) of p; IndexError outside 1..m."""
+    if not 1 <= j <= p.m:
+        raise IndexError(f"factor index {j} out of range 1..{p.m}")
+    return j - 1
+
+
 def source_space(p: ParamSet, j: int) -> MorreySpaceSpec:
     """Factor space of index j (1-based): exponents (q_j, lambda_j), ball
     weight |x|^alpha, content weight |x|^(q_j gamma_j / q)."""
-    qj = p.q_list[j - 1]
+    i = _factor_index(p, j)
+    qj = p.q_list[i]
     return MorreySpaceSpec(
         q=qj,
-        lam=p.lam_list[j - 1],
+        lam=p.lam_list[i],
         alpha=p.alpha,
-        gamma_w=qj * p.gamma_list[j - 1] / p.q,
+        gamma_w=qj * p.gamma_list[i] / p.q,
     )
 
 
@@ -132,78 +137,12 @@ def default_grid(n: int) -> BallGrid:
 
 @dataclass(frozen=True)
 class MorreyEstimate:
-    """One grid cell B(a, R), |a| = argmax_center_radius, R = argmax_R: its
-    value and the Monte Carlo stderr of that value, 0 for the closed-form
-    and ball_rule cells of a radial profile.  The norm functions return the
-    cell of largest value over the evaluated grid."""
+    """One grid cell B(a, R), |a| = argmax_center_radius, R = argmax_R, and
+    its value.  morrey_norm returns the cell of largest value over the grid."""
 
     value: float
     argmax_center_radius: float
     argmax_R: float
-    stderr: float
-
-
-def _cell_center(cr: float, direction: HPoint, n: int) -> HPoint:
-    return HPoint(dilate_arrays(cr, direction.coords, n))
-
-
-def _cells(
-    space: MorreySpaceSpec,
-    grid: BallGrid,
-    gp: GroupParams,
-    integral: Callable,
-    breakpoints: Optional[Sequence[float]] = None,
-    unit: float = 1.0,
-) -> List[MorreyEstimate]:
-    """Every cell of the grid in fixed order, valued as
-    unit * w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q) with the first-order
-    error of the content, where f is the function divided by unit.
-    integral(cell, cr, center, R, rule) is the content and its stderr;
-    cell = (ci, di, ri) keys random streams and rule is the cell's ball_rule
-    (None at the origin).  A radial content passes its breakpoints, and
-    every off-center cell takes its rule split there; a Monte Carlo content
-    passes None, and a cell takes a rule only for a weight alpha != 0.
-    Rules come from quad.ball_rule's per-process cache, so a grid valued
-    again, for another function with the same breakpoints, builds none.
-    The origin is visited with its first direction only, since all
-    directions coincide there."""
-    q = space.q
-    pref_exp = -(space.lam + 1.0 / q)
-    radial = breakpoints is not None
-    cells: List[MorreyEstimate] = []
-    for ci, cr in enumerate(grid.center_radii):
-        for di, direction in enumerate(grid.center_directions):
-            if cr == 0.0 and di > 0:
-                continue
-            center = _cell_center(cr, direction, gp.n)
-            for ri, R in enumerate(grid.radii):
-                rule = None
-                if cr != 0.0 and (radial or space.alpha != 0.0):
-                    rule = ball_rule(center, R, gp, breakpoints or ())
-                content, se = integral((ci, di, ri), cr, center, R, rule)
-                w1 = _ball_weight(cr, R, space.alpha, gp, rule)
-                if content <= 0.0 or w1 <= 0.0:
-                    cells.append(MorreyEstimate(0.0, cr, R, 0.0))
-                    continue
-                value = unit * w1**pref_exp * content ** (1.0 / q)
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"Morrey cell B(|a|={cr:g}, R={R:g}) is not finite in double precision: "
-                        f"content {content:.6g}, ball weight {w1:.6g}, value {value:.6g}"
-                    )
-                cells.append(MorreyEstimate(value, cr, R, value * se / (q * content)))
-    return cells
-
-
-def _cell_mc(mc: MCSpec, cell: Tuple[int, int, int]) -> MCSpec:
-    """Monte Carlo settings of the cell with indices (ci, di, ri): the seed
-    is keyed by the run seed and the cell, so coupled runs over the same grid
-    share their draws cell by cell."""
-    return MCSpec(
-        samples=mc.samples,
-        seed=derive_seed(derive_seed(mc.seed, *cell), 0),
-        shards=mc.shards,
-    )
 
 
 def _check_origin(exponent: float, Q: float) -> None:
@@ -213,6 +152,12 @@ def _check_origin(exponent: float, Q: float) -> None:
             f"Morrey cell integral diverges at the origin: exponent {exponent:+.6g} <= -Q",
             conditions=(violated(Q_PLUS_SIGMA_J, f"q*sigma+gamma_w = {exponent:+.6g} <= -Q"),),
         )
+
+
+def _not_finite(cr: float, R: float, detail: str) -> ValueError:
+    return ValueError(
+        f"Morrey cell B(|a|={cr:g}, R={R:g}) is not finite in double precision: {detail}"
+    )
 
 
 def _ball_weight(cr: float, R: float, alpha: float, gp: GroupParams, rule) -> float:
@@ -226,18 +171,27 @@ def _ball_weight(cr: float, R: float, alpha: float, gp: GroupParams, rule) -> fl
     return rule.inner * inner + float(rule.weights @ rule.nodes**alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every non-finite cell is refused by name
 def _cell_values_profile(
     f: RadialProfile,
     space: MorreySpaceSpec,
     grid: BallGrid,
     gp: GroupParams,
 ) -> List[MorreyEstimate]:
-    """All grid-cell values for a radial profile, none of them random:
+    """Every grid cell of a radial profile in fixed order, valued as
+    w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q), none of them random:
     origin cells are closed-form moments, off-center cells their ball_rule
     split at the profile's breakpoints, with the exact moment below the
-    rule's r_in.  A cell is 1-homogeneous in f, so the profile is divided by
-    its largest amplitude before its q-th power, which would otherwise
-    overflow or underflow at large q, and the cells are multiplied back."""
+    rule's r_in.  Rules come from quad.ball_rule's per-process cache, so a
+    grid valued again, for another profile with the same breakpoints,
+    builds none.  The origin is visited with its first direction only,
+    since all directions coincide there.
+
+    A cell is 1-homogeneous in f, so the profile is divided by its largest
+    amplitude before its q-th power, which would otherwise overflow or
+    underflow at large q, and the cells are multiplied back.  A ball weight
+    of 0 or inf, an overflow or a value that is not finite raises
+    ValueError naming the cell, since max() would skip a NaN cell."""
     space.check_weights(gp.Q)
     unit = max((A for _, _, A, _ in f.segments), default=1.0)
     fq = RadialProfile(tuple((lo, hi, A / unit, p) for lo, hi, A, p in f.segments)).power_q(space.q)
@@ -248,21 +202,36 @@ def _cell_values_profile(
     if p0 is not None:
         _check_origin(p0, gp.Q)
     k = gp.Q - 1.0
-
-    def integral(cell, cr, center, R, rule):
-        if rule is None:
-            return gp.omega_Q * fw.moment(k, 0.0, R), 0.0
-        inner = fw.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
-        return rule.inner * inner + float(rule.weights @ fw(rule.nodes)), 0.0
-
-    return _cells(space, grid, gp, integral, fw.breakpoints(), unit)
-
-
-def _reduce(cells: Sequence[MorreyEstimate]) -> MorreyEstimate:
-    """The first cell of largest value."""
-    if not cells:
-        raise ValueError("empty grid")
-    return max(cells, key=lambda c: c.value)
+    q = space.q
+    pref_exp = -(space.lam + 1.0 / q)
+    breakpoints = fw.breakpoints()
+    cells: List[MorreyEstimate] = []
+    for cr in grid.center_radii:
+        for di, direction in enumerate(grid.center_directions):
+            if cr == 0.0 and di > 0:
+                continue
+            center = HPoint(dilate_arrays(cr, direction.coords, gp.n))
+            for R in grid.radii:
+                rule = None
+                try:
+                    if cr == 0.0:
+                        content = gp.omega_Q * fw.moment(k, 0.0, R)
+                    else:
+                        rule = ball_rule(center, R, gp, breakpoints)
+                        inner = fw.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
+                        content = rule.inner * inner + float(rule.weights @ fw(rule.nodes))
+                    w1 = _ball_weight(cr, R, space.alpha, gp, rule)
+                except OverflowError as exc:
+                    raise _not_finite(cr, R, f"overflow ({exc})") from exc
+                if not 0.0 < w1 < math.inf:
+                    raise _not_finite(cr, R, f"ball weight {w1:.6g}")
+                value = 0.0 if content <= 0.0 else unit * w1**pref_exp * content ** (1.0 / q)
+                if not math.isfinite(value):
+                    raise _not_finite(
+                        cr, R, f"content {content:.6g}, ball weight {w1:.6g}, value {value:.6g}"
+                    )
+                cells.append(MorreyEstimate(value, cr, R))
+    return cells
 
 
 def morrey_norm(
@@ -271,10 +240,14 @@ def morrey_norm(
     grid: BallGrid,
     gp: GroupParams,
 ) -> MorreyEstimate:
-    """Largest grid cell of the weighted Morrey norm of a radial profile:
-    origin cells in closed form, off-center cells by their ball_rule, so the
-    value is a lower bound of the norm with stderr 0 and no random draw."""
-    return _reduce(_cell_values_profile(f, space, grid, gp))
+    """The first grid cell of largest value of the weighted Morrey norm of a
+    radial profile: origin cells in closed form, off-center cells by their
+    ball_rule, so the value is a lower bound of the norm with no random
+    draw."""
+    cells = _cell_values_profile(f, space, grid, gp)
+    if not cells:
+        raise ValueError("empty grid")
+    return max(cells, key=lambda c: c.value)
 
 
 def power_norm(p: ParamSet, j: int, gp: GroupParams) -> float:
@@ -286,42 +259,10 @@ def power_norm(p: ParamSet, j: int, gp: GroupParams) -> float:
     (Lieb and Loss, Analysis, Thm 1.14) the centered ball holds the most
     content of all sets of equal weight int_S |x|^alpha: the origin cell is
     the sup over all balls."""
-    qj, lj = p.q_list[j - 1], p.lam_list[j - 1]
-    qa = gp.Q + qj * derive_exponents(p).sigma_list[j - 1] + qj * p.gamma_list[j - 1] / p.q
+    i = _factor_index(p, j)
+    qj, lj = p.q_list[i], p.lam_list[i]
+    qa = gp.Q + qj * derive_exponents(p).sigma_list[i] + qj * p.gamma_list[i] / p.q
     return (gp.omega_Q / (gp.Q + p.alpha)) ** -(lj + 1.0 / qj) * (gp.omega_Q / qa) ** (1.0 / qj)
-
-
-def morrey_norm_mc(
-    f: Callable,
-    space: MorreySpaceSpec,
-    grid: BallGrid,
-    gp: GroupParams,
-    mc: MCSpec,
-    origin_exponent: float = 0.0,
-) -> MorreyEstimate:
-    """Largest grid-cell estimate of the Morrey norm of a general (possibly
-    non-radial) function, every cell a Monte Carlo estimate with its
-    stderr.  origin_exponent is the power behavior of |f| at the origin,
-    used to importance-tilt singular cells.
-    """
-    space.check_weights(gp.Q)
-    q, gw = space.q, space.gamma_w
-    beta = min(0.0, q * float(origin_exponent) + gw)
-    _check_origin(beta, gp.Q)
-
-    def integrand(X):
-        r = hnorm_arrays(X, gp.n)
-        fv = np.abs(eval_batch(f, X)) ** q
-        out = np.zeros_like(fv)
-        mask = (fv > 0.0) & (r > 0.0)
-        if np.any(mask):
-            out[mask] = fv[mask] * r[mask] ** gw
-        return out
-
-    def integral(cell, cr, center, R, rule):
-        return mc_ball_integral(integrand, center, R, gp, _cell_mc(mc, cell), origin_exponent=beta)
-
-    return _reduce(_cells(space, grid, gp, integral))
 
 
 def verify_dilation(
@@ -330,7 +271,7 @@ def verify_dilation(
     space: MorreySpaceSpec,
     grid: BallGrid,
     gp: GroupParams,
-    mc: MCSpec,
+    seed: int = 0,
 ) -> List[VerificationReport]:
     """Check the dilation law cell-by-cell, one record per factor t: the
     norm cells of r -> f(t r) on the 1/t-scaled grid equal t^sigma_space
@@ -343,7 +284,7 @@ def verify_dilation(
     integrals, and the ball_rule of a dilated off-center cell places its
     nodes at the dilated radii, since its breaks and kinks depend only on
     the ratios of the radii, the center and the profile's breakpoints.
-    mc only supplies the seed echoed in the records.
+    seed is only echoed in the records.
     """
     ts = [float(t) for t in factors]
     if not all(t > 0.0 for t in ts):
@@ -373,7 +314,7 @@ def verify_dilation(
             convention_note=(
                 f"worst cell ratio of dilated/expected; sigma_space = {sigma_space:+.12g}"
             ),
-            seed=mc.seed,
+            seed=seed,
             runtime_ms=int(round(1000.0 * (time.perf_counter() - start))),
         ))
     return records
@@ -384,7 +325,7 @@ def sharpness_ratio(
     p: ParamSet,
     truncation: Tuple[float, float],
     grid: BallGrid,
-    mc: MCSpec,
+    seed: int = 0,
 ) -> VerificationReport:
     """Truncated-extremizer lower bound of the operator norm, divided by
     the closed-form constant.
@@ -399,7 +340,9 @@ def sharpness_ratio(
 
     Each denominator is power_norm, the exact norm of the pure power
     r^{sigma_j}, which bounds ||f_j|| from above: the ratio is a certified
-    lower bound of the operator norm for every strict set.
+    lower bound of the operator norm for every strict set.  A ball weight
+    of 0 or inf raises ValueError naming the cell.  seed is only echoed in
+    the record.
     """
     vr = validate(p, strict_sharpness=True)
     if not vr:
@@ -424,7 +367,11 @@ def sharpness_ratio(
     pieces = np.bincount(interval, w * tf[:-1] ** q * r ** (Q - 1.0 + gw), minlength=edges.size - 1)
     below = tf[-1] ** q * r0 ** (Q + gw) / (Q + gw)
     content = gp.omega_Q * (below + np.append(0.0, np.cumsum(pieces)))[np.searchsorted(edges, R)]
-    w1 = gp.omega_Q * R ** (Q + p.alpha) / (Q + p.alpha)
+    with np.errstate(over="ignore"):  # an inf weight is refused by name below
+        w1 = gp.omega_Q * R ** (Q + p.alpha) / (Q + p.alpha)
+    for i in (0, -1):  # w1 grows with R, so its ends bound it
+        if not 0.0 < w1[i] < math.inf:
+            raise _not_finite(0.0, R[i], f"ball weight {w1[i]:.6g}")
     num = float(np.max(w1 ** -(p.lam + 1.0 / q) * content ** (1.0 / q)))
 
     ratio = num / denom
@@ -439,6 +386,6 @@ def sharpness_ratio(
             "certified lower bound: exact origin cells over pure-power denominators; "
             f"{constant.convention_note}"
         ),
-        seed=mc.seed,
+        seed=seed,
         runtime_ms=runtime_ms,
     )

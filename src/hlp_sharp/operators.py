@@ -1,5 +1,5 @@
-"""Radial profiles and the m-linear operators P_m (max kernel) and
-P*_m (sum kernel), plus extremizer profiles and Monte Carlo radialization.
+"""Radial profiles, the m-linear operators P_m (max kernel) and P*_m
+(sum kernel), and extremizer profiles.
 
 A profile is nothing but its disjoint power segments A*r^p on [lo, hi),
 which makes q-th powers, dilations, moments and cumulative integrals
@@ -18,25 +18,21 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hgroup import GroupParams, dilate_arrays
+from .hgroup import GroupParams
 from .params import Q_PLUS_SIGMA_J, SIGMA_NEG, DivergenceError, ExponentSet, violated
 from .constants import KINDS, hilbert_closed_form
-from .quad import MCSpec, QuadratureSpec, eval_batch, keyed_rng, leggauss, polar_directions
+from .quad import QuadratureSpec, leggauss
 
 __all__ = [
     "RadialProfile",
     "apply_radii",
     "extremizer_profile",
     "log_panels",
-    "radialize",
 ]
-
-_PURPOSE_SPHERE = 23
-_DEFAULT_RADII = tuple(np.geomspace(1e-2, 1e2, 33))
 
 
 def _check_origin_power(lo: float, e: float) -> None:
@@ -457,45 +453,3 @@ def apply_radii(
         "support away from 0 (mixes are ambiguous to resolve accurately); "
         "truncate the unbounded profiles"
     )
-
-
-# --------------------------------------------------------------------------
-# Radialization
-
-
-def radialize(
-    f: Callable,
-    gp: GroupParams,
-    mc: MCSpec,
-    radii: Optional[Sequence[float]] = None,
-) -> Tuple[RadialProfile, np.ndarray]:
-    """Tabulated sphere average g(r) = mean of f over the unit gauge sphere
-    dilated by r, with the polar measure (the one for which the group
-    integral of F equals omega_Q int r^(Q-1) (sphere average of F) dr).
-    f maps an (N, 2n+1) array of points to N values.
-
-    Returns the profile, which takes the value max(mean, 0) at each knot of
-    radii, and the stderr of each knot mean (zeros for one shard).
-    Directions are drawn once per shard and shared across knots, so knot
-    values are positively correlated (smooth profiles) while shards remain
-    independent for the standard error.
-    """
-    if radii is None:
-        radii = _DEFAULT_RADII
-    rr = np.asarray(radii, dtype=float)
-    if not (rr.ndim == 1 and rr.size >= 2 and np.all(rr > 0.0) and np.all(np.diff(rr) > 0)):
-        raise ValueError("radii must be >= 2 strictly increasing positive values")
-    shards = mc.shards
-    per_shard = max(16, mc.samples // (shards * rr.size))
-    shard_means = np.empty((shards, rr.size))
-    for s in range(shards):
-        xi = polar_directions(keyed_rng(mc.seed, _PURPOSE_SPHERE, s), per_shard, gp.n)
-        for k, r in enumerate(rr):
-            pts = dilate_arrays(float(r), xi, gp.n)
-            shard_means[s, k] = float(np.mean(eval_batch(f, pts)))
-    means = shard_means.mean(axis=0)
-    if shards > 1:
-        stderr = shard_means.std(axis=0, ddof=1) / math.sqrt(shards)
-    else:
-        stderr = np.zeros(rr.size)
-    return RadialProfile.tabulated(rr, np.maximum(means, 0.0)), stderr

@@ -22,16 +22,17 @@ Four layers:
   (n, |z|, |t|, R, breakpoints) and shared read-only;
 * Monte Carlo integration over gauge balls with stratified radial sampling
   and importance sampling for origin singularities, drawing directions from
-  the exact polar law of the unit gauge sphere, for integrands that are
-  not radial.  Integrands are vectorized: they map an (N, 2n+1) array of
-  points to N values.
+  the exact polar law of the unit gauge sphere.  It serves group-check's
+  ball volumes and the tests that check ball_rule; no Morrey cell or
+  operator value draws from it.  Integrands are vectorized: they map an
+  (N, 2n+1) array of points to N values.
 
 Runs are reproducible: every random draw of the package comes from
 keyed_rng(seed, *key), a counter-based Philox generator seeded by
 SeedSequence((seed, *key)), with keys (17, shard, 0) for a ball-integral
-shard, (23, shard) for a radialization shard and (29,) for group-check;
-shards run and reduce serially in fixed order.  DivergenceError lives in
-params, next to the admissibility conditions; quad re-exports it.
+shard and (29,) for group-check; shards run and reduce serially in fixed
+order.  DivergenceError lives in params, next to the admissibility
+conditions; quad re-exports it.
 """
 
 from __future__ import annotations
@@ -74,12 +75,6 @@ class MCSpec:
             raise ValueError("MCSpec.samples must be >= 1000")
         if self.shards < 1:
             raise ValueError("MCSpec.shards must be >= 1")
-
-
-def derive_seed(seed: int, *indices: int) -> int:
-    """Stable 63-bit stream seed derived from a base seed and index tuple."""
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(i) for i in indices))
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> np.uint64(1))
 
 
 def keyed_rng(seed: int, *key: int) -> np.random.Generator:
@@ -818,7 +813,7 @@ def mc_ball_integral(
     sampling switches to a polar law with radial density proportional to
     r^(Q-1+beta) on the enclosing origin-centered ball, radius-stratified,
     with ball membership tested via hdist.  Radial integrands have the exact
-    ball_rule; this estimator serves integrands that are not radial and the
+    ball_rule; this estimator serves group-check's ball volumes and the
     tests that check the rule.
 
     Both paths run one shard loop: shard s draws one weight block per radial

@@ -1,6 +1,7 @@
 """No module of the package reaches into another module's private names,
 only params spells out the admissibility conditions, only quad builds
-random generators, every package name a demo or the benchmark imports
+random generators, the Morrey and operator layers take nothing from quad's
+Monte Carlo section, every package name a demo or the benchmark imports
 exists and every such call of a package function binds to its signature,
 and the fast demos and the README's Python snippets run."""
 
@@ -142,6 +143,48 @@ def test_numpy_random_detector_flags_attributes_and_imports():
     ]
 
 
+_MONTE_CARLO_NAMES = ("MCSpec", "keyed_rng", "mc_ball_integral", "polar_directions", "eval_batch")
+
+
+def _monte_carlo_uses(tree: ast.Module):
+    """Names of quad's Monte Carlo section imported by name, or read as an
+    attribute (quad.keyed_rng): a Morrey cell or an operator value of a
+    radial profile draws no random number."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in _MONTE_CARLO_NAMES:
+                    yield f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in _MONTE_CARLO_NAMES:
+            yield ast.unparse(node)
+
+
+def test_morrey_and_operators_use_no_monte_carlo():
+    offences = [
+        f"{name}: {use}"
+        for name in ("morrey.py", "operators.py")
+        for use in _monte_carlo_uses(ast.parse((SRC / name).read_text(), filename=name))
+    ]
+    assert not offences, offences
+
+
+def test_monte_carlo_detector_flags_imports_and_attributes():
+    tree = ast.parse(
+        "from .quad import MCSpec, ball_rule\n"
+        "from . import quad\n"
+        "from hlp_sharp.quad import eval_batch as batch\n"
+        "rng = quad.keyed_rng(seed, 23)\n"
+        "x = quad.polar_directions\n"
+        "y = quad.leggauss(12)\n"
+    )
+    assert sorted(_monte_carlo_uses(tree)) == [
+        "from .quad import MCSpec",
+        "from hlp_sharp.quad import eval_batch",
+        "quad.keyed_rng",
+        "quad.polar_directions",
+    ]
+
+
 def _package_imports(tree: ast.Module):
     """(bound name, statement, object) for each name a `from hlp_sharp...
     import X` binds, resolved as the import system does (an attribute of the
@@ -234,9 +277,9 @@ def test_signature_detector_flags_counts_and_keywords():
         "from hlp_sharp.morrey import sharpness_ratio, verify_dilation\n"
         "from hlp_sharp.operators import RadialProfile\n"
         "from hlp_sharp.quad import MCSpec\n"
-        "sharpness_ratio('hlp', p, (1e-2, 1e2), grid, QuadratureSpec(), mc)\n"
-        "sharpness_ratio('hlp', p, (1e-2, 1e2), grid, mc)\n"
-        "verify_dilation(f, (0.5, 2.0), space, grid, gp, mc)\n"
+        "sharpness_ratio('hlp', p, (1e-2, 1e2), grid, QuadratureSpec(), seed)\n"
+        "sharpness_ratio('hlp', p, (1e-2, 1e2), grid, seed)\n"
+        "verify_dilation(f, (0.5, 2.0), space, grid, gp, seed)\n"
         "MCSpec(sample=20000)\n"
         "MCSpec(samples=20000, seed=1)\n"
         "RadialProfile.power(-1.1, amplitude=2.0)\n"

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from hlp_sharp.cli import config_from_args
-from hlp_sharp.hgroup import GroupParams, hnorm_arrays
+from hlp_sharp.hgroup import GroupParams
+from hlp_sharp.morrey import power_norm, source_space
 from hlp_sharp.operators import (
     RadialProfile,
     _axis_rule,
     apply_radii,
     extremizer_profile,
-    radialize,
 )
 from hlp_sharp.params import ExponentSet, derive_exponents
-from hlp_sharp.quad import DivergenceError, MCSpec, integrate_curve
+from hlp_sharp.quad import DivergenceError, integrate_curve
 
 from test_quad import FROZEN_A2, FROZEN_B2, bilinear_exponents
 from hlp_sharp.constants import hilbert_closed_form, hlp_closed_form
@@ -214,10 +214,16 @@ def test_extremizer_profile():
     g = extremizer_profile(e, 2, truncation=(0.1, 10.0))
     assert g.support() == (0.1, 10.0)
     assert g.segments[0][3] == -0.5
-    with pytest.raises(IndexError):
-        extremizer_profile(e, 0)
-    with pytest.raises(IndexError):
-        extremizer_profile(e, 3)
+    p = config_from_args(["--command", "verify-sharpness", "--m", "2"]).params
+    gp = GroupParams(p.n)
+    for j in (0, 3):
+        # index 0 would read the last factor, p.q_list[-1]
+        with pytest.raises(IndexError):
+            extremizer_profile(e, j)
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            source_space(p, j)
+        with pytest.raises(IndexError, match="out of range 1..2"):
+            power_norm(p, j, gp)
 
 
 # ---------------------------------------------------------------------------
@@ -542,54 +548,3 @@ def test_divergent_tail_behind_a_bounded_cumulative_is_caught(gp1):
         with pytest.raises(DivergenceError) as exc:
             apply_radii("hlp", profiles, [0.5, 2.0], gp1)
         assert any("sigma<0 violated" in c for c in exc.value.conditions)
-
-
-# ---------------------------------------------------------------------------
-# Radialization
-# ---------------------------------------------------------------------------
-
-
-def test_radialize_radial_function_is_exact(gp1, mc_small):
-    def f(pts):
-        return hnorm_arrays(pts, gp1.n) ** -1.0
-
-    radii = tuple(np.geomspace(0.5, 2.0, 9))
-    prof, stderr = radialize(f, gp1, mc_small, radii=radii)
-    assert prof.support() == (0.5, 2.0)
-    values = prof(radii)
-    assert values == pytest.approx(np.asarray(radii) ** -1.0, rel=1e-12)
-    assert stderr.shape == (len(radii),)
-    assert np.all(stderr <= 1e-12 * values)
-
-
-def test_radialize_half_space_indicator(gp1, mc_small):
-    def f(pts):
-        return (pts[:, 0] > 0.0).astype(float)
-
-    radii = tuple(np.geomspace(0.5, 2.0, 5))
-    prof, stderr = radialize(f, gp1, mc_small, radii=radii)
-    for v, s in zip(prof(radii), stderr):
-        assert s > 0.0
-        assert abs(v - 0.5) <= 4.0 * s
-
-
-def test_radialize_is_deterministic(gp2, mc_small):
-    def f(pts):
-        return np.exp(-hnorm_arrays(pts, gp2.n))
-
-    prof_a, se_a = radialize(f, gp2, mc_small, radii=(0.5, 1.0, 2.0))
-    prof_b, se_b = radialize(f, gp2, mc_small, radii=(0.5, 1.0, 2.0))
-    assert prof_a == prof_b
-    assert np.array_equal(se_a, se_b)
-
-
-def test_radialize_validates_radii(gp1, mc_small):
-    def f(pts):
-        return np.ones(len(pts))
-
-    with pytest.raises(ValueError):
-        radialize(f, gp1, mc_small, radii=(1.0,))
-    with pytest.raises(ValueError):
-        radialize(f, gp1, mc_small, radii=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        radialize(f, gp1, mc_small, radii=(-1.0, 1.0))

@@ -12,7 +12,6 @@ from hlp_sharp.quad import (
     MCSpec,
     QuadratureSpec,
     SamplingError,
-    derive_seed,
     hilbert_constant_oracle,
     hlp_constant_oracle,
     integrate_curve,
@@ -56,13 +55,6 @@ def test_mc_spec_rejects_bad_settings():
         MCSpec(samples=999)
     with pytest.raises(ValueError):
         MCSpec(shards=0)
-
-
-def test_derive_seed_is_deterministic_and_index_sensitive():
-    assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
-    assert derive_seed(7, 1, 2) != derive_seed(7, 2, 1)
-    assert derive_seed(7, 1) != derive_seed(8, 1)
-    assert 0 <= derive_seed(0) < 2**63
 
 
 # ---------------------------------------------------------------------------

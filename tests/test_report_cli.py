@@ -414,6 +414,41 @@ def test_verify_dilation_with_a_huge_factor_exponent_passes(tmp_path):
     assert len(records) == 3 and all(r["passed"] for r in records)
 
 
+_BALL_WEIGHT_COMMANDS = {
+    "morrey-norm": ["--command", "morrey-norm"],
+    "verify-dilation": ["--command", "verify-dilation"],
+    "sharpness-hlp": ["--command", "verify-sharpness", "--m", "2", "--kind", "hlp"],
+    "sharpness-hilbert": ["--command", "verify-sharpness", "--m", "2", "--kind", "hilbert"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, radius", [("160", "0.01"), ("152", "100")])
+@pytest.mark.parametrize("argv", _BALL_WEIGHT_COMMANDS.values(), ids=_BALL_WEIGHT_COMMANDS)
+def test_a_ball_weight_out_of_double_range_is_a_usage_error(argv, alpha, radius, tmp_path, capsys):
+    # both alphas are admissible, but w_1(B(0, R)) ~ R^(Q + alpha) underflows
+    # to 0 at R = 1e-2 for alpha = 160 and overflows at R = 100 for alpha =
+    # 152: without the check, a traceback or, for sharpness, a false ratio
+    status, _ = run_main(argv + ["--alpha", alpha, "--lambda", "-0.49"], tmp_path)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert f"usage error: Morrey cell B(|a|=0, R={radius}) is not finite in double precision" in err
+
+
+@pytest.mark.parametrize("argv", _BALL_WEIGHT_COMMANDS.values(), ids=_BALL_WEIGHT_COMMANDS)
+def test_a_large_alpha_within_double_range_passes(argv, tmp_path):
+    # at alpha = 100 every ball weight of the default grid is in range
+    status, path = run_main(argv + ["--alpha", "100", "--lambda", "-0.49"], tmp_path)
+    assert status == 0
+    records = [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
+    assert records and all(r["passed"] for r in records)
+    if argv[1] == "morrey-norm":
+        assert records[0]["oracle"] == records[0]["closed_form"] == 3.1322054365372867
+    elif argv[1] == "verify-sharpness":
+        expected = {"hlp": "0.99690898", "hilbert": "0.99625241"}[argv[-1]]
+        assert f"ratio/constant = {expected};" in records[0]["convention_note"]
+
+
 def test_morrey_norm_builds_no_rule_for_a_second_set(tmp_path):
     # a rule reads only its ball and the profile's breakpoints (none for a
     # pure power), so another set at the same n reuses every rule of the
