@@ -16,10 +16,11 @@ Four layers:
 * ball_rule, a deterministic rule for radial integrands over an
   off-center gauge ball: the exact polar law of the gauge sphere reduces
   ball membership to a disc in two horizontal coordinates, whose mass has
-  a closed form at n = 1, 2 and a 1-D integral above; Gauss-Legendre
-  panels split at the kinks of that reduction, in the radius and the polar
-  angle, carry it to ~1e-10; each rule is built once per process per
-  (n, |z|, |t|, R, breakpoints) and shared read-only;
+  a closed form at n = 1, 2 and above is a flux through the disc's own arc
+  (Green's theorem) on one Gauss-Legendre panel; Gauss-Legendre panels
+  split at the kinks of that reduction, in the radius and in the one angle
+  tau, cos(theta) = cos(tau)^2, carry it to ~1e-10; each rule is built once
+  per process per (n, |z|, |t|, R, breakpoints) and shared read-only;
 * Monte Carlo integration over gauge balls with stratified radial sampling
   and importance sampling for origin singularities, drawing directions from
   the exact polar law of the unit gauge sphere.  It serves group-check's
@@ -279,12 +280,10 @@ def hilbert_constant_oracle(e: ExponentSet, gp: GroupParams, spec: QuadratureSpe
 # ---------------------------------------------------------------------------
 
 _HALF_PI = 0.5 * math.pi
-_RULE_NODES = 24  # Gauss-Legendre nodes per panel, in r, in the angle and in rho
+_RULE_NODES = 24  # Gauss-Legendre nodes per panel, in r, in the angle and along the disc's arc
 _GRADE = 4.0  # ratio of the geometric grading toward nearby singular points
 _GRADE_LEVELS = 40
 _TOUCH_LEVELS = 27  # a boundary through the origin: r graded down to 4^-27 of the first break
-_ZONE = 0.25 * math.pi  # polar zones |theta| > _ZONE, p < _P_ZONE, with a kink are valued in p
-_P_ZONE = math.cos(_ZONE) ** 0.5
 _ROWS = 256  # radii whose angle panels are built at once
 _CHUNK = 1 << 13  # node values computed at once; both bound the rule's memory
 _VOLUME_TOL = 1e-7  # largest accepted error of a rule's own ball volume
@@ -320,10 +319,11 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     _kink_angles and phi at the radii of _radial_breaks; both integrals are
     split there and at the given breakpoints, graded toward nearby singular
     points (_subpanels), and valued by sine-mapped Gauss-Legendre panels.
-    _occupancy values phi: a vertical center's cap in closed form, a
-    horizontal center's even share on the upper half only, and a polar zone
-    that holds a kink in p = cos(theta)^(1/2), where the pole is no branch
-    point.  Weights are omega_Q * (r-panel weight) * r^(Q-1) * phi(r).
+    _occupancy values phi: a vertical center's cap in closed form, and
+    otherwise psi_n over the whole sphere in one angle tau,
+    cos(theta) = cos(tau)^2, smooth at the equator and at the poles, with a
+    horizontal center's even share on the upper half only.  Weights are
+    omega_Q * (r-panel weight) * r^(Q-1) * phi(r).
     At n = 2 a horizontal rule values psi_2 at 1e3 to 4e3 points, and at
     1.4e4 when the boundary passes through the origin (648 radii, 12 points
     at each radius below 0.05 |a|).  The center may point in any direction;
@@ -544,60 +544,40 @@ def _cap(r, t, R, E0, n):
 
 
 def _kink_angles(r, c, t, R, E0):
-    """Angles theta = arcsin(w) in (-pi/2, pi/2) where the disc test of a
-    center with c > 0 changes form at each radius r, and their
-    p = cos(theta)^(1/2): the roots of
+    """Angles tau in (-pi/2, pi/2), cos(theta) = cos(tau)^2, where the disc
+    test of a center with c > 0 changes form at each radius r, and their
+    p = cos(tau): the roots of
     2 r^2 c^2 p^2 +- 4 r c R^2 p + 2 r^2 t w = r^4 + E0,
     where the disc's boundary passes the edge of the unit disc (d - l = 1,
     l - d = 1 or d + l = 1 below).  Quadratic in p for a horizontal center,
-    a quartic for a mixed one.  Returns two (len(r), k) arrays, padded with
-    theta = pi/2 and p = 0."""
+    whose kinks are tau = +-arccos(p); a quartic for a mixed one, whose
+    kinks are tau = arctan2(w / (1 + p^2)^(1/2), p).  Returns two (len(r), k)
+    arrays, padded with tau = pi/2 and p = 0."""
     K = E0 + r**4
     if t == 0.0:
         s = 2.0 * R * R + np.sqrt(2.0 * (R**4 + r**4 + c**4))
         p = np.stack([np.abs(K) / (r * c * s), s / (2.0 * r * c)], axis=1)
         p = np.where((p > 0.0) & (p < 1.0), p, 0.0)
-        theta = np.where(p > 0.0, np.arccos(p * p), _HALF_PI)
-        return np.concatenate([theta, -theta], 1), np.concatenate([p, p], 1)
+        tau = np.where(p > 0.0, np.arccos(p), _HALF_PI)
+        return np.concatenate([tau, -tau], 1), np.concatenate([p, p], 1)
     al, be, ga = (v[:, None] for v in (2.0 * r * r * c * c, 4.0 * r * c * R * R, 2.0 * r * r * t))
     root, real = _quartic_roots(r, c, t, R, E0)
     w = (K[:, None] - (al * root + be) * root) / ga
     p = np.where(real & (np.abs(root) <= 1.0), np.abs(root), 0.0)
-    return np.where(p > 0.0, np.arctan2(w, p * p), _HALF_PI), p
+    return np.where(p > 0.0, np.arctan2(w / np.sqrt(1.0 + p * p), p), _HALF_PI), p
 
 
 def _angle_panels(r, geo, n, mirror):
-    """The panels _occupancy integrates over at the radii r, as arrays of
-    row, lower end, upper end and zone: 0 for a panel in theta, 1 and -1 for
-    a panel in p of the north and south polar zone.  A polar zone
-    |theta| > _ZONE is valued in p when it holds a kink; kinks merged into
-    the pole do not count.  With mirror, only the half theta > 0."""
-    theta, p = _kink_angles(r, *geo)
-    p = np.where((4.0 * p) ** (2 * n) <= _EPS, 0.0, p)  # merged into the pole
-    theta = np.where(p > 0.0, theta, _HALF_PI)
-    polar = (p > 0.0) & (p < _P_ZONE)
-    north = np.any(polar & (theta > 0.0), axis=1)
-    south = north if mirror else np.any(polar & (theta < 0.0), axis=1)
-    pole = np.full(r.size, _HALF_PI)
-    edges = np.column_stack([-pole, np.where(south, -_ZONE, -pole), theta,
-                             np.where(north, _ZONE, pole), pole])
-    row, lo, hi = _subpanels(np.sort(edges, 1))
-    keep = ~(north[row] & (lo >= _ZONE)) & ~(south[row] & (hi <= -_ZONE))
-    if mirror:
-        keep &= hi > 0.0
-    out = [(row[keep], lo[keep], hi[keep], np.zeros(np.count_nonzero(keep)))]
-    for zone, sign in ((north, 1.0), (south, -1.0))[: 1 if mirror else 2]:
-        rows = np.nonzero(zone)[0]
-        if rows.size:
-            # p runs from the pole to the zone's end; the hemisphere's kinks
-            # beyond that end and the equator p = 1 only set the grading
-            kinks = np.where(sign * theta[rows] > 0.0, p[rows], 1.0)
-            ends = np.zeros((rows.size, 1)) + [0.0, _P_ZONE, 1.0]
-            prow, plo, phi = _subpanels(np.sort(np.column_stack([ends, kinks]), 1))
-            inside = phi <= _P_ZONE
-            out.append((rows[prow[inside]], plo[inside], phi[inside],
-                        np.full(np.count_nonzero(inside), sign)))
-    return (np.concatenate(a) for a in zip(*out))
+    """The panels in tau that _occupancy integrates over at the radii r, as
+    arrays of row, lower end and upper end: (-pi/2, pi/2) split at the
+    kinks, where a kink merged into the pole does not count.  With mirror,
+    only the half tau > 0."""
+    tau, p = _kink_angles(r, *geo)
+    tau = np.where((4.0 * p) ** (2 * n) <= _EPS, _HALF_PI, tau)  # merged into the pole
+    pole = np.full((r.size, 1), _HALF_PI)
+    row, lo, hi = _subpanels(np.sort(np.column_stack([-pole, tau, pole]), 1))
+    keep = hi > 0.0 if mirror else slice(None)
+    return row[keep], lo[keep], hi[keep]
 
 
 def _occupancy(r, geo, n):
@@ -605,18 +585,18 @@ def _occupancy(r, geo, n):
 
     A vertical center holds the angles above its one kink, a cap valued by
     _cap.  Otherwise the share psi_n of _disc_share is integrated with the
-    sphere's polar law on sine-mapped panels split at the kinks and graded
-    toward close ones (_subpanels, _angle_panels): in theta, weight
-    cos(theta)^(n-1), except in a polar zone |theta| > pi/4 that holds a
-    kink, which goes over to p = cos(theta)^(1/2), weight
-    2 p^(2n-1) / (1 - p^4)^(1/2).  The pole is a branch point in theta but
-    not in p, so a kink at p from the pole needs about log4(1/p) grading
-    levels in p against log4(1/p^2) in theta.  A kink so near a pole that
-    the sphere's measure between them, ~(4p)^(2n)/n, is below rounding is
-    merged into the pole.  A horizontal center's share is even in theta and
-    its edges are symmetric, so only the panels above 0 and the middle
-    panel's nodes above 0 are valued, twice.  Radii go in blocks and panels
-    in chunks, so memory stays bounded whatever the grading."""
+    sphere's polar law in the one angle tau, cos(theta) = cos(tau)^2, so
+    p = cos(tau), w = sin(tau) (1 + cos(tau)^2)^(1/2) and the weight
+    cos(theta)^(n-1) dtheta is 2 cos(tau)^(2n-1) / (1 + cos(tau)^2)^(1/2) dtau.
+    tau is smooth at the equator (theta ~ 2^(1/2) tau) and at the poles
+    (p ~ pi/2 - |tau|), where theta has a branch point, so one set of
+    sine-mapped panels, split at the kinks and graded toward close ones
+    (_subpanels, _angle_panels), covers the whole sphere.  A kink so near a
+    pole that the sphere's measure between them, ~(4p)^(2n)/n, is below
+    rounding is merged into the pole.  A horizontal center's share is even
+    in tau and its edges are symmetric, so only the panels above 0 and the
+    middle panel's nodes above 0 are valued, twice.  Radii go in blocks and
+    panels in chunks, so memory stays bounded whatever the grading."""
     norm = math.gamma((n + 1) / 2.0) / (math.sqrt(math.pi) * math.gamma(n / 2.0))
     if geo[0] == 0.0:
         return norm * _cap(r, *geo[1:], n)
@@ -626,21 +606,19 @@ def _occupancy(r, geo, n):
     phi = np.zeros(r.size)
     for start in range(0, r.size, _ROWS):
         rb = r[start : start + _ROWS]
-        row, lo, hi, zone = _angle_panels(rb, geo, n, mirror)
+        row, lo, hi = _angle_panels(rb, geo, n, mirror)
         for i in range(0, row.size, step):
             part = slice(i, i + step)
             x, w = _sine_panels(lo[part], hi[part])
             take = np.ones(x.shape, dtype=bool)
             if mirror:
                 take[lo[part] < 0.0] = upper  # the middle panel: its nodes above 0
-            rows, sign = (np.broadcast_to(a[part][:, None], x.shape)[take] for a in (row, zone))
+            rows = np.broadcast_to(row[part][:, None], x.shape)[take]
             x, w = x[take], w[take]
-            polar = sign != 0.0
-            p2 = np.where(polar, x * x, 0.0)
-            cw = np.sqrt((1.0 - p2) * (1.0 + p2))  # |sin(theta)| in a polar zone
-            eta2 = np.where(polar, p2, np.cos(x))
-            weight = w * np.where(polar, 2.0 * x ** (2 * n - 1) / cw, eta2 ** (n - 1))
-            share = _disc_share(rb[rows], eta2, np.where(polar, sign * cw, np.sin(x)), geo, n)
+            p = np.cos(x)
+            lift = np.sqrt(1.0 + p * p)
+            share = _disc_share(rb[rows], p * p, np.sin(x) * lift, geo, n)
+            weight = 2.0 * w * p ** (2 * n - 1) / lift
             phi[start : start + rb.size] += np.bincount(rows, weight * share, minlength=rb.size)
     return (2.0 * norm if mirror else norm) * phi
 
@@ -649,14 +627,25 @@ def _disc_share(r, eta2, w, geo, n):
     """psi_n: the mass, under the law of (u, v), of the disc that
     |a^-1 x|_h < R cuts out at x = delta_r(theta, g), given eta2 = cos(theta)
     and w = sin(theta) (arrays of one shape, like r).  Its center lies at
-    d = H/B and its radius is l = R^2/B, with B = 2 r c cos(theta)^(1/2) and
-    H^2 = (r^2 cos(theta) + c^2)^2 + (r^2 w - t)^2; k = (1 + d^2 - l^2)/(2d).
+    d = H/B >= 1 and its radius is l = R^2/B, with B = 2 r c cos(theta)^(1/2)
+    and H^2 = (r^2 cos(theta) + c^2)^2 + (r^2 w - t)^2; k = (1 + d^2 - l^2)/(2d).
     n = 1: (u, v) is uniform on the unit circle and psi = arccos(k)/pi.
     n = 2: uniform on the unit disc and psi = lens area / pi.
-    n >= 3: density proportional to (1 - rho^2)^(n-2), psi = the share of
-    each circle of radius rho inside the disc, over rho^2 ~ Beta(1, n-1).
-    1 - k and 1 + k come from R^4 - (H - B)^2 and (H + B)^2 - R^4, each in
-    the algebraic form with the smaller rounding bound."""
+    n >= 3: the density (n-1)/pi (1 - s)^(n-2), s = u^2 + v^2, is the
+    divergence of V = (u, v) G(s), 2 pi s G = 1 - (1 - s)^(n-1), so by
+    Green's theorem psi is V's flux out of the lens: arccos(k)/pi through the
+    unit circle plus the flux through the disc's own arc,
+    int_0^psi0 G(s) (A - (1 - s)) dpsi with A = 1 + l^2 - d^2, the arc
+    angle psi measured from its point nearest the origin and
+    s = (d - l)^2 + 4 d l sin(psi/2)^2.  Where |d - l| >= 1/2 the arc keeps
+    off the origin and G - 1/(2 pi s), which vanishes on the unit circle,
+    takes G's place: psi is then [the disc holds the origin] plus the arc
+    flux alone, so a thin lens loses nothing to cancellation.  The arc flux
+    is one Gauss-Legendre panel of _RULE_NODES nodes.
+    1 - k and 1 + k come from R^4 - (H - B)^2 and (H + B)^2 - R^4, and A B^2
+    from B^2 - M and R^4 - (H - B)(H + B), each in the algebraic form with
+    the smaller rounding bound; psi0 comes from the lens's half chord and
+    1 - s from a product of sines, so neither cancels."""
     c, t, R, E0 = geo
     r2, R2 = r * r, R * R
     D = r2 * w - t
@@ -675,35 +664,30 @@ def _disc_share(r, eta2, w, geo, n):
         half_arc = np.arctan2(np.sqrt(np.maximum(om, 0.0)), np.sqrt(np.maximum(op, 0.0)))
         if n == 1:
             return half_arc / _HALF_PI
+        y = np.sqrt(np.maximum(om * op, 0.0))  # half chord of the lens
         if n == 2:
-            y = np.sqrt(np.maximum(om * op, 0.0))  # half chord of the lens
             k = 0.5 * (op - om)
             minor = y**3 * B / R2 * _segment_over_cube(np.minimum(y * B / R2, 1.0))
             big = np.where(H / B >= k, minor, math.pi * (R2 / B) ** 2 - minor)
             lens = (2.0 * half_arc - k * y + big) / math.pi
             inside = np.where(H + R2 < B, (R2 / B) ** 2, 0.0)
             return np.where(om < 0.0, inside, np.where(op < 0.0, 1.0, lens))
-        dm, dp = M / (B * (H + R2)), (H + R2) / B  # d - l, d + l
-        lo, hi = np.abs(dm), np.minimum(1.0, dp)
-        outside = (om < 0.0) & (H + R2 >= B)
-        partial = ~outside & (op >= 0.0)
-        # circles of radius rho < l - d lie inside the disc
-        whole = np.where(dm < 0.0, 1.0 - np.clip(1.0 - dm * dm, 0.0, 1.0) ** (n - 1), 0.0)
+        psi0 = np.arctan2(y, (Hm * Hp + R2 * R2) / den)  # d - k = l cos(psi0)
+        dm, dl = M / (B * (H + R2)), H * R2 / (B * B)  # d - l, d l
+        A = np.where(np.maximum(R2 * R2, Hm * Hp) <= bound,
+                     R2 * R2 - Hm * Hp, B * B - M) / (B * B)
+        far = np.abs(dm) >= 0.5
         x, wg = leggauss(_RULE_NODES)
-        u = _HALF_PI * x
-        lo_, hi_ = (np.where(partial, v, 0.0)[..., None] for v in (lo, hi))
-        half = 0.5 * (hi_ - lo_)
-        from_lo = 2.0 * half * np.sin(0.5 * (_HALF_PI + u)) ** 2
-        from_hi = 2.0 * half * np.sin(0.5 * (_HALF_PI - u)) ** 2
-        rho = lo_ + from_lo
-        dm, dp = dm[..., None], dp[..., None]
-        # 1 - k_rho and 1 + k_rho times 2 rho d, from the distances to the ends
-        minus = (from_lo + (lo_ - dm)) * (from_hi + (dp - hi_))
-        plus = (rho + dm) * (rho + dp)
-        arc = np.arctan2(np.sqrt(np.maximum(minus, 0.0)), np.sqrt(np.maximum(plus, 0.0))) / _HALF_PI
-        density = 2.0 * (n - 1) * rho * ((1.0 - rho) * (1.0 + rho)) ** (n - 2)
-        share = whole + np.sum(half * _HALF_PI * wg * np.cos(u) * density * arc, axis=-1)
-        return np.where(op < 0.0, 1.0, np.where(outside, 0.0, share))
+        half = 0.5 * psi0[..., None]
+        s = dm[..., None] ** 2 + 4.0 * dl[..., None] * np.sin(0.5 * half * (1.0 + x)) ** 2
+        q = 4.0 * dl[..., None] * np.sin(0.5 * half * (3.0 + x)) * np.sin(0.5 * half * (1.0 - x))
+        g = np.ones_like(q)  # 2 pi G = sum of q^j, j < n - 1
+        for _ in range(n - 2):
+            g = 1.0 + q * g
+        g = np.where(far[..., None], -(q ** (n - 1)) / s, g)
+        flux = np.sum(half * wg * g * (A[..., None] - q), axis=-1) / (2.0 * math.pi)
+        # arccos(k) = arctan2(2 d y, 2 - A): A rounds less than 1 - k, 1 + k
+        return np.where(far, dm < 0.0, np.arctan2(2.0 * H / B * y, 2.0 - A) / math.pi) + flux
 
 
 _SEGMENT_SERIES = tuple(2.0 * math.comb(2 * j, j) / 4.0**j / (2 * j + 3) for j in range(6))

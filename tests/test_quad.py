@@ -358,7 +358,7 @@ def _center(n, horizontal, vertical, scale=1.0):
     return HPoint(coords)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ball_rule_volume_on_every_default_grid_cell(n):
     # F = 1 integrates to Omega_Q R^Q; the worst cells are the smallest
     # balls at |a| = 4, where the radii themselves carry ~1e-11.
@@ -377,7 +377,7 @@ def test_ball_rule_volume_on_every_default_grid_cell(n):
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_rule_volume_mixed_direction_center(n):
     # a center with horizontal and vertical parts brackets its breaks numerically
     gp = GroupParams(n)
@@ -385,6 +385,95 @@ def test_ball_rule_volume_mixed_direction_center(n):
     for R in (0.1, 0.3, 1.0, 3.0, 10.0):
         rule = quad.ball_rule(center, R, gp)
         assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10)
+
+
+def _disc_share_reference(r, eta2, w, c, t, R, n):
+    """psi_n at 30 digits and d - l: the share arccos(k_rho)/pi of each
+    circle of radius rho inside the disc, k_rho = (rho^2 + d^2 - l^2) /
+    (2 rho d), over the law 2 (n-1) rho (1 - rho^2)^(n-2) drho of rho;
+    circles of radius below l - d count whole."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        r, eta2, w, c, t, R = (mpmath.mpf(v) for v in (r, eta2, w, c, t, R))
+        B = 2 * r * c * mpmath.sqrt(eta2)
+        H = mpmath.sqrt((r * r * eta2 + c * c) ** 2 + (r * r * w - t) ** 2)
+        d, dm, dp = H / B, (H - R * R) / B, (H + R * R) / B
+
+        def arc(rho):
+            k = (rho * rho + dm * dp) / (2 * rho * d)
+            return rho * (1 - rho * rho) ** (n - 2) * mpmath.acos(max(-1, min(1, k))) / mpmath.pi
+
+        whole = 1 - (1 - min(-dm, 1) ** 2) ** (n - 1) if dm < 0 else 0
+        lo, hi = abs(dm), min(dp, 1)
+        part = 2 * (n - 1) * mpmath.quad(arc, [lo, hi]) if lo < hi else 0
+        return float(whole + part), float(dm)
+
+
+def _angle(theta):
+    return math.cos(theta), math.sin(theta)
+
+
+_DISC_CASES = {
+    # r, cos(theta), sin(theta), and the center's c = |z|, t = |t| and the
+    # radius R.  At the touching cell (1, 0, 1) the disc is huge and its
+    # edge passes within 2e-4 of the origin.  The huge disc near the pole
+    # has r = R: there H^2 - R^4 cancels, and cos(theta) = 2^-10 keeps it
+    # exact in doubles; at other r its rounding, eps R^4, moves psi by
+    # ~eps R^2 / B ~ 1e-12
+    "touching cell near the pole": (7.1e-3, *_angle(1.5678), 1.0, 0.0, 1.0),
+    "touching cell": (7.1e-3, *_angle(1.5), 1.0, 0.0, 1.0),
+    "thin lens": (4.0, *_angle(0.002), 4.0, 0.0, 0.01),
+    "thin lens, off center": (3.995, *_angle(0.0), 4.0, 0.0, 0.01),
+    "huge disc near the pole": (100.0, 2.0**-10, math.sqrt(1.0 - 2.0**-20), 0.25, 0.0, 100.0),
+    "d - l just below 1/2": (0.13412631056139865 * (1.0 + 1e-9), *_angle(0.3), 1.0, 0.5, 1.0),
+    "d - l just above 1/2": (0.13412631056139865 * (1.0 - 1e-9), *_angle(0.3), 1.0, 0.5, 1.0),
+    "disc centered on the unit circle": (1.0, *_angle(0.0), 1.0, 0.0, 0.5),
+    "holds the origin, l - d < 1/2": (0.6, *_angle(0.3), 1.0, 0.0, 1.2),
+    "holds the origin, l - d > 1/2": (0.3, *_angle(0.5), 1.0, 0.0, 1.2),
+    "holds the unit disc": (1.0, *_angle(0.3), 1.0, 0.0, 10.0),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_disc_share_matches_mpmath(n):
+    # the arc flux at n >= 3 against an independent integral over circles;
+    # d = H/B >= 1 always (H >= r^2 cos(theta) + c^2 >= B), so no disc lies
+    # inside the unit disc: the nearest case is a disc centered on its edge.
+    # Within 1e-14, and 1e-12 relative where psi is tiny (the thin lenses)
+    sides = []
+    for label, (r, eta2, w, c, t, R) in _DISC_CASES.items():
+        geo = (c, t, R, c**4 + t * t - R**4)
+        got = float(quad._disc_share(np.array([r]), np.array([eta2]), np.array([w]), geo, n)[0])
+        exact, dm = _disc_share_reference(r, eta2, w, c, t, R, n)
+        assert abs(got - exact) <= min(1e-14, 1e-12 * exact), (label, got, exact)
+        if label.startswith("d - l"):
+            sides.append(dm)
+    assert sides[0] < 0.5 < sides[1]
+
+
+def test_default_grid_rules_evaluate_few_disc_shares(monkeypatch):
+    # cold rule cost, which no cached run sees: the n = 2 default-grid rules
+    # evaluate psi_2 at no more than 146,628 points, the count with polar
+    # zones valued in p = cos(theta)^(1/2)
+    from hlp_sharp.morrey import default_grid
+
+    count = [0]
+    share = quad._disc_share
+
+    def counted(r, eta2, w, geo, n):
+        count[0] += np.size(r)
+        return share(r, eta2, w, geo, n)
+
+    monkeypatch.setattr(quad, "_disc_share", counted)
+    quad._built_rule.cache_clear()
+    gp, grid = GroupParams(2), default_grid(2)
+    for cr in grid.center_radii[1:]:
+        for direction in grid.center_directions:
+            center = HPoint(direction.coords * np.array([cr] * 4 + [cr * cr]))
+            for R in grid.radii:
+                quad.ball_rule(center, R, gp)
+    assert 0 < count[0] <= 146_628
 
 
 @pytest.mark.parametrize("gauge, t, R", [(0.153, 1.8e-6, 0.0233), (2.34, 0.0123, 0.0070)])

@@ -414,6 +414,19 @@ def test_verify_dilation_with_a_huge_factor_exponent_passes(tmp_path):
     assert len(records) == 3 and all(r["passed"] for r in records)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_default_verify_dilation_at_t10_is_far_inside_its_gate(n, tmp_path):
+    # the widest default factor dilates every off-center cell by 10; the
+    # disc share of the n >= 3 ball rule holds rounding, so the worst cell
+    # ratio sits an order of magnitude inside the record's 1e-10 gate
+    status, path = run_main(["--command", "verify-dilation", "--n", str(n)], tmp_path)
+    assert status == 0
+    records = {r["label"]: r for r in map(json.loads, path.read_text().splitlines()[1:])}
+    last = records["verify-dilation t=10"]
+    assert last["tolerance"] == 1e-10 and last["passed"]
+    assert last["rel_err"] <= 1e-11
+
+
 _BALL_WEIGHT_COMMANDS = {
     "morrey-norm": ["--command", "morrey-norm"],
     "verify-dilation": ["--command", "verify-dilation"],
