@@ -56,7 +56,7 @@ for n in (1, 2):
 
 # ---------------------------------------------------------------------------
 # The Morrey cells of a radial profile are exact and scale-covariant:
-# origin cells are closed-form moments and off-center cells ball rules
+# origin cells are closed-form cumulatives and off-center cells ball rules
 # whose nodes dilate with the ball, so the dilation law holds cell by cell
 # to rounding.
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 truncated-extremizer sharpness experiment.
 
 The norm evaluates w_1(B)^{-(lambda+1/q)} (int_B |f|^q w_2)^{1/q} over a
-finite grid of balls and reports the largest cell.  Profiles are radial,
-so no cell is random: origin-centered cells are exact 1-D piecewise power
-integrals, and each off-center cell is one quad.ball_rule, which values
-both the content and the ball weight w_1 = int_B |x|^alpha.  The maximum
-is then a lower bound of the norm, to the rule's ~1e-10 accuracy.
+finite grid of balls and reports the largest cell.  One function,
+_cell_values, values that cell and refuses one that is not finite, for
+the grid norm and the sharpness numerator alike; one, _origin_weights,
+gives the weight of a centered ball.  Profiles are radial, so no cell is
+random: origin-centered cells are the profile's closed-form cumulatives,
+and each off-center cell is one quad.ball_rule, which values both the
+content and the ball weight w_1 = int_B |x|^alpha.  The maximum is then a
+lower bound of the norm, to the rule's ~1e-10 accuracy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .constants import KINDS
 from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays
 from .operators import RadialProfile, apply_radii, extremizer_profile, log_panels
-from .params import Q_PLUS_SIGMA_J, DivergenceError, ParamSet, derive_exponents, validate, violated
+from .params import ParamSet, derive_exponents, validate
 from .quad import ball_rule
 from .report import VerificationReport, compare
 
@@ -145,30 +148,28 @@ class MorreyEstimate:
     argmax_R: float
 
 
-def _check_origin(exponent: float, Q: float) -> None:
-    """Raise when the cell integrand |x|^exponent is not integrable at the origin."""
-    if exponent <= -Q:
-        raise DivergenceError(
-            f"Morrey cell integral diverges at the origin: exponent {exponent:+.6g} <= -Q",
-            conditions=(violated(Q_PLUS_SIGMA_J, f"q*sigma+gamma_w = {exponent:+.6g} <= -Q"),),
+@np.errstate(over="ignore")  # an inf weight is refused by _cell_values
+def _origin_weights(R: np.ndarray, alpha: float, gp: GroupParams) -> np.ndarray:
+    """w_1(B(0, R)) = omega_Q R^(Q+alpha)/(Q+alpha) at every radius in R."""
+    return gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
+
+
+@np.errstate(all="ignore")  # every non-finite cell is refused by name
+def _cell_values(content, w1, space: MorreySpaceSpec, cr, R, unit: float) -> np.ndarray:
+    """unit * w1^-(lambda+1/q) content^(1/q), the cells of the balls
+    B(|a| = cr, R) of contents int_B |f|^q w_2 and ball weights w1.  A weight
+    of 0 or inf or a value that is not finite raises ValueError naming the
+    first such cell, since max() would skip a NaN cell and pass an inf one."""
+    value = unit * w1 ** -(space.lam + 1.0 / space.q) * content ** (1.0 / space.q)
+    value = np.where(content <= 0.0, 0.0, value)
+    bad = np.flatnonzero(~((w1 > 0.0) & (w1 < math.inf) & np.isfinite(value)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"Morrey cell B(|a|={cr[i]:g}, R={R[i]:g}) is not finite in double precision: "
+            f"content {content[i]:.6g}, ball weight {w1[i]:.6g}, value {value[i]:.6g}"
         )
-
-
-def _not_finite(cr: float, R: float, detail: str) -> ValueError:
-    return ValueError(
-        f"Morrey cell B(|a|={cr:g}, R={R:g}) is not finite in double precision: {detail}"
-    )
-
-
-def _ball_weight(cr: float, R: float, alpha: float, gp: GroupParams, rule) -> float:
-    """w_1(B(a, R)) = int_B |x|^alpha dx: closed form at the origin and for
-    alpha = 0, the cell's rule otherwise."""
-    if cr == 0.0:
-        return gp.omega_Q * R ** (gp.Q + alpha) / (gp.Q + alpha)
-    if alpha == 0.0:
-        return gp.Omega_Q * R**gp.Q
-    inner = rule.r_in ** (gp.Q + alpha) / (gp.Q + alpha) if rule.inner else 0.0
-    return rule.inner * inner + float(rule.weights @ rule.nodes**alpha)
+    return value
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every non-finite cell is refused by name
@@ -177,61 +178,46 @@ def _cell_values_profile(
     space: MorreySpaceSpec,
     grid: BallGrid,
     gp: GroupParams,
-) -> List[MorreyEstimate]:
-    """Every grid cell of a radial profile in fixed order, valued as
-    w_1(B)^-(lambda+1/q) (int_B |f|^q w_2)^(1/q), none of them random:
-    origin cells are closed-form moments, off-center cells their ball_rule
-    split at the profile's breakpoints, with the exact moment below the
-    rule's r_in.  Rules come from quad.ball_rule's per-process cache, so a
-    grid valued again, for another profile with the same breakpoints,
-    builds none.  The origin is visited with its first direction only,
-    since all directions coincide there.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every grid cell of a radial profile in fixed order, as the arrays
+    (values, |a|, R), none of them random: origin cells are closed-form
+    cumulatives, off-center cells their ball_rule split at the profile's
+    breakpoints, with the exact cumulative below the rule's r_in.  Rules
+    come from quad.ball_rule's per-process cache, so a grid valued again,
+    for another profile with the same breakpoints, builds none.  The origin
+    is visited once, since all directions coincide there.
 
     A cell is 1-homogeneous in f, so the profile is divided by its largest
     amplitude before its q-th power, which would otherwise overflow or
-    underflow at large q, and the cells are multiplied back.  A ball weight
-    of 0 or inf, an overflow or a value that is not finite raises
-    ValueError naming the cell, since max() would skip a NaN cell."""
+    underflow at large q, and the cells are multiplied back."""
     space.check_weights(gp.Q)
     unit = max((A for _, _, A, _ in f.segments), default=1.0)
     fq = RadialProfile(tuple((lo, hi, A / unit, p) for lo, hi, A, p in f.segments)).power_q(space.q)
     # |f|^q |x|^gamma_w as one power per segment: two separate powers with
     # large opposite exponents overflow to inf * 0 at the rule's nodes
     fw = RadialProfile(tuple((lo, hi, A, p + space.gamma_w) for lo, hi, A, p in fq.segments))
-    p0 = fw.origin_exponent()
-    if p0 is not None:
-        _check_origin(p0, gp.Q)
-    k = gp.Q - 1.0
-    q = space.q
-    pref_exp = -(space.lam + 1.0 / q)
+    alpha = space.alpha
     breakpoints = fw.breakpoints()
-    cells: List[MorreyEstimate] = []
+    cells = []  # |a|, R, rule.inner (omega_Q at the origin), r_in, content and weight rule sums
     for cr in grid.center_radii:
-        for di, direction in enumerate(grid.center_directions):
-            if cr == 0.0 and di > 0:
-                continue
+        if cr == 0.0:
+            cells.extend((0.0, R, gp.omega_Q, R, 0.0, 0.0) for R in grid.radii)
+            continue
+        for direction in grid.center_directions:
             center = HPoint(dilate_arrays(cr, direction.coords, gp.n))
             for R in grid.radii:
-                rule = None
-                try:
-                    if cr == 0.0:
-                        content = gp.omega_Q * fw.moment(k, 0.0, R)
-                    else:
-                        rule = ball_rule(center, R, gp, breakpoints)
-                        inner = fw.moment(k, 0.0, rule.r_in) if rule.inner else 0.0
-                        content = rule.inner * inner + float(rule.weights @ fw(rule.nodes))
-                    w1 = _ball_weight(cr, R, space.alpha, gp, rule)
-                except OverflowError as exc:
-                    raise _not_finite(cr, R, f"overflow ({exc})") from exc
-                if not 0.0 < w1 < math.inf:
-                    raise _not_finite(cr, R, f"ball weight {w1:.6g}")
-                value = 0.0 if content <= 0.0 else unit * w1**pref_exp * content ** (1.0 / q)
-                if not math.isfinite(value):
-                    raise _not_finite(
-                        cr, R, f"content {content:.6g}, ball weight {w1:.6g}, value {value:.6g}"
-                    )
-                cells.append(MorreyEstimate(value, cr, R))
-    return cells
+                rule = ball_rule(center, R, gp, breakpoints)
+                cells.append((
+                    cr, R, rule.inner, rule.r_in if rule.inner else 0.0,
+                    float(rule.weights @ fw(rule.nodes)),
+                    float(rule.weights @ rule.nodes**alpha) if alpha else 0.0,
+                ))
+    cr, R, inner, r_in, csum, wsum = np.array(cells, dtype=float).reshape(-1, 6).T
+    content = inner * fw.cumulative(gp.Q - 1.0, r_in) + csum
+    w1 = inner / gp.omega_Q * _origin_weights(r_in, alpha, gp) + wsum
+    if alpha == 0.0:  # an off-center ball's weight is its volume
+        w1 = np.where(cr > 0.0, gp.Omega_Q * R**gp.Q, w1)
+    return _cell_values(content, w1, space, cr, R, unit), cr, R
 
 
 def morrey_norm(
@@ -244,10 +230,11 @@ def morrey_norm(
     radial profile: origin cells in closed form, off-center cells by their
     ball_rule, so the value is a lower bound of the norm with no random
     draw."""
-    cells = _cell_values_profile(f, space, grid, gp)
-    if not cells:
+    values, cr, R = _cell_values_profile(f, space, grid, gp)
+    if not values.size:
         raise ValueError("empty grid")
-    return max(cells, key=lambda c: c.value)
+    i = int(np.argmax(values))
+    return MorreyEstimate(float(values[i]), float(cr[i]), float(R[i]))
 
 
 def power_norm(p: ParamSet, j: int, gp: GroupParams) -> float:
@@ -294,17 +281,16 @@ def verify_dilation(
         - space.gamma_w / space.q
         + space.alpha * (space.lam + 1.0 / space.q)
     )
-    base = _cell_values_profile(f, space, grid, gp)
+    base = _cell_values_profile(f, space, grid, gp)[0]
     records = []
     for t in ts:
         start = time.perf_counter()
-        dil = _cell_values_profile(f.dilated(t), space, grid.scaled(1.0 / t), gp)
-        factor = t**sigma_space
-        pairs = list(zip(base, dil))
+        dil = _cell_values_profile(f.dilated(t), space, grid.scaled(1.0 / t), gp)[0]
         # the first ratio farthest from 1, or NaN when a zero base cell is not zero dilated
-        ratios = [d.value / (factor * b.value) for b, d in pairs if b.value != 0.0]
+        nz = base != 0.0
+        ratios = (dil[nz] / (t**sigma_space * base[nz])).tolist()
         worst = max([1.0, *ratios], key=lambda r: abs(r - 1.0))
-        if any(d.value != 0.0 for b, d in pairs if b.value == 0.0):
+        if np.any(dil[~nz] != 0.0):
             worst = math.nan
         records.append(compare(
             f"verify-dilation t={t:g}",
@@ -340,9 +326,8 @@ def sharpness_ratio(
 
     Each denominator is power_norm, the exact norm of the pure power
     r^{sigma_j}, which bounds ||f_j|| from above: the ratio is a certified
-    lower bound of the operator norm for every strict set.  A ball weight
-    of 0 or inf raises ValueError naming the cell.  seed is only echoed in
-    the record.
+    lower bound of the operator norm for every strict set.  A cell that is
+    not finite raises ValueError naming it.  seed is only echoed in the record.
     """
     vr = validate(p, strict_sharpness=True)
     if not vr:
@@ -367,12 +352,8 @@ def sharpness_ratio(
     pieces = np.bincount(interval, w * tf[:-1] ** q * r ** (Q - 1.0 + gw), minlength=edges.size - 1)
     below = tf[-1] ** q * r0 ** (Q + gw) / (Q + gw)
     content = gp.omega_Q * (below + np.append(0.0, np.cumsum(pieces)))[np.searchsorted(edges, R)]
-    with np.errstate(over="ignore"):  # an inf weight is refused by name below
-        w1 = gp.omega_Q * R ** (Q + p.alpha) / (Q + p.alpha)
-    for i in (0, -1):  # w1 grows with R, so its ends bound it
-        if not 0.0 < w1[i] < math.inf:
-            raise _not_finite(0.0, R[i], f"ball weight {w1[i]:.6g}")
-    num = float(np.max(w1 ** -(p.lam + 1.0 / q) * content ** (1.0 / q)))
+    w1, target = _origin_weights(R, p.alpha, gp), MorreySpaceSpec(q, p.lam, p.alpha, gw)
+    num = float(np.max(_cell_values(content, w1, target, np.zeros_like(R), R, 1.0)))
 
     ratio = num / denom
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))

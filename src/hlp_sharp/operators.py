@@ -2,14 +2,14 @@
 (sum kernel), and extremizer profiles.
 
 A profile is nothing but its disjoint power segments A*r^p on [lo, hi),
-which makes q-th powers, dilations, moments and cumulative integrals
-closed-form.  apply_radii is the one operator entry point: it reduces each
-y_j integral to a radial one (factor omega_Q r^(Q-1)) and tabulates every
-output radius in one pass per kernel.  The max kernel integrates the
-product of the cumulatives by parts: Gauss-Legendre panels between edges,
-a closed-form tail.  The sum kernel scales B_m from constants (pure
-powers) or, for bounded supports, a Laplace contraction that sums over each
-variable separately.
+which makes q-th powers, dilations and cumulative integrals closed-form.
+apply_radii is the one operator entry point: it reduces each y_j integral
+to a radial one (factor omega_Q r^(Q-1)) and tabulates every output radius
+in one pass per kernel.  The max kernel integrates the product of the
+cumulatives by parts: Gauss-Legendre panels between edges, a closed-form
+tail.  The sum kernel scales B_m from constants (pure powers) or, for
+bounded supports, a Laplace contraction that sums over each variable
+separately.
 """
 
 from __future__ import annotations
@@ -33,32 +33,6 @@ __all__ = [
     "extremizer_profile",
     "log_panels",
 ]
-
-
-def _check_origin_power(lo: float, e: float) -> None:
-    """Raise when r^e on a segment starting at lo is not integrable at 0."""
-    if lo == 0.0 and e <= -1.0:
-        raise DivergenceError(
-            f"segment integral diverges at 0: exponent {e:+.6g} <= -1",
-            conditions=(violated(Q_PLUS_SIGMA_J, f"segment exponent {e:+.6g} <= -1 at 0"),),
-        )
-
-
-def _segment_moment(lo: float, hi: float, A: float, p: float, k: float) -> float:
-    """Closed form of int_lo^hi A r^(p+k) dr; raises on divergence."""
-    e = p + k
-    _check_origin_power(lo, e)
-    if math.isinf(hi) and e >= -1.0:
-        raise DivergenceError(
-            f"moment diverges at infinity: exponent {e:+.6g} >= -1",
-            conditions=(violated(SIGMA_NEG, f"segment exponent {e:+.6g} >= -1 at infinity"),),
-        )
-    if e == -1.0:
-        return A * math.log(hi / lo)
-    e1 = e + 1.0
-    upper = 0.0 if (math.isinf(hi) and e1 < 0.0) else hi**e1
-    lower = 0.0 if (lo == 0.0 and e1 > 0.0) else lo**e1
-    return A * (upper - lower) / e1
 
 
 @dataclass(frozen=True)
@@ -183,15 +157,6 @@ class RadialProfile:
         return float(out) if np.isscalar(r) or arr.ndim == 0 else out
 
     # -- closed-form calculus -------------------------------------------------
-    def moment(self, k: float, lo: float = 0.0, hi: float = math.inf) -> float:
-        """int_lo^hi f(r) r^k dr, exact per segment."""
-        total = 0.0
-        for slo, shi, A, p in self.segments:
-            a, b = max(lo, slo), min(hi, shi)
-            if a < b:
-                total += _segment_moment(a, b, A, p, k)
-        return total
-
     def cumulative(self, k: float, r) -> np.ndarray:
         """Vectorized G(r) = int_0^r f(s) s^k ds (raises if divergent at 0)."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -201,11 +166,15 @@ class RadialProfile:
             if np.any(mask):
                 upper = np.minimum(arr[mask], hi)
                 e = p + k
-                _check_origin_power(lo, e)
+                if lo == 0.0 and e <= -1.0:
+                    bad = violated(Q_PLUS_SIGMA_J, f"segment exponent {e:+.6g} <= -1 at 0")
+                    raise DivergenceError(
+                        f"segment integral diverges at 0: exponent {e:+.6g} <= -1", conditions=(bad,)
+                    )
                 if e == -1.0:
                     out[mask] += A * np.log(upper / lo)
                 else:
-                    base = 0.0 if (lo == 0.0 and e + 1.0 > 0.0) else lo ** (e + 1.0)
+                    base = 0.0 if (lo == 0.0 and e + 1.0 > 0.0) else np.float64(lo) ** (e + 1.0)
                     out[mask] += A * (upper ** (e + 1.0) - base) / (e + 1.0)
         return out
 

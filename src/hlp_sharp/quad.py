@@ -288,6 +288,10 @@ _ROWS = 256  # radii whose angle panels are built at once
 _CHUNK = 1 << 13  # node values computed at once; both bound the rule's memory
 _VOLUME_TOL = 1e-7  # largest accepted error of a rule's own ball volume
 _RULE_CACHE = 1024  # rules kept per process; one holds 0.4 to 12 KB of arrays
+# a center with |t| <= _FLAT |z|^2 takes the horizontal rule: there the mixed
+# rule agrees with it to 2e-13, and below it the mixed rule's radial breaks
+# lose their own volume to rounding (1e-10 at 1e-10 |z|^2, n = 1)
+_FLAT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -332,9 +336,11 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     against |a|_h (like eps (|a|_h / R)^2 at a vertical center), so a ball
     whose rule misses its own volume
     Omega_Q R^Q by more than 1e-7 (R below ~1e-5 |a|_h) raises ValueError
-    rather than return a wrong or zero cell.  The rule reads only n, |z|,
-    |t|, R and the breakpoints, so each is built once per process on first
-    use and shared (the last _RULE_CACHE kept); its arrays are read-only.
+    rather than return a wrong or zero cell.  A center with |t| at most
+    1e-9 |z|^2 takes the horizontal rule (t = 0).  The rule reads only n,
+    |z|, |t|, R and the breakpoints, so each is built once per process on
+    first use and shared (the last _RULE_CACHE kept); its arrays are
+    read-only.
     """
     radius = float(radius)
     if not radius > 0.0:
@@ -345,6 +351,8 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     c, t = math.sqrt(float(z @ z)), abs(float(center.coords[-1]))
     if c == 0.0 and t == 0.0:
         raise ValueError("ball_rule needs an off-origin center")
+    if t <= _FLAT * c * c:
+        t = 0.0
     return _built_rule(c, t, radius, gp, tuple(float(b) for b in breakpoints))
 
 

@@ -184,7 +184,7 @@ def test_a_non_finite_cell_raises_rather_than_drop_out_of_the_max(gp1):
 @pytest.mark.parametrize("radii", [(1e-2, 1.0), (1.0, 100.0)], ids=["underflow", "overflow"])
 def test_a_ball_weight_out_of_range_raises_naming_the_cell(radii, gp1):
     # w_1 = int_B |x|^160 is positive and finite for every ball: at R = 1e-2
-    # it underflows to 0, and at R = 100 its Python-float power overflows
+    # it underflows to 0, and at R = 100 it overflows to inf
     space = MorreySpaceSpec(q=2.0, lam=-0.49, alpha=160.0)
     for center_radii in ((0.0,), (0.0, 4.0)):
         grid = small_grid(radii=radii, center_radii=center_radii)

@@ -144,36 +144,20 @@ def test_tabulated_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_moment_closed_forms():
+def test_cumulative_closed_forms():
     f = RadialProfile.power(-1.0, 0.5, 2.0, amplitude=3.0)
-    # int_0.5^2 3 r^(-1+3) dr
-    assert f.moment(3.0) == pytest.approx(3.0 * (2.0**3 - 0.5**3) / 3.0, rel=1e-15)
+    # int_0^r 3 s^(-1+3) ds: zero below the support, constant above it
+    rr = np.array([0.25, 0.5, 1.5, 2.0, 5.0])
+    expected = [0.0, 0.0, 1.5**3 - 0.5**3, 2.0**3 - 0.5**3, 2.0**3 - 0.5**3]
+    assert f.cumulative(3.0, rr) == pytest.approx(expected, rel=1e-15)
     # logarithmic case p + k = -1
-    assert f.moment(0.0) == pytest.approx(3.0 * math.log(4.0), rel=1e-15)
-    # window clipping
-    assert f.moment(3.0, lo=1.0, hi=1.5) == pytest.approx(
-        3.0 * (1.5**3 - 1.0**3) / 3.0, rel=1e-15
-    )
-    assert f.moment(3.0, lo=3.0, hi=4.0) == 0.0
+    assert f.cumulative(0.0, [1.0, 4.0]) == pytest.approx(3.0 * np.log([2.0, 4.0]), rel=1e-15)
 
 
-def test_moment_divergence_tokens():
+def test_cumulative_divergence_token():
     with pytest.raises(DivergenceError) as exc:
-        RadialProfile.power(-4.0).moment(3.0, hi=1.0)
-    assert any("Q+sigma_j>0 violated" in c for c in exc.value.conditions)
-    with pytest.raises(DivergenceError) as exc:
-        RadialProfile.power(-4.0).moment(3.0, lo=1.0)
-    assert any("sigma<0 violated" in c for c in exc.value.conditions)
-
-
-def test_cumulative_equals_windowed_moment():
-    f = RadialProfile(((0.0, 0.5, 1.0, -0.5), (0.5, 2.0, 2.0, 1.0), (4.0, math.inf, 1.0, -6.0)))
-    rr = np.array([0.25, 0.5, 1.0, 3.0, 5.0, 10.0])
-    got = f.cumulative(3.0, rr)
-    expected = np.array([f.moment(3.0, 0.0, r) for r in rr])
-    assert got == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(DivergenceError):
         RadialProfile.power(-4.0).cumulative(3.0, np.array([1.0]))
+    assert any("Q+sigma_j>0 violated" in c for c in exc.value.conditions)
 
 
 def test_profile_algebra():
@@ -372,7 +356,7 @@ def _hlp_region_sum(profiles, t, gp, spec):
     k = Q - 1.0
     total = t ** (-m * Q)
     for f in profiles:
-        total *= f.moment(k, 0.0, t)
+        total *= f.cumulative(k, t)[0]
     brk = sorted({b for f in profiles for b in f.breakpoints() if b > t})
     for i, f_i in enumerate(profiles):
         hi = f_i.support()[1]

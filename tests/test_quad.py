@@ -499,6 +499,30 @@ def test_ball_rule_volume_from_nearly_horizontal_to_nearly_vertical(n):
             assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10), (u, R)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nearly_horizontal_centers_match_the_horizontal_rule(n):
+    # t / c^2 from 1e-6 to 1e-16 at fixed |a|: the mixed rule down to 1e-9,
+    # the horizontal one below, where the mixed rule's radial breaks lost
+    # the ball's volume to rounding (1e-10 at 1e-10 and refused at 1e-13, n = 1)
+    from hlp_sharp.operators import RadialProfile
+
+    gp, gauge, R = GroupParams(n), 0.0216, 0.0517
+    prof = RadialProfile.power(-1.5)
+
+    def cell(coords):
+        rule = quad.ball_rule(HPoint(coords), R, gp, prof.breakpoints())
+        assert _rule_volume(rule, gp) == pytest.approx(gp.Omega_Q * R**gp.Q, rel=1e-10)
+        below = prof.cumulative(gp.Q - 1.0, rule.r_in)[0] if rule.inner else 0.0
+        return rule.inner * below + float(rule.weights @ prof(rule.nodes))
+
+    horizontal = cell(_center(n, 1.0, 0.0, gauge).coords)
+    for k in range(6, 17):
+        c = gauge / (1.0 + 10.0 ** (-2 * k)) ** 0.25
+        coords = np.zeros(gp.dim)
+        coords[0], coords[-1] = c, 10.0**-k * c * c
+        assert cell(coords) == pytest.approx(horizontal, rel=1e-12), k
+
+
 def test_ball_rule_rejects_bad_arguments(gp1):
     with pytest.raises(ValueError, match="off-origin"):
         quad.ball_rule(identity(1), 1.0, gp1)
@@ -572,7 +596,7 @@ def test_ball_rule_profile_cells_match_monte_carlo(case):
     prof = RadialProfile.power(sigma, lo, hi)
     center = _center(n, h, v)
     rule = quad.ball_rule(center, R, gp, prof.breakpoints())
-    below = prof.moment(gp.Q - 1.0, 0.0, rule.r_in) if rule.inner else 0.0
+    below = prof.cumulative(gp.Q - 1.0, rule.r_in)[0] if rule.inner else 0.0
     value = rule.inner * below + float(rule.weights @ prof(rule.nodes))
     tilt = sigma if lo == 0.0 and R > 1.0 else 0.0
     est, se = mc_ball_integral(
