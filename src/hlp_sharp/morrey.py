@@ -192,10 +192,12 @@ def _cell_values_profile(
     underflow at large q, and the cells are multiplied back."""
     space.check_weights(gp.Q)
     unit = max((A for _, _, A, _ in f.segments), default=1.0)
-    fq = RadialProfile(tuple((lo, hi, A / unit, p) for lo, hi, A, p in f.segments)).power_q(space.q)
-    # |f|^q |x|^gamma_w as one power per segment: two separate powers with
-    # large opposite exponents overflow to inf * 0 at the rule's nodes
-    fw = RadialProfile(tuple((lo, hi, A, p + space.gamma_w) for lo, hi, A, p in fq.segments))
+    # |f/unit|^q |x|^gamma_w as one power per segment (A/unit <= 1 keeps it in
+    # range; two powers of opposite large exponents make inf * 0 at nodes)
+    q, gamma_w = space.q, space.gamma_w
+    fw = RadialProfile(
+        tuple((lo, hi, (A / unit) ** q, p * q + gamma_w) for lo, hi, A, p in f.segments)
+    )
     alpha = space.alpha
     breakpoints = fw.breakpoints()
     cells = []  # |a|, R, rule.inner (omega_Q at the origin), r_in, content and weight rule sums

@@ -2,19 +2,20 @@
 (sum kernel), and extremizer profiles.
 
 A profile is nothing but its disjoint power segments A*r^p on [lo, hi),
-which makes q-th powers, dilations and cumulative integrals closed-form.
-apply_radii is the one operator entry point: it reduces each y_j integral
-to a radial one (factor omega_Q r^(Q-1)) and tabulates every output radius
+which makes dilations and cumulative integrals closed-form.  apply_radii
+is the one operator entry point.  It takes compact profiles only,
+supported in [lo, hi] with 0 < lo < hi < inf, as the truncated
+extremizers of the sharpness check are.  It reduces each y_j integral to
+a radial one (factor omega_Q r^(Q-1)) and tabulates every output radius
 in one pass per kernel.  The max kernel integrates the product of the
-cumulatives by parts: Gauss-Legendre panels between edges, a closed-form
-tail.  The sum kernel scales B_m from constants (pure powers) or, for
-bounded supports, a Laplace contraction that sums over each variable
+cumulatives by parts: Gauss-Legendre panels between edges, and past the
+last edge, where every cumulative is constant, a closed-form tail.  The
+sum kernel is a Laplace contraction that sums over each variable
 separately.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,8 +24,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .hgroup import GroupParams
-from .params import Q_PLUS_SIGMA_J, SIGMA_NEG, DivergenceError, ExponentSet, violated
-from .constants import KINDS, hilbert_closed_form
+from .params import Q_PLUS_SIGMA_J, DivergenceError, ExponentSet, violated
+from .constants import KINDS
 from .quad import QuadratureSpec, leggauss
 
 __all__ = [
@@ -96,14 +97,6 @@ class RadialProfile:
     def is_zero(self) -> bool:
         return not self.segments
 
-    @property
-    def is_pure_power(self) -> bool:
-        return (
-            len(self.segments) == 1
-            and self.segments[0][0] == 0.0
-            and math.isinf(self.segments[0][1])
-        )
-
     def support(self) -> Tuple[float, float]:
         if not self.segments:
             return (0.0, 0.0)
@@ -117,18 +110,6 @@ class RadialProfile:
             if math.isfinite(hi):
                 pts.add(hi)
         return tuple(sorted(pts))
-
-    def origin_exponent(self) -> Optional[float]:
-        """Power at r -> 0+, or None when the support is bounded away from 0."""
-        if self.segments and self.segments[0][0] == 0.0:
-            return self.segments[0][3]
-        return None
-
-    def tail_exponent(self) -> Optional[float]:
-        """Power at r -> inf, or None when the support is bounded."""
-        if self.segments and math.isinf(self.segments[-1][1]):
-            return self.segments[-1][3]
-        return None
 
     @cached_property
     def _segment_arrays(self):
@@ -179,17 +160,6 @@ class RadialProfile:
         return out
 
     # -- algebra ---------------------------------------------------------------
-    def power_q(self, qexp: float) -> "RadialProfile":
-        """Pointwise q-th power, exact on segments (q > 0)."""
-        qexp = float(qexp)
-        if not qexp > 0.0:
-            raise ValueError("power_q requires a positive exponent")
-        try:
-            segs = tuple((lo, hi, A**qexp, p * qexp) for lo, hi, A, p in self.segments)
-        except OverflowError as exc:
-            raise ValueError(f"power_q({qexp:g}) overflows a segment amplitude") from exc
-        return RadialProfile(segs)
-
     def dilated(self, t: float) -> "RadialProfile":
         """Profile of x -> f(delta_t x), i.e. g(r) = f(t r)."""
         t = float(t)
@@ -215,42 +185,6 @@ def extremizer_profile(
 # Operator application
 
 
-def _check_convergence(profiles: Sequence[RadialProfile], gp: GroupParams) -> None:
-    """Analytic integrability pre-check shared by both kernels."""
-    Q = gp.Q
-    m = len(profiles)
-    conditions = []
-    for j, f in enumerate(profiles):
-        p0 = f.origin_exponent()
-        if p0 is not None and Q + p0 <= 0.0:
-            conditions.append(
-                violated(Q_PLUS_SIGMA_J, f"Q+sigma_{j + 1} = {Q + p0:+.6g} is not positive")
-            )
-    # a cumulative grows like r^(Q+p) at infinity, or tends to a constant
-    # when Q+p < 0 or the support is bounded
-    growth = []
-    for f in profiles:
-        pt = f.tail_exponent()
-        growth.append(max(Q + pt, 0.0) if pt is not None else 0.0)
-    for i, f in enumerate(profiles):
-        pt = f.tail_exponent()
-        if pt is None:
-            continue
-        e_i = pt + (Q - 1.0 - m * Q) + (sum(growth) - growth[i])
-        if e_i >= -1.0:
-            conditions.append(
-                violated(
-                    SIGMA_NEG,
-                    f"joint tail exponent {e_i + 1.0:+.6g} of factor {i + 1} is not negative",
-                )
-            )
-    if conditions:
-        raise DivergenceError(
-            "operator integral diverges: " + "; ".join(conditions),
-            conditions=tuple(conditions),
-        )
-
-
 def log_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes and weights for int g(r) dr between consecutive edges:
     12-point Gauss-Legendre on max(2, ceil(8 * decades)) log-uniform panels
@@ -272,37 +206,6 @@ def log_panels(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r.ravel(), (w * half[:, None] * r).ravel(), np.repeat(interval, x.size)
 
 
-def _hlp_tail(profiles: Sequence[RadialProfile], b: float, gp: GroupParams) -> float:
-    """int_b^inf r^(-mQ-1) prod_j G_j(r) dr for b at or past every breakpoint.
-
-    There G_j = c_j + a_j r^(e_j), e_j = Q + p_j, on an unbounded last
-    segment (G_j(b) + A_j log(r/b) when e_j = 0) and G_j(b) otherwise.  Each
-    choice of one part per factor is c b^(-s) L!/s^(L+1), with s = mQ minus
-    the chosen exponents and L the number of chosen logs; every part carries
-    a factor b^(-Q) so the product stays in range.
-    """
-    Q, m = gp.Q, len(profiles)
-    k = Q - 1.0
-    bq = b**-Q
-    parts = []  # per factor: (value at b times b^-Q, exponent, log power)
-    for f in profiles:
-        lo, hi, A, p = f.segments[-1]
-        e = Q + p
-        if math.isfinite(hi):
-            parts.append([(f.cumulative(k, b)[0] * bq, 0.0, 0)])
-        elif e == 0.0:
-            parts.append([(f.cumulative(k, b)[0] * bq, 0.0, 0), (A * bq, 0.0, 1)])
-        else:
-            c = f.cumulative(k, lo)[0] - A * lo**e / e
-            parts.append([(c * bq, 0.0, 0), (A * b**p / e, e, 0)])
-    total = 0.0
-    for choice in itertools.product(*parts):
-        s = m * Q - sum(e for _, e, _ in choice)
-        logs = sum(L for _, _, L in choice)
-        total += math.prod(v for v, _, _ in choice) * math.factorial(logs) / s ** (logs + 1)
-    return total
-
-
 def _apply_hlp(
     profiles: Sequence[RadialProfile], radii: np.ndarray, gp: GroupParams
 ) -> np.ndarray:
@@ -310,12 +213,15 @@ def _apply_hlp(
 
     The regions of the decomposition over the argmax of (t, r_1, ..., r_m)
     sum to omega_Q^m (t^(-mQ) F(t) + int_t^inf r^(-mQ) F'(r) dr), with
-    F = prod_j G_j and G_j(r) = int_0^r f_j(s) s^(Q-1) ds.  On convergent
-    inputs r^(-mQ) F -> 0, so by parts
+    F = prod_j G_j and G_j(r) = int_0^r f_j(s) s^(Q-1) ds.  On compact
+    supports F is bounded, so r^(-mQ) F -> 0 and by parts
     T(t) = mQ omega_Q^m int_t^inf r^(-mQ-1) F(r) dr.  Between edges (the
     radii and the breakpoints above the smallest one) the integrand is
-    smooth and takes the log_panels rule; beyond the last edge _hlp_tail is
-    exact; a reverse cumulative sum gives every radius.
+    smooth and takes the log_panels rule.  Past the last edge b every
+    cumulative is constant, so the tail is exactly
+    prod_j(G_j(b) b^(-Q)) / (mQ), each factor carrying its b^(-Q) so that
+    the product stays in range.  A reverse cumulative sum gives every
+    radius.
     """
     Q, m = gp.Q, len(profiles)
     brk = [b for f in profiles for b in f.breakpoints() if b > radii.min()]
@@ -323,35 +229,27 @@ def _apply_hlp(
     r, w, interval = log_panels(edges)
     rq = r**-Q
     F = np.prod([f.cumulative(Q - 1.0, r) * rq for f in profiles], axis=0) / r
-    pieces = np.append(
-        np.bincount(interval, w * F, minlength=edges.size - 1),
-        _hlp_tail(profiles, float(edges[-1]), gp),
-    )
+    b = float(edges[-1])
+    tail = math.prod(f.cumulative(Q - 1.0, b)[0] * b**-Q for f in profiles) / (m * Q)
+    pieces = np.append(np.bincount(interval, w * F, minlength=edges.size - 1), tail)
     above = np.cumsum(pieces[::-1])[::-1]
     return m * Q * gp.omega_Q**m * above[np.searchsorted(edges, radii)]
 
 
-def _compact(profiles: Sequence[RadialProfile]) -> bool:
-    """Every support is bounded and bounded away from 0."""
-    return all(f.support()[0] > 0.0 and math.isfinite(f.support()[1]) for f in profiles)
-
-
 def _axis_rule(f: RadialProfile, gp: GroupParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed nodes/weights for int f(r) r^(Q-1) h(r) dr over the bounded
+    """Fixed nodes/weights for int f(r) r^(Q-1) h(r) dr over the compact
     support of f: the log_panels rule between breakpoints."""
-    if not _compact([f]):
-        raise ValueError("axis rule requires bounded support away from 0")
     lo, hi = f.support()
     r, w, _ = log_panels(np.array(sorted({lo, hi, *f.breakpoints()})))
     return r, w * f(r) * r ** (gp.Q - 1.0)
 
 
-def _apply_hilbert_bounded(
+def _apply_hilbert(
     profiles: Sequence[RadialProfile],
     radii: np.ndarray,
     gp: GroupParams,
 ) -> np.ndarray:
-    """Sum kernel over bounded supports, vectorized over output radii.
+    """Sum kernel at every radius in one pass.
 
     a^(-m) = Gamma(m)^(-1) int lam^(m-1) e^(-lam a) dlam splits the kernel,
     u_j = r_j^Q on the _axis_rule nodes: T(t) = omega_Q^m h/Gamma(m) sum_k
@@ -386,15 +284,16 @@ def apply_radii(
 ) -> np.ndarray:
     """The m-linear operator at every output radius |x|_h in radii.
 
-    The output is radial because both kernels depend only on norms.  The
-    max kernel integrates the product of the closed-form cumulatives by
-    parts over all radii at once (Gauss-Legendre between edges, an exact
-    tail).  The sum kernel is prod(A_j) B_m t^sigma on pure powers and,
-    on supports bounded away from 0 and infinity, the Laplace contraction:
-    one exponential sum per factor on its own radial rule, combined over a
-    trapezoid rule in log lambda; other sum-kernel inputs raise ValueError.
-    Divergent inputs raise DivergenceError.  spec is not used.  This is the
-    one operator entry point; the value at a single radius t is
+    Every profile must be supported in [lo, hi] with 0 < lo < hi < inf;
+    any other non-zero profile raises ValueError, so truncate a pure power
+    as RadialProfile.power(sigma, lo, hi).  On such supports no integral
+    diverges.  The output is radial because both kernels depend only on
+    norms.  The max kernel integrates the product of the closed-form
+    cumulatives by parts over all radii at once (Gauss-Legendre between
+    edges, an exact tail).  The sum kernel is the Laplace contraction: one
+    exponential sum per factor on its own radial rule, combined over a
+    trapezoid rule in log lambda.  spec is not used.  This is the one
+    operator entry point; the value at a single radius t is
     apply_radii(kind, profiles, [t], gp)[0].
     """
     if kind not in KINDS:
@@ -405,20 +304,16 @@ def apply_radii(
     profiles = list(profiles)
     if any(f.is_zero for f in profiles):
         return np.zeros(rr.size)
-    _check_convergence(profiles, gp)
+    for j, f in enumerate(profiles):
+        lo, hi = f.support()
+        if not (lo > 0.0 and math.isfinite(hi)):
+            raise ValueError(
+                f"profile {j + 1} is supported in [{lo:g}, {hi:g}]; apply_radii takes "
+                "supports in [lo, hi] with 0 < lo < hi < inf: truncate it, e.g. "
+                "RadialProfile.power(sigma, lo, hi)"
+            )
     if rr.size == 0:
         return rr
     if kind == "hlp":
         return _apply_hlp(profiles, rr, gp)
-    if all(f.is_pure_power for f in profiles):
-        # dilation and the Gamma-product identity: T(t) = prod(A_j) B_m t^sigma
-        _, _, amps, powers = zip(*(f.segments[0] for f in profiles))
-        e = ExponentSet(powers, math.fsum(powers))
-        return math.prod(amps) * hilbert_closed_form(e, gp).value * rr**e.sigma
-    if _compact(profiles):
-        return _apply_hilbert_bounded(profiles, rr, gp)
-    raise ValueError(
-        "hilbert apply_radii supports pure-power profiles or profiles with bounded "
-        "support away from 0 (mixes are ambiguous to resolve accurately); "
-        "truncate the unbounded profiles"
-    )
+    return _apply_hilbert(profiles, rr, gp)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -163,6 +164,8 @@ def test_config_usage_errors():
         config_from_args(["--command", "constant", "--samples", "10"])
     with pytest.raises(UsageError, match="0<rmin<rmax"):
         config_from_args(["--command", "constant", "--rmin", "2", "--rmax", "1"])
+    with pytest.raises(UsageError, match="0<rmin<rmax violated: rmin = 0.01, rmax = inf"):
+        config_from_args(["--command", "verify-sharpness", "--rmax", "inf"])
     with pytest.raises(UsageError, match="tolerance>0"):
         config_from_args(["--command", "constant", "--tolerance", "0"])
     with pytest.raises(UsageError, match="--t factors"):
@@ -173,6 +176,8 @@ def test_config_usage_errors():
         config_from_args(["--command", "verify-sharpness", "--widths", "1e2:1e-2"])
     with pytest.raises(UsageError, match="0<rmin<rmax violated: --widths entry 0:1"):
         config_from_args(["--command", "verify-sharpness", "--widths", "1e-1:1e1,0:1"])
+    with pytest.raises(UsageError, match="0<rmin<rmax violated: --widths entry 0.01:inf"):
+        config_from_args(["--command", "verify-sharpness", "--widths", "1e-2:inf"])
     with pytest.raises(UsageError, match="--qj"):
         config_from_args(["--command", "constant", "--qj", "a,b"])
     with pytest.raises(SystemExit):
@@ -539,8 +544,27 @@ def test_morrey_norm_command(tmp_path):
     record = json.loads(path.read_text().splitlines()[1])
     assert record["label"] == "morrey-norm extremizer j=1 m=1 n=1"
     assert record["passed"] is True
-    assert record["tolerance"] == 0.05
+    assert record["tolerance"] == 1e-9
     assert "argmax cell" in record["convention_note"]
+
+
+def test_morrey_norm_fails_when_off_center_cells_inflate(tmp_path, monkeypatch):
+    # origin cells are the exact norm and no off-center cell exceeds it, so
+    # off-center contents inflated by 1e-6 must fail the record
+    import hlp_sharp.morrey as morrey
+
+    built = morrey.ball_rule
+
+    def inflated(*args):
+        rule = built(*args)
+        grow = 1.0 + 1e-6  # at the default alpha = 0 no cell weight moves
+        return dataclasses.replace(rule, inner=rule.inner * grow, weights=rule.weights * grow)
+
+    monkeypatch.setattr(morrey, "ball_rule", inflated)
+    status, path = run_main(["--command", "morrey-norm"], tmp_path)
+    record = json.loads(path.read_text().splitlines()[1])
+    assert status == 1 and record["passed"] is False
+    assert 1e-9 < record["rel_err"] < 1e-6
 
 
 def test_verify_sharpness_json(tmp_path):
