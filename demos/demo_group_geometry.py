@@ -10,20 +10,10 @@ computation: dilating a function by t scales its weighted Morrey norm
 by exactly t^sigma_space.
 """
 
-import numpy as np
-
-from hlp_sharp.hgroup import (
-    GroupParams,
-    HPoint,
-    dilate,
-    group_inv,
-    group_mul,
-    hnorm,
-    identity,
-)
+from hlp_sharp.hgroup import GroupParams, HPoint, dilate, group_inv, group_mul, hnorm
 from hlp_sharp.morrey import BallGrid, MorreySpaceSpec, morrey_norm, verify_dilation
 from hlp_sharp.operators import RadialProfile
-from hlp_sharp.quad import MCSpec, mc_ball_integral
+from hlp_sharp.quad import gauge_ball_volume
 
 # ---------------------------------------------------------------------------
 # The group law twists the vertical coordinate: points that commute in
@@ -43,17 +33,15 @@ for r in (0.5, 2.0, 10.0):
 
 # ---------------------------------------------------------------------------
 # Gauge balls have volume Omega_Q r^Q with Q = 2n + 2 the homogeneous
-# dimension.  A plain Monte Carlo integral over the unit ball recovers
-# Omega_Q; with one seed, another radius would read the same draw
-# rescaled by r^Q, so r = 1 is the whole check.
+# dimension.  The unit ball is the slab |z| < 1, |t| < (1 - |z|^4)^(1/2),
+# so one smooth 1-D integral in |z| = sin(u) recovers Omega_Q to rounding
+# without its Gamma-function closed form, as group-check does.
 # ---------------------------------------------------------------------------
-print("\nunit ball volumes (Monte Carlo vs Omega_Q)")
-for n in (1, 2):
-    gp = GroupParams(n=n)
-    mc = MCSpec(samples=200_000, seed=3, shards=8)
-    est, se = mc_ball_integral(lambda pts: np.ones(len(pts)), identity(n), 1.0, gp, mc)
-    exact = gp.Omega_Q
-    print(f"  n={n}  mc={est:10.6f}  exact={exact:10.6f}  z={(est - exact) / se:+5.2f}")
+print("\nunit ball volumes (slab rule vs Omega_Q)")
+for n in (1, 2, 3, 4):
+    exact = GroupParams(n=n).Omega_Q
+    slab = gauge_ball_volume(n)
+    print(f"  n={n}  slab={slab:.15f}  exact={exact:.15f}  rel_err={abs(slab - exact) / exact:.1e}")
 
 # ---------------------------------------------------------------------------
 # The Morrey cells of a radial profile are exact and scale-covariant:

@@ -9,9 +9,10 @@ The package splits into layers:
   omega_Q = Q * Omega_Q).
 - params: the exponent bookkeeping (ParamSet), derived scaling exponents
   sigma_j / sigma, admissibility validation, and DivergenceError.
-- quad: deterministic 1-D quadrature, the two independent constant oracles,
-  the gauge-ball rule for radial integrands, and seeded Monte Carlo ball
-  integration for group-check's volumes.
+- quad: deterministic 1-D quadrature, the slab rule for the unit-ball
+  volume, the two independent constant oracles, the gauge-ball rule for
+  radial integrands, and seeded Monte Carlo ball integration, which no
+  command draws from.
 - constants: closed forms of the sharp constants (log-Gamma from
   math.lgamma) and their reconciliation against the oracles.
 - operators: radial profiles, the operators applied to them, and

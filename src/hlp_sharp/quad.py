@@ -9,7 +9,9 @@ Four layers:
   mass; infinite tails are folded to (0, 1/2] by the rational map
   r = c(1-s)/s; the nodes, half-widths and tail Jacobian depend only on
   the panel geometry, so each table is built once per process, on first
-  use, and shared read-only;
+  use, and shared read-only; beside it, gauge_ball_volume values the unit
+  gauge ball as a slab on one Gauss-Legendre panel, which group-check
+  holds against hgroup's closed form;
 * quadrature oracles for the two sharp constants, built on the region
   decomposition of the max kernel and the iterated Beta-type reduction of
   the additive kernel — independent of the closed forms they certify;
@@ -23,10 +25,10 @@ Four layers:
   per process per (n, |z|, |t|, R, breakpoints) and shared read-only;
 * Monte Carlo integration over gauge balls with stratified radial sampling
   and importance sampling for origin singularities, drawing directions from
-  the exact polar law of the unit gauge sphere.  It serves group-check's
-  ball volumes and the tests that check ball_rule; no Morrey cell or
-  operator value draws from it.  Integrands are vectorized: they map an
-  (N, 2n+1) array of points to N values.
+  the exact polar law of the unit gauge sphere.  It serves the tests that
+  check ball_rule and the benchmark's probes; no command draws from it.
+  Integrands are vectorized: they map an (N, 2n+1) array of points to N
+  values.
 
 Runs are reproducible: every random draw of the package comes from
 keyed_rng(seed, *key), a counter-based Philox generator seeded by
@@ -210,6 +212,26 @@ def integrate_curve(g, spec: QuadratureSpec) -> float:
     origin treated as possibly power-singular, plus the tail (1, inf)
     folded through the rational map."""
     return _int_singular0(g, 1.0, spec, "origin") + _int_tail(g, spec)
+
+
+_SLAB_NODES = 24
+
+
+def gauge_ball_volume(n: int) -> float:
+    """Volume of the unit gauge ball of H^n by a slab rule, independent of
+    hgroup's Gamma form and of ball_rule.
+
+    The ball is the slab {|z| < 1, |t| < (1 - |z|^4)^(1/2)}, so
+    Omega_Q = (2 pi^n / (n-1)!) int_0^1 2 rho^(2n-1) (1 - rho^4)^(1/2) drho.
+    With rho = sin(u) the integrand becomes
+    2 sin(u)^(2n-1) cos(u)^2 (1 + sin(u)^2)^(1/2) on (0, pi/2), which is
+    smooth, so _SLAB_NODES Gauss-Legendre nodes give Omega_Q to rounding."""
+    x, w = leggauss(_SLAB_NODES)
+    half = 0.25 * math.pi  # half-length of (0, pi/2)
+    s = np.sin(half * (x + 1.0))
+    c2 = 1.0 - s * s
+    integral = half * float(w @ (2.0 * s ** (2 * n - 1) * c2 * np.sqrt(1.0 + s * s)))
+    return 2.0 * math.pi**n / math.factorial(n - 1) * integral
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +827,7 @@ def mc_ball_integral(
     sampling switches to a polar law with radial density proportional to
     r^(Q-1+beta) on the enclosing origin-centered ball, radius-stratified,
     with ball membership tested via hdist.  Radial integrands have the exact
-    ball_rule; this estimator serves group-check's ball volumes and the
-    tests that check the rule.
+    ball_rule; this estimator serves the tests that check the rule.
 
     Both paths run one shard loop: shard s draws one weight block per radial
     stratum (the plain path is the one-stratum case) from

@@ -1,7 +1,8 @@
 """No module of the package reaches into another module's private names,
 only params spells out the admissibility conditions, only quad builds
 random generators, the Morrey and operator layers take nothing from quad's
-Monte Carlo section, every package name a demo or the benchmark imports
+Monte Carlo section and no other module than quad names its estimator,
+every package name a demo or the benchmark imports
 exists and every such call of a package function binds to its signature,
 and the fast demos and the README's Python snippets run."""
 
@@ -143,19 +144,20 @@ def test_numpy_random_detector_flags_attributes_and_imports():
     ]
 
 
-_MONTE_CARLO_NAMES = ("MCSpec", "keyed_rng", "mc_ball_integral", "polar_directions", "eval_batch")
+_MC_ESTIMATOR_NAMES = ("mc_ball_integral", "polar_directions", "eval_batch")
+_MONTE_CARLO_NAMES = ("MCSpec", "keyed_rng", *_MC_ESTIMATOR_NAMES)
 
 
-def _monte_carlo_uses(tree: ast.Module):
+def _monte_carlo_uses(tree: ast.Module, names=_MONTE_CARLO_NAMES):
     """Names of quad's Monte Carlo section imported by name, or read as an
     attribute (quad.keyed_rng): a Morrey cell or an operator value of a
     radial profile draws no random number."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in _MONTE_CARLO_NAMES:
+                if alias.name in names:
                     yield f"from {'.' * node.level}{node.module or ''} import {alias.name}"
-        elif isinstance(node, ast.Attribute) and node.attr in _MONTE_CARLO_NAMES:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             yield ast.unparse(node)
 
 
@@ -164,6 +166,20 @@ def test_morrey_and_operators_use_no_monte_carlo():
         f"{name}: {use}"
         for name in ("morrey.py", "operators.py")
         for use in _monte_carlo_uses(ast.parse((SRC / name).read_text(), filename=name))
+    ]
+    assert not offences, offences
+
+
+def test_no_command_reaches_the_monte_carlo_estimator():
+    # cli keeps MCSpec and keyed_rng for the header echo and group-check's
+    # random triples; no volume or cell of any command is a Monte Carlo draw
+    offences = [
+        f"{path.name}: {use}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "quad.py"
+        for use in _monte_carlo_uses(
+            ast.parse(path.read_text(), filename=str(path)), _MC_ESTIMATOR_NAMES
+        )
     ]
     assert not offences, offences
 
@@ -181,6 +197,10 @@ def test_monte_carlo_detector_flags_imports_and_attributes():
         "from .quad import MCSpec",
         "from hlp_sharp.quad import eval_batch",
         "quad.keyed_rng",
+        "quad.polar_directions",
+    ]
+    assert sorted(_monte_carlo_uses(tree, _MC_ESTIMATOR_NAMES)) == [
+        "from hlp_sharp.quad import eval_batch",
         "quad.polar_directions",
     ]
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hlp_sharp
+from hlp_sharp import hgroup
 from hlp_sharp.cli import (
     COMMANDS,
     CSV_HEADER,
@@ -347,19 +348,48 @@ def test_oracle_compare_reports_three_records(tmp_path):
     assert records[2]["tolerance"] == 1e-12
 
 
-def test_group_check_records(tmp_path):
-    status, path = run_main(["--command", "group-check", "--n", "2"], tmp_path)
+def _group_check_records(tmp_path, *flags):
+    status, path = run_main(["--command", "group-check", *flags], tmp_path)
+    return status, [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_group_check_records(n, tmp_path):
+    status, records = _group_check_records(tmp_path, "--n", str(n))
     assert status == 0
-    records = [json.loads(ln) for ln in path.read_text().splitlines()[1:]]
     labels = [r["label"] for r in records]
     assert labels[:4] == [
-        "group-associativity n=2",
-        "group-identity-inverse n=2",
-        "gauge-homogeneity n=2",
-        "dilation-morphism n=2",
+        f"group-associativity n={n}",
+        f"group-identity-inverse n={n}",
+        f"gauge-homogeneity n={n}",
+        f"dilation-morphism n={n}",
     ]
-    assert labels[4:] == ["ball-volume n=2 r=1"]
+    assert labels[4:] == [f"ball-volume n={n} r=1"]
     assert all(r["passed"] for r in records)
+    volume = records[4]
+    assert volume["tolerance"] == 1e-13 and volume["rel_err"] <= 1e-15
+    assert "slab rule" in volume["convention_note"]
+
+
+def test_group_check_volume_is_deterministic(tmp_path):
+    # the slab rule draws nothing: neither the seed nor the sample count
+    # moves the volume record's oracle by a single bit
+    oracles = {
+        flags: _group_check_records(tmp_path, "--n", "2", *flags)[1][4]["oracle"]
+        for flags in (("--seed", "0"), ("--seed", "7"), ("--samples", "1000"), ("--samples", "100000"))
+    }
+    assert len(set(oracles.values())) == 1, oracles
+
+
+def test_group_check_volume_fails_on_a_perturbed_closed_form(tmp_path, monkeypatch):
+    # a 1e-12 error in Omega_Q is far inside any Monte Carlo 3-sigma band,
+    # but the slab rule's 1e-13 tolerance sees it
+    exact = hgroup._unit_ball_volume
+    monkeypatch.setattr(hgroup, "_unit_ball_volume", lambda n: exact(n) * (1.0 + 1e-12))
+    status, records = _group_check_records(tmp_path, "--n", "2")
+    assert status == 1
+    assert [r["passed"] for r in records] == [True, True, True, True, False]
+    assert records[4]["rel_err"] == pytest.approx(1e-12, rel=1e-2)
 
 
 def test_group_check_console_shows_the_absolute_error_of_axioms(tmp_path):
