@@ -211,8 +211,8 @@ def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
         out = "hlp_convergence.csv" if args.format == "csv" else "hlp_report.jsonl"
     if args.samples < 1000:
         raise UsageError(violated("samples>=1000", f"samples = {args.samples}"))
-    if args.panels < 1:
-        raise UsageError(violated("panels>=1", f"panels = {args.panels}"))
+    if args.panels < 8:
+        raise UsageError(violated("panels>=8", f"panels = {args.panels}"))
     if not args.tolerance > 0.0:
         raise UsageError(violated("tolerance>0", f"tolerance = {args.tolerance}"))
     # a truncation window is compact: apply_radii takes nothing else

@@ -142,9 +142,10 @@ def reconcile(
 ) -> VerificationReport:
     """Compare the closed-form constant against its quadrature oracle.
 
-    An admissible set whose oracle integral cannot be certified (near the
-    admissibility boundary the tail decays too slowly) yields a failed
-    record with a NaN oracle and the divergence message as its note.
+    An admissible set whose oracle integral cannot be certified (so near
+    the admissibility boundary that the 1-D engine's extrapolated
+    remainder fails its rounding bound) yields a failed record with a NaN
+    oracle and the engine's message as its note.
     """
     e = derive_exponents(p)
     start = time.perf_counter()

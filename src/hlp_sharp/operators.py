@@ -155,7 +155,7 @@ class RadialProfile:
                 if e == -1.0:
                     out[mask] += A * np.log(upper / lo)
                 else:
-                    base = 0.0 if (lo == 0.0 and e + 1.0 > 0.0) else np.float64(lo) ** (e + 1.0)
+                    base = 0.0 if lo == 0.0 else np.float64(lo) ** (e + 1.0)
                     out[mask] += A * (upper ** (e + 1.0) - base) / (e + 1.0)
         return out
 

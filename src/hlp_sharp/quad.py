@@ -6,7 +6,8 @@ Four layers:
   power singularities at the origin and power or faster-decaying tails:
   composite Gauss-Legendre on panels geometrically refined toward the
   singular endpoint, with geometric-series extrapolation of the leftover
-  mass; infinite tails are folded to (0, 1/2] by the rational map
+  mass from two panel sums an octave apart, certified only within its own
+  rounding bound; infinite tails are folded to (0, 1/2] by the rational map
   r = c(1-s)/s; the nodes, half-widths and tail Jacobian depend only on
   the panel geometry, so each table is built once per process, on first
   use, and shared read-only; beside it, gauge_ball_volume values the unit
@@ -61,8 +62,8 @@ class QuadratureSpec:
     panels: int = 96
 
     def __post_init__(self):
-        if self.panels < 1:
-            raise ValueError("panels must be positive")
+        if self.panels < 8:
+            raise ValueError("panels must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,8 @@ _EPS = np.finfo(float).eps
 
 @lru_cache(maxsize=16)
 def leggauss(k: int):
-    """Gauss-Legendre nodes (ascending) and weights of order k on [-1, 1].
+    """Gauss-Legendre nodes (ascending) and weights of even order k on
+    [-1, 1].
 
     Newton's method on the three-term recurrence of P_k from Tricomi's first
     guesses finds the roots in [0, 1); the weight 2 / ((1 - x^2) P_k'(x)^2)
@@ -104,9 +106,7 @@ def leggauss(k: int):
     negative nodes are the positive ones negated, so the rule is exactly
     symmetric.  The arrays are cached and shared, so they are read-only."""
     half = k // 2
-    x = np.cos(math.pi * (np.arange((k + 1) // 2) + 0.75) / (k + 0.5))
-    if k % 2:
-        x[-1] = 0.0  # P_k(0) = 0 exactly for odd k
+    x = np.cos(math.pi * (np.arange(half) + 0.75) / (k + 0.5))
 
     def legendre(x):
         """P_k(x) and P_k'(x)."""
@@ -172,33 +172,30 @@ def _int_singular0(g, b: float, spec: QuadratureSpec, where: str, folded: bool =
     """Integral over (0, b] with a possible power singularity at 0; when
     folded, of g((1-s)/s)/s^2 in s.
 
-    Panels are geometric toward 0; the mass below the innermost breakpoint is
-    estimated by geometric-series extrapolation of the trailing panel sums,
-    which is exact for pure power integrands.  Panel sums that fail to decay
-    signal a non-integrable endpoint.
+    The panel edges are b 2^(-k/2), so the innermost panel and the one two
+    panels out are exact binary dilates: for a power integrand their sums
+    stand in a ratio rho^2, and the mass below the innermost breakpoint is
+    the geometric series tail * rho / (1 - rho).  A rounding error of eps in
+    rho moves that remainder by eps / (1 - rho) of itself; the integral is
+    certified when 64 times that is at most 1e-7 of the result.  Sums that
+    do not decay (rho^2 outside (0, 1)) signal a non-integrable endpoint.
     """
-    sums = _panel_sums(g, b, max(8, spec.panels), folded)[::-1]  # [0]=outermost
+    sums = _panel_sums(g, b, spec.panels, folded)[::-1]  # [0]=outermost
     total = float(np.sum(sums))
-    tail = sums[-1]
+    tail = float(sums[-1])
     scale = max(abs(total), float(np.max(np.abs(sums))), 1e-300)
     if abs(tail) <= 1e-16 * scale:
         return total
-    # decay ratio from the last few panels (geometric for power behavior)
-    j = 3 if abs(sums[-4]) > 0 and sums[-4] * tail > 0 else 1
-    prev = sums[-1 - j]
-    if prev == 0.0:
-        return total
-    q = tail / prev
-    if q <= 0.0:
-        return total  # oscillating remainder, bounded by |tail|
-    rho = q ** (1.0 / j)
-    if rho >= 0.9999:
-        raise DivergenceError(
-            f"non-convergent integral near {where}: panel sums stop decaying "
-            f"(ratio {rho:.6f})",
-            conditions=(where,),
-        )
-    return total + float(tail) * rho / (1.0 - rho)
+    q = float(tail / sums[-3])
+    if not 0.0 < q < 1.0:
+        why = f"panel sums do not decay (octave ratio {q:.6g})"
+    else:
+        rho = math.sqrt(q)
+        rest = tail * rho / (1.0 - rho)
+        if 64.0 * _EPS * abs(rest) <= 1e-7 * (1.0 - rho) * abs(total + rest):
+            return total + rest
+        why = f"the extrapolated remainder fails its rounding bound (1 - ratio = {1.0 - rho:.3g})"
+    raise DivergenceError(f"integral near {where} not certified: {why}", conditions=(where,))
 
 
 def _int_tail(g, spec: QuadratureSpec) -> float:
@@ -357,8 +354,9 @@ def ball_rule(center: HPoint, radius: float, gp: GroupParams, breakpoints=()) ->
     breaks numerically.  The rounding of the node radii grows as R shrinks
     against |a|_h (like eps (|a|_h / R)^2 at a vertical center), so a ball
     whose rule misses its own volume
-    Omega_Q R^Q by more than 1e-7 (R below ~1e-5 |a|_h) raises ValueError
-    rather than return a wrong or zero cell.  A center with |t| at most
+    Omega_Q R^Q by more than 1e-7 (R below ~1e-5 |a|_h, but from 3e-3 |a|_h
+    at nearly vertical centers) raises ValueError rather than return a
+    wrong or zero cell.  A center with |t| at most
     1e-9 |z|^2 takes the horizontal rule (t = 0).  The rule reads only n,
     |z|, |t|, R and the breakpoints, so each is built once per process on
     first use and shared (the last _RULE_CACHE kept); its arrays are

@@ -13,7 +13,7 @@ from hlp_sharp.constants import (
     reconcile,
 )
 from hlp_sharp.hgroup import GroupParams
-from hlp_sharp.params import ExponentSet, ParamSet, derive_exponents
+from hlp_sharp.params import ExponentSet, ParamSet, derive_exponents, validate
 from hlp_sharp.report import VerificationReport
 
 from conftest import make_admissible
@@ -251,3 +251,54 @@ def test_closed_forms_trace_the_oracle_on_random_admissible_sets(gp1, quad_spec)
         rep_b = reconcile(p, "hilbert", gp=gp1, spec=quad_spec)
         assert rep_a.passed, rep_a.rel_err
         assert rep_b.passed, rep_b.rel_err
+
+
+def _boundary_set(m, n, side, margin):
+    """An admissible set at distance margin from one end of admissibility:
+    q = 2, lambda = -1/4, equal q_j and lambda_j, gamma_j spread by 0.3, and
+    gamma_1 solved so that -sigma (side "sigma") or Q + sigma_1 (side
+    "sigma_j") equals margin up to rounding."""
+    Q, q, lam = 2 * n + 2, 2.0, -0.25
+    gammas = [0.3 * (j - (m - 1) / 2) for j in range(m)]
+    if side == "sigma":
+        gammas[0] = q * (Q * lam + margin) - sum(gammas[1:])
+    else:
+        gammas[0] = q * (Q * lam / m + Q - margin)
+    return ParamSet(m=m, n=n, q=q, q_list=(q * m,) * m, lam=lam, lam_list=(lam / m,) * m,
+                    gamma_list=tuple(gammas))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oracles_certify_up_to_the_boundary_or_say_they_cannot(n, quad_spec):
+    # Both ends of admissibility, -sigma -> 0 and Q + sigma_j -> 0, at
+    # margins 1e-2 .. 1e-10 for m = 1-4.  Every record either passes with an
+    # oracle within 1e-7 of 40-digit A_m / B_m, or carries a NaN oracle and
+    # says that the 1-D engine could not certify; none is a failed record
+    # with a finite oracle.  Margins down to 1e-4 always certify.  The three
+    # n take ~0.05 s together.
+    gp = GroupParams(n)
+    Q = mpmath.mpf(gp.Q)
+    for m in (1, 2, 3, 4):
+        for side in ("sigma", "sigma_j"):
+            for margin in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+                p = _boundary_set(m, n, side, margin)
+                assert validate(p).ok
+                sig = derive_exponents(p).sigma_list
+                with mpmath.workdps(40):
+                    s = [mpmath.mpf(x) for x in sig]
+                    omega = mpmath.mpf(gp.Omega_Q)
+                    exact = {
+                        "hlp": m * Q * (Q * omega) ** m
+                        / (-mpmath.fsum(s) * mpmath.fprod(Q + x for x in s)),
+                        "hilbert": omega**m * mpmath.fprod(mpmath.gamma(1 + x / Q) for x in s)
+                        * mpmath.gamma(-mpmath.fsum(s) / Q) / mpmath.gamma(m),
+                    }
+                for kind, ref in exact.items():
+                    rep = reconcile(p, kind, gp=gp, spec=quad_spec)
+                    case = (m, side, margin, kind, rep.convention_note)
+                    if rep.passed:
+                        assert abs(rep.oracle / ref - 1) <= 1e-7, case
+                    else:
+                        assert margin < 1e-4 and math.isnan(rep.oracle), case
+                        assert rep.convention_note.startswith(
+                            "oracle could not certify: integral near "), case

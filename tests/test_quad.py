@@ -46,8 +46,11 @@ def bilinear_exponents():
 
 
 def test_quadrature_spec_rejects_bad_settings():
-    with pytest.raises(ValueError):
-        QuadratureSpec(panels=0)
+    # the extrapolation reads the innermost panel and the one an octave out;
+    # 8 panels is the floor, not a silent clamp
+    for panels in (0, 7):
+        with pytest.raises(ValueError, match="panels must be >= 8"):
+            QuadratureSpec(panels=panels)
 
 
 def test_mc_spec_rejects_bad_settings():
@@ -74,14 +77,17 @@ def test_integrate_curve_beta_integral(quad_spec):
 
 
 def test_integrate_curve_exponential_tail_both_transforms(quad_spec):
-    # int_0^inf r^3 e^(-r) dr = Gamma(4) = 6
+    # int_0^inf r^3 e^(-r) dr = Gamma(4) = 6.  At 2100 panels the innermost
+    # folded nodes s are so small that the Jacobian 1/s^2 overflows (12,936
+    # infinities); there the integrand is 0, and 0 * inf must count as 0.
     def g(r):
         r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             e = np.exp(-r)
-        return np.where(e == 0.0, 0.0, r**3 * e)
+            return np.where(e == 0.0, 0.0, r**3 * e)
 
-    assert integrate_curve(g, quad_spec) == pytest.approx(6.0, rel=1e-9)
+    for spec in (quad_spec, QuadratureSpec(panels=2100)):
+        assert integrate_curve(g, spec) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_integrate_curve_flags_origin_divergence(quad_spec):
@@ -137,11 +143,12 @@ def test_oracles_match_frozen_bilinear_values(gp1, quad_spec):
     )
 
 
-# Both oracles to the bit (float.hex).  panels = 7 uses 8, a second panel
-# table beside the default one.
+# Both oracles to the bit (float.hex).  panels = 8, the floor, is a second
+# panel table beside the default one; its values are 2.5e-4 (HLP) and 1.8e-3
+# (Hilbert) from 40-digit mpmath, the 96-panel ones within 1.1e-15.
 ORACLE_PINS = [
     (1, (-1.5,), 96, "0x1.50e1eb50f3974p+4", "0x1.0c7cd46c2c612p+4"),
-    (1, (-1.5,), 7, "0x1.50c49bfd52d4fp+4", "0x1.0d33a713a417bp+4"),
+    (1, (-1.5,), 8, "0x1.50cc8e7f6f9a2p+4", "0x1.0cfb5583dfa64p+4"),
     (1, (-0.5, -0.5), 96, "0x1.fce9ad669d665p+7", "0x1.a3549e2437a08p+6"),
     (2, (-0.7, -2.3), 96, "0x1.3de8868f57c02p+8", "0x1.e279d16593657p+6"),
     (2, (-1.2, 0.4, -0.9), 96, "0x1.03e41fc68401ap+12", "0x1.1af83f3e9813fp+9"),
@@ -187,11 +194,15 @@ def test_oracles_reject_inadmissible_exponents(gp1, quad_spec):
 
 def test_hilbert_oracle_flags_divergent_beta_factor(gp1, quad_spec):
     # Individually admissible sigma_j may still break the nested reduction
-    # when their sum is nonnegative.
-    e = ExponentSet(sigma_list=(1.0, 1.0), sigma=-1.0)
-    with pytest.raises(DivergenceError) as exc:
-        hilbert_constant_oracle(e, gp1, quad_spec)
-    assert "beta factor" in exc.value.conditions
+    # when their sum is nonnegative.  require_admissible reads sigma, which
+    # an ExponentSet built by hand need not keep equal to fsum(sigma_j), so
+    # only this check stops these; at (0, 0) the last factor has s - a = 0
+    # exactly, and the check is strict.
+    for sigmas, detail in (((1.0, 1.0), "s - a = -0.5$"), ((0.0, 0.0), "s - a = 0$")):
+        e = ExponentSet(sigma_list=sigmas, sigma=-1.0)
+        with pytest.raises(DivergenceError, match=detail) as exc:
+            hilbert_constant_oracle(e, gp1, quad_spec)
+        assert "beta factor" in exc.value.conditions
 
 
 def test_oracles_match_closed_forms_past_m4(gp1, quad_spec):

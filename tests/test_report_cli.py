@@ -163,6 +163,9 @@ def test_config_usage_errors():
         config_from_args(["--command", "constant", "--format", "csv"])
     with pytest.raises(UsageError, match="samples>=1000"):
         config_from_args(["--command", "constant", "--samples", "10"])
+    with pytest.raises(UsageError, match="panels>=8 violated: panels = 7"):
+        config_from_args(["--command", "constant", "--panels", "7"])
+    assert config_from_args(["--command", "constant", "--panels", "8"]).quad.panels == 8
     with pytest.raises(UsageError, match="0<rmin<rmax"):
         config_from_args(["--command", "constant", "--rmin", "2", "--rmax", "1"])
     with pytest.raises(UsageError, match="0<rmin<rmax violated: rmin = 0.01, rmax = inf"):
@@ -208,6 +211,8 @@ def test_constant_command_passes_and_writes_report(tmp_path):
     assert header["command"] == "constant"
     assert header["mc"] == {"samples": 100_000, "seed": 0, "shards": 8}
     assert header["quad"] == {"panels": 96}
+    assert header["grid"] == {"center_radii": [0.0, 0.25, 1.0, 4.0], "n_directions": 2,
+                              "radii_min": 0.01, "radii_max": 100.0, "n_radii": 17}
     assert header["params"]["lambda"] == -0.25
     assert "timestamp" not in lines[0]
     record = json.loads(lines[1])
@@ -300,9 +305,9 @@ def test_constant_past_m4_and_overflowing_m(tmp_path, capsys):
 
 
 def test_uncertifiable_oracle_is_a_failed_record(tmp_path, capsys):
-    # Admissible, but sigma is so close to 0 that the tail integral of the
-    # oracle decays too slowly to certify.
-    status, path = run_main(["--command", "constant", "--lambda", "-0.00002"], tmp_path)
+    # Admissible, but sigma is so close to 0 that the tail integral's
+    # extrapolated remainder fails its rounding bound.
+    status, path = run_main(["--command", "constant", "--lambda=-1e-10"], tmp_path)
     assert status == 1
     assert capsys.readouterr().err == ""
     record = json.loads(path.read_text().splitlines()[1])
@@ -315,7 +320,7 @@ def test_uncertifiable_oracle_is_a_failed_record(tmp_path, capsys):
 def test_recursion_identity_passes_near_sigma_zero(tmp_path):
     # The oracles cannot certify this set, but the Beta recursion must still
     # reproduce the Gamma product within its 1e-12 tolerance.
-    status, path = run_main(["--command", "oracle-compare", "--lambda", "-0.00002"], tmp_path)
+    status, path = run_main(["--command", "oracle-compare", "--lambda=-1e-10"], tmp_path)
     assert status == 1
     record = json.loads(path.read_text().splitlines()[3])
     assert record["label"] == "hilbert-recursion-identity m=1 n=1"
