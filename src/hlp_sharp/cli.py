@@ -12,6 +12,8 @@ returns a three-way exit status:
 CSV output is reserved for the sharpness convergence table: one row per
 `--widths` entry, written from the same records and with the same exit
 status.  Its header row is exactly `r_min,r_max,ratio,constant,ratio_over_constant`.
+Both formats are encoded whole and written by `report.overwrite`, the one
+function that writes a report file.
 
 Reports are bit-reproducible for a fixed configuration (including the seed)
 apart from the runtime_ms fields: all randomness flows from mc.seed through
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import math
 import re
 import sys
@@ -48,7 +51,7 @@ from .params import (
     DivergenceError, ParamSet, derive_exponents, factor_weight_violations, validate, violated,
 )
 from .quad import MCSpec, QuadratureSpec, gauge_ball_volume, keyed_rng
-from .report import VerificationReport, compare, write_reports
+from .report import VerificationReport, compare, overwrite, write_reports
 
 __all__ = [
     "RunConfig",
@@ -131,11 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Flags taking comma/colon lists whose values may start with a minus sign;
-# argparse would mistake such a value for an option, so it is merged into
-# --flag=value form before parsing.
-_LIST_FLAGS = ("--qj", "--lambdaj", "--gammaj", "--t", "--widths")
+# A value starting with a minus sign that argparse does not read as a
+# number (-1e-10, -0.5,2, -1:1) would be taken for an option, so it is
+# merged into --flag=value form before parsing.
 _NUMERIC_LIST = re.compile(r"^-[0-9eE+\-.,:]*$")
+
+
+@functools.cache
+def _value_flags() -> frozenset:
+    """Every option string that takes a value."""
+    return frozenset(s for a in build_parser()._actions if a.nargs != 0 for s in a.option_strings)
 
 
 def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
@@ -143,7 +151,7 @@ def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _LIST_FLAGS and i + 1 < len(argv) and _NUMERIC_LIST.match(argv[i + 1]):
+        if tok in _value_flags() and i + 1 < len(argv) and _NUMERIC_LIST.match(argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -430,8 +438,8 @@ def run(config: RunConfig, stream=None) -> int:
     Returns the exit status (0 all passed, 1 verification failure, 2 usage
     error).  Invalid parameters and divergent integrals raise UsageError
     naming the violated conditions, so no input ends in a traceback.  Every
-    record of a run goes through this single writer, in
-    command order.
+    record of a run is written in command order, in one `report.overwrite`
+    call.
     """
     out = stream if stream is not None else sys.stdout
     try:
@@ -444,11 +452,12 @@ def run(config: RunConfig, stream=None) -> int:
         raise UsageError(str(exc)) from exc
 
     if config.format == "csv":
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for (lo, hi), r in zip(config.widths, records):
-                writer.writerow((lo, hi, r.oracle, r.closed_form, r.oracle / r.closed_form))
+        table = io.StringIO()
+        writer = csv.writer(table)  # rows end in \r\n
+        writer.writerow(CSV_HEADER)
+        for (lo, hi), r in zip(config.widths, records):
+            writer.writerow((lo, hi, r.oracle, r.closed_form, r.oracle / r.closed_form))
+        overwrite(config.output_path, table.getvalue())
     else:
         write_reports(config.output_path, [_header_record(config), *records])
 

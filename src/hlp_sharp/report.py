@@ -4,16 +4,21 @@ A VerificationReport pairs a closed-form value with an independently computed
 oracle value and records the absolute/relative discrepancy against a
 tolerance.  Reports serialize to flat JSON objects (one per line) so runs can
 be diffed byte-for-byte apart from the runtime field.
+
+`overwrite` is the package's one file write: the JSON-lines report and the
+CLI's CSV table both go through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["VerificationReport", "compare", "to_json_line", "write_reports"]
+__all__ = ["VerificationReport", "compare", "overwrite", "to_json_line", "write_reports"]
 
 
 @dataclass(frozen=True)
@@ -107,11 +112,31 @@ def to_json_line(record) -> str:
     return _ENCODER.encode({k: _clean(v) for k, v in record.items()})
 
 
+def overwrite(path, text: str) -> None:
+    """Write text as UTF-8 over the file at path (created with mode 0o666
+    less the umask, as by open(path, "w")), then cut a longer old file to
+    the new length; a target that is not a regular file (/dev/null, a FIFO)
+    is not cut.  No O_TRUNC: on ext4 (auto_da_alloc) a file truncated to
+    zero and rewritten is flushed on close, and the next truncating open
+    waits for that flush.  Not atomic and never fsynced: a crash between
+    the write and the cut can leave the old file's tail after the new bytes.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        st = os.fstat(fd)
+        done = os.write(fd, data)
+        while done < len(data):  # a pipe may take fewer bytes per call
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_reports(path, records) -> int:
-    """Write records as JSON lines; returns the number written."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(to_json_line(rec) + "\n")
-            count += 1
-    return count
+    """Write records as JSON lines over the file at path; returns the number
+    written.  Every record is encoded before the file is opened."""
+    lines = [to_json_line(rec) + "\n" for rec in records]
+    overwrite(path, "".join(lines))
+    return len(lines)

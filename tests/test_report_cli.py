@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from hlp_sharp.cli import (
     main,
     run,
 )
-from hlp_sharp.report import VerificationReport, compare, to_json_line, write_reports
+from hlp_sharp.report import VerificationReport, compare, overwrite, to_json_line, write_reports
 
 # ---------------------------------------------------------------------------
 # report.py
@@ -97,6 +98,58 @@ def test_write_reports_counts_lines(tmp_path):
     assert all(json.loads(ln)["passed"] for ln in lines)
 
 
+def test_report_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    reports = [compare(f"r{i}", 1.0, 1.0, 1e-6) for i in range(2)]
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"x" * 5000 + b"\n")
+    assert write_reports(path, reports) == 2
+    assert path.read_bytes() == "".join(to_json_line(r) + "\n" for r in reports).encode()
+
+    # the CLI's report over an old, longer one matches a fresh report
+    fresh, old = tmp_path / "fresh.jsonl", tmp_path / "old.jsonl"
+    old.write_bytes(b"y" * 20000)
+    assert main(["--command", "oracle-compare", "--out", str(fresh)]) == 0
+    assert main(["--command", "oracle-compare", "--out", str(old)]) == 0
+    runtime = re.compile(rb'"runtime_ms": \d+')
+    assert runtime.sub(b"", old.read_bytes()) == runtime.sub(b"", fresh.read_bytes())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_report_to_dev_null_exits_0(capsys):
+    assert main(["--command", "constant", "--out", "/dev/null"]) == 0
+    assert "wrote 1 records to /dev/null" in capsys.readouterr().out
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+def test_new_report_file_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_reports(tmp_path / "new.jsonl", [compare("x", 1.0, 1.0, 1e-6)])
+        with open(tmp_path / "reference.jsonl", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "new.jsonl").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "reference.jsonl").st_mode) == 0o640
+
+
+def test_unencodable_record_leaves_the_previous_report(tmp_path):
+    path = tmp_path / "out.jsonl"
+    write_reports(path, [compare("x", 1.0, 1.0, 1e-6)])
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_reports(path, [compare("y", 2.0, 2.0, 1e-6), {"bad": object()}])
+    assert path.read_bytes() == before
+
+
+def test_overwrite_encodes_utf8_and_cuts_by_bytes(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"z" * 10)
+    overwrite(path, "\u00e9\n")  # 2 characters, 3 bytes
+    assert path.read_bytes() == b"\xc3\xa9\n"
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -156,6 +209,17 @@ def test_config_derives_coupled_factor_exponents():
     assert p.q_list == (3.0, 6.0)
     assert p.lam_list == (-0.1, -0.05)
     assert p.gamma_list == (0.5, -0.5)
+
+
+def test_negative_scalar_values_parse_like_their_equals_forms():
+    # argparse takes -1e-10 for an option unless it is joined to its flag
+    base = ["--command", "constant"]
+    for flag, value in (("--lambda", "-1e-10"), ("--alpha", "-1e-3"), ("--rmin", "1e-3")):
+        assert config_from_args(base + [flag, value]) == config_from_args(base + [f"{flag}={value}"])
+    assert config_from_args(base + ["--lambda", "-1e-10"]).params.lam == -1e-10
+    assert config_from_args(base + ["--alpha", "-1e-3"]).params.alpha == -1e-3
+    with pytest.raises(UsageError, match="q>0"):
+        config_from_args(base + ["--q", "-1e-3"])
 
 
 def test_config_usage_errors():
@@ -663,6 +727,19 @@ def test_verify_sharpness_csv_table(tmp_path):
         assert 0.5 < row[4] <= 1.0 + 1e-3
 
 
+def test_csv_table_keeps_crlf_rows_over_a_longer_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old\n" * 2000)
+    argv = ["--command", "verify-sharpness", "--format", "csv", "--widths", "1e-1:1e1,1e-2:1e2"]
+    assert main(argv + ["--out", str(path)]) == 0
+    data = path.read_bytes()
+    rows = data.split(b"\r\n")
+    assert rows[0] == ",".join(CSV_HEADER).encode()
+    assert len(rows) == 4 and rows[-1] == b""  # three rows, each ending in \r\n
+    assert data.count(b"\n") == data.count(b"\r") == 3
+    assert rows[1].startswith(b"0.1,10.0,") and rows[2].startswith(b"0.01,100.0,")
+
+
 def test_verify_sharpness_csv_failing_width_exits_1(tmp_path, capsys):
     # A narrow window falls outside the sharpness tolerance: the table is
     # still written, and the exit status is the JSON run's.
@@ -754,6 +831,30 @@ def test_run_streams_status_lines(tmp_path):
     text = buf.getvalue()
     assert "passed" in text and "hlp-constant" in text
     assert "wrote 1 records" in text
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_is_opened_without_truncation(fmt, tmp_path, monkeypatch):
+    # On ext4 (auto_da_alloc) a file truncated to zero and rewritten is
+    # flushed on close, and the next truncating open waits for that flush;
+    # the report is written over the old file and cut to length instead.
+    path = tmp_path / f"report.{fmt}"
+    path.write_bytes(b"\0" * 4096)
+    argv = ["--command", "verify-sharpness", "--format", fmt, "--widths", "1e-1:1e1",
+            "--out", str(path)]
+    config = config_from_args(argv)
+    flags = []
+    real_open = os.open
+
+    def spy(file, flag, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            flags.append(flag)
+        return real_open(file, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert run(config, stream=io.StringIO()) == 0
+    assert flags and not any(f & os.O_TRUNC for f in flags)
+    assert b"\0" not in path.read_bytes()
 
 
 def _cli_env():
