@@ -136,22 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 # A value starting with a minus sign that argparse does not read as a
 # number (-1e-10, -0.5,2, -1:1) would be taken for an option, so it is
-# merged into --flag=value form before parsing.
-_NUMERIC_LIST = re.compile(r"^-[0-9eE+\-.,:]*$")
+# merged into --flag=value form before parsing.  Every option but --help
+# takes a value.
+_NEGATIVE_VALUE = re.compile(r"^-[0-9eE+\-.,:]*$")
 
 
-@functools.cache
-def _value_flags() -> frozenset:
-    """Every option string that takes a value."""
-    return frozenset(s for a in build_parser()._actions if a.nargs != 0 for s in a.option_strings)
-
-
-def _merge_negative_list_values(argv: Sequence[str]) -> List[str]:
+def _merge_negative_values(argv: Sequence[str]) -> List[str]:
     out: List[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _value_flags() and i + 1 < len(argv) and _NUMERIC_LIST.match(argv[i + 1]):
+        if (tok.startswith("--") and tok != "--help" and i + 1 < len(argv)
+                and _NEGATIVE_VALUE.match(argv[i + 1])):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -204,7 +200,7 @@ def _params_from_args(args) -> ParamSet:
 
 
 def config_from_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    argv = _merge_negative_list_values(sys.argv[1:] if argv is None else argv)
+    argv = _merge_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     p = _params_from_args(args)
     if p.n < 1:

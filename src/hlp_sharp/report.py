@@ -113,25 +113,23 @@ def to_json_line(record) -> str:
 
 
 def overwrite(path, text: str) -> None:
-    """Write text as UTF-8 over the file at path (created with mode 0o666
-    less the umask, as by open(path, "w")), then cut a longer old file to
-    the new length; a target that is not a regular file (/dev/null, a FIFO)
-    is not cut.  No O_TRUNC: on ext4 (auto_da_alloc) a file truncated to
-    zero and rewritten is flushed on close, and the next truncating open
-    waits for that flush.  Not atomic and never fsynced: a crash between
-    the write and the cut can leave the old file's tail after the new bytes.
+    """Write text as UTF-8 over the file at path, then cut the file to
+    that length; a target that is not a regular file (/dev/null, a FIFO)
+    is not cut.  A new file gets mode 0o666 less the umask.
+
+    No truncating open: on ext4 that sleeps once in the kernel whenever
+    the path already holds a file.  Not atomic, never fsynced: the bytes
+    reach the disk with writeback (up to ~30 s later) and a shorter length
+    with the next journal commit, so a crash in between can leave the
+    previous report, whole, cut short, or mixed with the new one.  A
+    truncating open made ext4 start writeback at close, a window of
+    milliseconds.
     """
     data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        st = os.fstat(fd)
-        done = os.write(fd, data)
-        while done < len(data):  # a pipe may take fewer bytes per call
-            done += os.write(fd, data[done:])
-        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def write_reports(path, records) -> int:

@@ -220,6 +220,9 @@ def test_negative_scalar_values_parse_like_their_equals_forms():
     assert config_from_args(base + ["--alpha", "-1e-3"]).params.alpha == -1e-3
     with pytest.raises(UsageError, match="q>0"):
         config_from_args(base + ["--q", "-1e-3"])
+    with pytest.raises(SystemExit) as stop:  # --help takes no value
+        config_from_args(["--help", "-1"])
+    assert stop.value.code == 0
 
 
 def test_config_usage_errors():
@@ -835,8 +838,8 @@ def test_run_streams_status_lines(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_is_opened_without_truncation(fmt, tmp_path, monkeypatch):
-    # On ext4 (auto_da_alloc) a file truncated to zero and rewritten is
-    # flushed on close, and the next truncating open waits for that flush;
+    # On ext4 a truncating open of an existing report sleeps once in the
+    # kernel, and auto_da_alloc then flushes the rewritten file at close;
     # the report is written over the old file and cut to length instead.
     path = tmp_path / f"report.{fmt}"
     path.write_bytes(b"\0" * 4096)
