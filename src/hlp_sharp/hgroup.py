@@ -6,8 +6,8 @@ anisotropic dilations, the homogeneous (gauge) norm and distance, and the
 unit-ball volume constants that normalize every radial integral downstream.
 
 Everything here is a pure function; the batched helpers (taking (N, 2n+1)
-arrays) check group-check's axioms on 10,000 triples at once, and carry
-quad's Monte Carlo sampler.
+arrays) check group-check's axioms on its 10,000 triples, a block at a
+time, and carry quad's Monte Carlo sampler.
 """
 
 from __future__ import annotations
@@ -96,11 +96,19 @@ def mul_arrays(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     out = X + Y
-    xa, xb = X[..., :n], X[..., n : 2 * n]
-    ya, yb = Y[..., :n], Y[..., n : 2 * n]
-    twist = 2.0 * (np.einsum("...i,...i->...", ya, xb) - np.einsum("...i,...i->...", xa, yb))
-    out[..., 2 * n] += twist
+    out[..., 2 * n] += 2.0 * (_cross_sum(Y, X, n) - _cross_sum(X, Y, n))
     return out
+
+
+def _cross_sum(A: np.ndarray, B: np.ndarray, n: int):
+    """sum_{j<n} A_j B_{n+j}, summed as numpy's einsum sums up to 7 terms:
+    even and odd j in two running sums, then 0 + even + odd (einsum adds
+    into a zeroed output, so an all -0.0 sum reads +0.0).  Unlike einsum
+    on strided slices, it builds no (..., n) temporary."""
+    sums = [A[..., j] * B[..., n + j] for j in range(min(n, 2))]
+    for j in range(2, n):
+        sums[j % 2] = sums[j % 2] + A[..., j] * B[..., n + j]
+    return sum(sums)
 
 
 # Norms whose fourth powers are normal doubles, with margin.
@@ -141,9 +149,8 @@ def dilate_arrays(r, X: np.ndarray, n: int) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     r = np.asarray(r, dtype=float)
-    out = np.empty(np.broadcast_shapes(X.shape, r.shape + (1,)), dtype=float)
-    out[..., : 2 * n] = X[..., : 2 * n] * r[..., None]
-    out[..., 2 * n] = X[..., 2 * n] * r * r
+    out = X * r[..., None]
+    out[..., 2 * n] *= r
     return out
 
 

@@ -271,8 +271,32 @@ def _apply_hilbert(
     lam = np.exp(lo + h * np.arange(math.ceil((4.0 - math.log(a_min) - lo) / h) + 1))
     factor = np.full(lam.size, h / math.gamma(m))
     for (_, w), u in zip(rules, us):
-        factor *= lam * (np.exp(-np.outer(lam, u)) @ w)
-    return gp.omega_Q**m * (np.exp(-np.outer(tq, lam)) @ factor)
+        factor *= lam * _exp_contract(lam, u, w)
+    return gp.omega_Q**m * _exp_contract(tq, lam, factor)
+
+
+_BLOCK_FLOATS = 8192  # 64 KiB of float64: the largest block of _exp_contract
+
+
+def _exp_contract(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(-outer(a, b)) @ w, a block of rows at a time: each block has at
+    most _BLOCK_FLOATS entries, or 8 rows if b is longer than 1,024.
+
+    Blocks are a multiple of 8 rows, so BLAS's gemv groups the rows of each
+    block as it groups those of the whole matrix on one thread.  A one-row
+    remainder joins the last block, as numpy would pass one row alone to a
+    dot product.  So the values are the bits of the unblocked product on
+    one BLAS thread.  An unblocked product large enough to run on several
+    threads can differ from them by an ulp where the threads' rows meet.
+    """
+    rows = max(8, _BLOCK_FLOATS // b.size // 8 * 8)
+    out = np.empty(a.size)
+    i = 0
+    while i < a.size:
+        j = a.size if a.size - i == rows + 1 else i + rows
+        out[i:j] = np.exp(-np.outer(a[i:j], b)) @ w
+        i = j
+    return out
 
 
 def apply_radii(

@@ -168,3 +168,72 @@ def test_hpoint_validation():
         GroupParams(n=0)
     with pytest.raises(ValueError):
         dilate(0.0, identity(1))
+
+
+# Literal copies of the kernels' earlier formulas: einsum on strided slices
+# for the twist, strided writes into np.empty for the dilation.
+def _einsum_mul_arrays(X, Y, n):
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    out = X + Y
+    xa, xb = X[..., :n], X[..., n : 2 * n]
+    ya, yb = Y[..., :n], Y[..., n : 2 * n]
+    twist = 2.0 * (np.einsum("...i,...i->...", ya, xb) - np.einsum("...i,...i->...", xa, yb))
+    out[..., 2 * n] += twist
+    return out
+
+
+def _strided_dilate_arrays(r, X, n):
+    X = np.asarray(X, dtype=float)
+    r = np.asarray(r, dtype=float)
+    out = np.empty(np.broadcast_shapes(X.shape, r.shape + (1,)), dtype=float)
+    out[..., : 2 * n] = X[..., : 2 * n] * r[..., None]
+    out[..., 2 * n] = X[..., 2 * n] * r * r
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _coords(rng, shape):
+    # uniform coordinates with signed zeros mixed in: an all -0.0 twist sum
+    # must read +0.0, as einsum's does
+    X = rng.uniform(-3.0, 3.0, size=shape)
+    return np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], size=shape), X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_array_kernels_equal_their_earlier_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(35 + n)
+    d = 2 * n + 1
+    N = 2000
+    X, Y = _coords(rng, (N, d)), _coords(rng, (N, d))
+    x, y = _coords(rng, (d,)), _coords(rng, (d,))
+    for A, B in ((X, Y), (x, Y), (X, y), (x, y), (X[:7, None, :], Y[:5])):
+        assert _same_bits(mul_arrays(A, B, n), _einsum_mul_arrays(A, B, n))
+    for r in (1.7, -0.0, np.exp(rng.uniform(-3.0, 3.0, N)),
+              np.exp(rng.uniform(-3.0, 3.0, (4, 1)))):
+        assert _same_bits(dilate_arrays(r, X, n), _strided_dilate_arrays(r, X, n))
+    assert _same_bits(dilate_arrays(0.5, x, n), _strided_dilate_arrays(0.5, x, n))
+    # HPoint inputs, through the point operations
+    p, q = HPoint(x), HPoint(y)
+    assert _same_bits(group_mul(p, q).coords, _einsum_mul_arrays(x, y, n))
+    assert _same_bits(group_mul(group_inv(p), p).coords, _einsum_mul_arrays(-x, x, n))
+    assert _same_bits(dilate(2.5, p).coords, _strided_dilate_arrays(2.5, x, n))
+
+
+def test_array_kernel_results_do_not_alias_their_inputs():
+    rng = np.random.default_rng(7)
+    X, Y = rng.uniform(-3.0, 3.0, (50, 5)), rng.uniform(-3.0, 3.0, (50, 5))
+    r = np.exp(rng.uniform(-3.0, 3.0, 50))
+    saved = [a.copy() for a in (X, Y, r)]
+    for out in (mul_arrays(X, Y, 2), mul_arrays(X[0], Y, 2), dilate_arrays(r, X, 2),
+                dilate_arrays(1.0, X, 2), dilate_arrays(r[:, None], X[0], 2)):
+        out[...] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip((X, Y, r), saved))
+    p = HPoint(X[0])
+    dilate(1.0, p).coords[...] = 7.0
+    group_mul(p, identity(2)).coords[...] = 7.0
+    assert np.array_equal(p.coords, saved[0][0])

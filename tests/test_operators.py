@@ -1,12 +1,19 @@
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hlp_sharp
 import mpmath
 import numpy as np
 import pytest
 
 from hlp_sharp.cli import config_from_args
 from hlp_sharp.hgroup import GroupParams
-from hlp_sharp.morrey import power_norm, source_space
+from hlp_sharp.morrey import power_norm, sharpness_ratio, source_space
 from hlp_sharp.operators import (
     RadialProfile,
     _axis_rule,
@@ -490,3 +497,64 @@ def test_apply_radii_rejects_non_compact_profiles(gp1):
                 with pytest.raises(ValueError, match="truncate") as exc:
                     apply_radii(kind, profiles, [1.0], gp1)
                 assert not isinstance(exc.value, DivergenceError)
+
+
+# verify-sharpness --kind hilbert sets: argv, every 8th grid radius, and
+# the record's ratio as the unblocked contraction gave it
+_HILBERT_SETS = {
+    "sharpness_small": (["--n", "1", "--m", "2", "--rmin", "1e-2", "--rmax", "1e2"], True, "0x1.a02b0d52ebcc2p+6"),
+    "m3_lambda": (["--m", "3", "--lambda", "-0.05"], False, "0x1.de25d586a810dp+9"),
+    "n3_m4": (["--n", "3", "--m", "4"], False, "0x1.e5e531ee703bep+9"),
+    "wide": (["--m", "2", "--rmin", "1e-6", "--rmax", "1e6"], False, "0x1.a3549db28292fp+6"),
+}
+
+# Runs in a child with one BLAS thread: on several, the unblocked product
+# may differ by an ulp where the threads' rows meet.  The lambda is the
+# sum kernel's contraction before it ran in blocks.
+_HILBERT_CHILD = """
+import dataclasses, json, sys
+import numpy as np
+from hlp_sharp import morrey, operators
+from hlp_sharp.cli import config_from_args
+
+calls = []
+real = morrey.apply_radii
+morrey.apply_radii = lambda kind, profiles, radii, gp: calls.append((profiles, radii, gp)) or real(
+    kind, profiles, radii, gp)
+for argv, thin in json.loads(sys.argv[1]):
+    cfg = config_from_args(["--command", "verify-sharpness", "--kind", "hilbert", *argv])
+    grid = dataclasses.replace(cfg.grid, radii=cfg.grid.radii[::8]) if thin else cfg.grid
+    morrey.sharpness_ratio("hilbert", cfg.params, cfg.truncation, grid)
+# block seams: one row short of a block, a block, one more (which joins
+# the last block) and the same after two and three blocks
+rng = np.random.default_rng(35)
+seams = []
+for size_b in (40, 384, 1152):
+    rows = max(8, operators._BLOCK_FLOATS // size_b // 8 * 8)
+    for size_a in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows + 1, 2 * rows + 2):
+        seams.append((np.exp(rng.uniform(-5.0, 5.0, size_a)), np.exp(rng.uniform(-5.0, 5.0, size_b)),
+                      rng.uniform(0.0, 1.0, size_b)))
+blocked = [operators.apply_radii("hilbert", *c) for c in calls] + [operators._exp_contract(*s) for s in seams]
+operators._exp_contract = lambda a, b, w: np.exp(-np.outer(a, b)) @ w
+unblocked = [operators.apply_radii("hilbert", *c) for c in calls] + [operators._exp_contract(*s) for s in seams]
+print(json.dumps([len(calls)] + [x.tobytes() == y.tobytes() for x, y in zip(blocked, unblocked)]))
+"""
+
+
+def test_hilbert_contraction_equals_the_unblocked_product_on_one_blas_thread():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=str(Path(hlp_sharp.__file__).resolve().parents[1]))
+    sets = [[argv, thin] for argv, thin, _ in _HILBERT_SETS.values()]
+    out = subprocess.run([sys.executable, "-c", _HILBERT_CHILD, json.dumps(sets)],
+                         env=env, capture_output=True, text=True, check=True)
+    count, *equal = json.loads(out.stdout.splitlines()[-1])
+    assert count == len(sets) and all(equal), equal
+
+
+@pytest.mark.parametrize("name", sorted(_HILBERT_SETS))
+def test_hilbert_sharpness_records_are_pinned(name):
+    argv, thin, ratio = _HILBERT_SETS[name]
+    cfg = config_from_args(["--command", "verify-sharpness", "--kind", "hilbert", *argv])
+    grid = dataclasses.replace(cfg.grid, radii=cfg.grid.radii[::8]) if thin else cfg.grid
+    rec = sharpness_ratio("hilbert", cfg.params, cfg.truncation, grid)
+    assert rec.oracle == float.fromhex(ratio)

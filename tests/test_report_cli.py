@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hlp_sharp
-from hlp_sharp import hgroup
+from hlp_sharp import cli, hgroup
 from hlp_sharp.cli import (
     COMMANDS,
     CSV_HEADER,
@@ -952,3 +952,83 @@ def test_console_script_entry_point():
         pyproject.read_text(),
         re.MULTILINE,
     )
+
+
+# The four axiom deviations (associativity, identity-inverse, homogeneity,
+# dilation morphism), as whole-array evaluation gave them before
+# group-check ran in blocks.
+_GROUP_CHECK_GOLDEN = {
+    (0, 1): ("0x1p-46", "0x0p+0", "0x1p-46", "0x1p-39"),
+    (0, 2): ("0x1.8p-46", "0x0p+0", "0x1p-45", "0x1p-39"),
+    (0, 3): ("0x1p-45", "0x0p+0", "0x1p-45", "0x1p-38"),
+    (0, 4): ("0x1p-45", "0x0p+0", "0x1p-45", "0x1p-38"),
+    (7, 1): ("0x1p-46", "0x0p+0", "0x1p-46", "0x1.8p-39"),
+    (7, 2): ("0x1p-46", "0x0p+0", "0x1p-46", "0x1p-38"),
+    (7, 3): ("0x1p-45", "0x0p+0", "0x1p-45", "0x1p-38"),
+    (7, 4): ("0x1p-45", "0x0p+0", "0x1p-45", "0x1p-38"),
+}
+
+
+def _group_check(n, seed):
+    argv = ["--command", "group-check", "--n", str(n), "--seed", str(seed), "--out", os.devnull]
+    return cli._cmd_group_check(config_from_args(argv))
+
+
+@pytest.mark.parametrize("seed, n", sorted(_GROUP_CHECK_GOLDEN))
+def test_group_check_axiom_deviations_are_pinned(seed, n):
+    got = [r.oracle for r in _group_check(n, seed)[:4]]
+    assert got == [float.fromhex(h) for h in _GROUP_CHECK_GOLDEN[seed, n]]
+
+
+def _whole_array_deviations(X, Y, Z, r, n):
+    mul, dil, norm = hgroup.mul_arrays, hgroup.dilate_arrays, hgroup.hnorm_arrays
+    E = np.zeros_like(X)
+
+    def dev(a, b):
+        return float(np.max(np.abs(a - b)))
+
+    return [
+        dev(mul(mul(X, Y, n), Z, n), mul(X, mul(Y, Z, n), n)),
+        max(dev(mul(X, E, n), X), dev(mul(E, X, n), X), dev(mul(X, -X, n), E)),
+        dev(norm(dil(r, X, n), n), r * norm(X, n)),
+        dev(dil(r, mul(X, Y, n), n), mul(dil(r, X, n), dil(r, Y, n), n)),
+    ]
+
+
+class _PlantedRng:
+    """keyed_rng's generator, with one row of every (N, d) draw scaled by
+    1e6 so that its rounding errors dominate each deviation."""
+
+    def __init__(self, rng, row):
+        self.rng, self.row = rng, row
+
+    def uniform(self, low, high, size):
+        x = self.rng.uniform(low, high, size=size)
+        if np.ndim(x) == 2:
+            x[self.row] *= 1e6
+        return x
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("extra, planted", [(1, "last"), (5, "last"), (5, "first"), (5, "seam")])
+def test_group_check_blocks_give_the_whole_array_deviations(n, extra, planted, monkeypatch):
+    # a triple count that is no multiple of the block rows, so the last
+    # block is short; the planted row is the last, the first, or the first
+    # of the second block
+    rows = cli._BLOCK_FLOATS // (2 * n + 1)
+    N = 2 * rows + extra
+    row = {"last": N - 1, "first": 0, "seam": rows}[planted]
+    keyed = cli.keyed_rng
+    monkeypatch.setattr(cli, "_GROUP_TRIPLES", N)
+    monkeypatch.setattr(cli, "keyed_rng", lambda seed, purpose: _PlantedRng(keyed(seed, purpose), row))
+    records = _group_check(n, 3)
+    rng = _PlantedRng(keyed(3, cli._PURPOSE_GROUP), row)
+    d = 2 * n + 1
+    X, Y, Z = (rng.uniform(-3.0, 3.0, size=(N, d)) for _ in range(3))
+    r = np.exp(rng.uniform(-3.0, 3.0, size=N))
+    want = _whole_array_deviations(X, Y, Z, r, n)
+    assert [rec.oracle for rec in records[:4]] == want
+    # the planted row decides the deviations: a block that skipped it fails
+    rest = [np.delete(a, row, axis=0) for a in (X, Y, Z, r)]
+    assert _whole_array_deviations(*rest, n) != want
+    assert f"over {N} uniform triples" in records[0].convention_note
