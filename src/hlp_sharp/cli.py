@@ -35,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constants import KINDS, beta_recursion_Im, hilbert_closed_form, reconcile
-from .hgroup import GroupParams, dilate_arrays, hnorm_arrays, mul_arrays
+from .constants import KINDS, beta_recursion_Im, reconcile
+from .hgroup import BLOCK_FLOATS, GroupParams, dilate_arrays, hnorm_arrays, mul_arrays
 from .morrey import (
     BallGrid,
     default_grid,
@@ -68,7 +68,6 @@ CSV_HEADER = ("r_min", "r_max", "ratio", "constant", "ratio_over_constant")
 
 _GROUP_TRIPLES = 10_000
 _PURPOSE_GROUP = 29  # keyed_rng key of the group-check samples
-_BLOCK_FLOATS = 8192  # 64 KiB of float64: group-check's largest temporary
 _PROPERTY_TOL = 1e-9
 
 
@@ -86,12 +85,12 @@ class RunConfig:
     mc: MCSpec
     grid: BallGrid
     output_path: str
-    format: str = "json"
-    kind: str = "hlp"
-    tolerance: float = 1e-6
-    dilation_factors: Tuple[float, ...] = (0.5, 2.0, 10.0)
-    truncation: Tuple[float, float] = (1e-2, 1e2)
-    widths: Tuple[Tuple[float, float], ...] = ((1e-1, 1e1), (1e-2, 1e2))
+    format: str
+    kind: str
+    tolerance: float
+    dilation_factors: Tuple[float, ...]
+    truncation: Tuple[float, float]
+    widths: Tuple[Tuple[float, float], ...]
 
 
 @functools.cache
@@ -117,10 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of weight exponents gamma_j (default zeros)")
     ap.add_argument("--alpha", type=float, default=0.0, help="ball-weight exponent")
     ap.add_argument("--kind", choices=tuple(KINDS), default="hlp")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--samples", type=int, default=100_000,
+    ap.add_argument("--seed", type=int, default=MCSpec.seed)
+    ap.add_argument("--samples", type=int, default=MCSpec.samples,
                     help="Monte Carlo sample count, echoed in the header; no command draws samples")
-    ap.add_argument("--panels", type=int, default=96, help="quadrature panels per segment")
+    ap.add_argument("--panels", type=int, default=QuadratureSpec.panels,
+                    help="quadrature panels per segment")
     ap.add_argument("--out", type=str, default=None,
                     help="report path (default hlp_report.jsonl, or hlp_convergence.csv for csv)")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
@@ -291,23 +291,21 @@ def _cmd_oracle_compare(config: RunConfig) -> List[VerificationReport]:
     _validated(config.params)
     p = config.params
     gp = GroupParams(n=p.n)
-    records = [reconcile(p, kind, gp, config.quad, config.tolerance) for kind in KINDS]
+    records = {kind: reconcile(p, kind, gp, config.quad, config.tolerance) for kind in KINDS}
     e = derive_exponents(p)
     t0 = time.perf_counter()
-    closed = hilbert_closed_form(e, gp).value
     recursed = gp.Omega_Q**p.m * beta_recursion_Im(e.sigma_list, float(p.m), scale=gp.Q)
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    records.append(
+    return [
+        *records.values(),
         compare(
             f"hilbert-recursion-identity m={p.m} n={p.n}",
-            closed,
+            records["hilbert"].closed_form,
             recursed,
             1e-12,
             convention_note="nested Beta recursion against the Gamma-product form",
-            runtime_ms=ms,
-        )
-    )
-    return records
+            started=t0,
+        ),
+    ]
 
 
 def _cmd_verify_dilation(config: RunConfig) -> List[VerificationReport]:
@@ -344,7 +342,6 @@ def _cmd_morrey_norm(config: RunConfig) -> List[VerificationReport]:
     t0 = time.perf_counter()
     closed = power_norm(p, 1, gp)
     est = morrey_norm(f, space, config.grid, gp)
-    ms = int(round((time.perf_counter() - t0) * 1000))
     note = (
         f"grid lower bound vs exact origin-cell value (radius-independent "
         f"under the matched content weight); argmax cell |a|="
@@ -358,7 +355,7 @@ def _cmd_morrey_norm(config: RunConfig) -> List[VerificationReport]:
             1e-9,
             convention_note=note,
             seed=config.mc.seed,
-            runtime_ms=ms,
+            started=t0,
         )
     ]
 
@@ -378,10 +375,10 @@ def _cmd_group_check(config: RunConfig) -> List[VerificationReport]:
     Z = rng.uniform(-3.0, 3.0, size=(N, d))
     r = np.exp(rng.uniform(-3.0, 3.0, size=N))
     # Each axiom runs over row blocks whose (rows, d) temporaries fit in
-    # _BLOCK_FLOATS doubles.  A triple's deviation depends on that triple
+    # BLOCK_FLOATS doubles.  A triple's deviation depends on that triple
     # alone and max is exact, so the block maxima give the whole-array
     # deviation bit for bit.
-    rows = _BLOCK_FLOATS // d
+    rows = BLOCK_FLOATS // d
     E = np.zeros((rows, d))
     blocks = [(X[i:i + rows], Y[i:i + rows], Z[i:i + rows], r[i:i + rows], E[:N - i])
               for i in range(0, N, rows)]
@@ -411,18 +408,16 @@ def _cmd_group_check(config: RunConfig) -> List[VerificationReport]:
     for label, axiom, note in axioms:
         t0 = time.perf_counter()
         dev = float(np.max([axiom(*block) for block in blocks]))
-        ms = int(round((time.perf_counter() - t0) * 1000))
         records.append(compare(f"{label} n={n}", 0.0, dev, _PROPERTY_TOL,
-                               convention_note=note, seed=mc.seed, runtime_ms=ms))
+                               convention_note=note, seed=mc.seed, started=t0))
 
     t0 = time.perf_counter()
     slab = gauge_ball_volume(n)
-    ms = int(round((time.perf_counter() - t0) * 1000))
     records.append(compare(
         f"ball-volume n={n} r=1", gp.Omega_Q, slab, 1e-13,
         convention_note="slab rule: 24-node Gauss-Legendre in |z| = sin(u) over "
         "{|z| < 1, |t| < (1 - |z|^4)^(1/2)}",
-        seed=mc.seed, runtime_ms=ms))
+        seed=mc.seed, started=t0))
     return records
 
 

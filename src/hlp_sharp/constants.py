@@ -158,13 +158,5 @@ def reconcile(
         oracle = oracle_fn(e, gp, spec)
     except DivergenceError as exc:
         oracle, note = math.nan, f"oracle could not certify: {exc}"
-    runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     label = f"{kind}-constant m={e.m} n={gp.n}"
-    return compare(
-        label,
-        const.value,
-        oracle,
-        tolerance,
-        convention_note=note,
-        runtime_ms=runtime_ms,
-    )
+    return compare(label, const.value, oracle, tolerance, convention_note=note, started=start)

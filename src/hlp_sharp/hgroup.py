@@ -90,6 +90,13 @@ def identity(n: int) -> HPoint:
 # Batched array kernels.  X, Y are (..., 2n+1) arrays; broadcasting applies.
 # ---------------------------------------------------------------------------
 
+# Doubles in one block of a blocked computation: 64 KiB, half glibc's mmap
+# threshold, so no block comes back as fresh pages.  Group-check's axioms,
+# the Hilbert contraction's rows (at least 8 of them) and the ball rule's
+# angle panels run in blocks of this many values.
+BLOCK_FLOATS = 8192
+
+
 def mul_arrays(X: np.ndarray, Y: np.ndarray, n: int) -> np.ndarray:
     """Group law on coordinate arrays: last coordinate picks up the twist
     2 * sum_j (y_j x_{n+j} - x_j y_{n+j})."""

@@ -303,7 +303,7 @@ def verify_dilation(
                 f"worst cell ratio of dilated/expected; sigma_space = {sigma_space:+.12g}"
             ),
             seed=seed,
-            runtime_ms=int(round(1000.0 * (time.perf_counter() - start))),
+            started=start,
         ))
     return records
 
@@ -358,7 +358,6 @@ def sharpness_ratio(
     num = float(np.max(_cell_values(content, w1, target, np.zeros_like(R), R, 1.0)))
 
     ratio = num / denom
-    runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     return compare(
         f"sharpness {kind} m={p.m} truncation=({r_min:g},{r_max:g})",
         constant.value,
@@ -370,5 +369,5 @@ def sharpness_ratio(
             f"{constant.convention_note}"
         ),
         seed=seed,
-        runtime_ms=runtime_ms,
+        started=start,
     )

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hgroup import GroupParams
+from .hgroup import BLOCK_FLOATS, GroupParams
 from .params import Q_PLUS_SIGMA_J, DivergenceError, ExponentSet, violated
 from .constants import KINDS
 from .quad import QuadratureSpec, leggauss
@@ -58,27 +58,6 @@ class RadialProfile:
             raise ValueError("amplitude must be nonnegative")
         segs = ((r_min, r_max, amplitude, sigma),) if amplitude > 0.0 else ()
         return RadialProfile(segs)
-
-    @staticmethod
-    def tabulated(knots: Sequence[float], values: Sequence[float]) -> "RadialProfile":
-        """Log-log interpolation between knots, zero outside the knot range.
-        Segments with a zero endpoint value are treated as vanishing; a drop
-        between knots too steep for a finite amplitude raises ValueError."""
-        kn = np.asarray(knots, dtype=float)
-        va = np.asarray(values, dtype=float)
-        if kn.ndim != 1 or kn.size < 2 or kn.shape != va.shape:
-            raise ValueError("tabulated requires matching knot/value arrays, >= 2 knots")
-        if not (np.all(kn > 0.0) and np.all(np.diff(kn) > 0.0)):
-            raise ValueError("knots must be strictly increasing and positive")
-        if not np.all(va >= 0.0):
-            raise ValueError("tabulated values must be nonnegative")
-        segs = []
-        for i in range(kn.size - 1):
-            v0, v1 = va[i], va[i + 1]
-            if v0 > 0.0 and v1 > 0.0:
-                p = math.log(v1 / v0) / math.log(kn[i + 1] / kn[i])
-                segs.append((float(kn[i]), float(kn[i + 1]), float(v0 / kn[i] ** p), float(p)))
-        return RadialProfile(tuple(segs))
 
     # -- basic queries -------------------------------------------------------
     def __post_init__(self) -> None:
@@ -275,12 +254,9 @@ def _apply_hilbert(
     return gp.omega_Q**m * _exp_contract(tq, lam, factor)
 
 
-_BLOCK_FLOATS = 8192  # 64 KiB of float64: the largest block of _exp_contract
-
-
 def _exp_contract(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """exp(-outer(a, b)) @ w, a block of rows at a time: each block has at
-    most _BLOCK_FLOATS entries, or 8 rows if b is longer than 1,024.
+    most BLOCK_FLOATS entries, or 8 rows if b is longer than 1,024.
 
     Blocks are a multiple of 8 rows, so BLAS's gemv groups the rows of each
     block as it groups those of the whole matrix on one thread.  A one-row
@@ -289,7 +265,7 @@ def _exp_contract(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     one BLAS thread.  An unblocked product large enough to run on several
     threads can differ from them by an ulp where the threads' rows meet.
     """
-    rows = max(8, _BLOCK_FLOATS // b.size // 8 * 8)
+    rows = max(8, BLOCK_FLOATS // b.size // 8 * 8)
     out = np.empty(a.size)
     i = 0
     while i < a.size:

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hgroup import GroupParams, HPoint, dilate_arrays, hnorm_arrays, mul_arrays
+from .hgroup import BLOCK_FLOATS, GroupParams, HPoint, dilate_arrays, hnorm_arrays, mul_arrays
 from .params import DivergenceError, ExponentSet, require_admissible
 
 
@@ -304,7 +304,6 @@ _GRADE = 4.0  # ratio of the geometric grading toward nearby singular points
 _GRADE_LEVELS = 40
 _TOUCH_LEVELS = 27  # a boundary through the origin: r graded down to 4^-27 of the first break
 _ROWS = 256  # radii whose angle panels are built at once
-_CHUNK = 1 << 13  # node values computed at once; both bound the rule's memory
 _VOLUME_TOL = 1e-7  # largest accepted error of a rule's own ball volume
 _RULE_CACHE = 1024  # rules kept per process; one holds 0.4 to 12 KB of arrays
 # a center with |t| <= _FLAT |z|^2 takes the horizontal rule: there the mixed
@@ -630,7 +629,7 @@ def _occupancy(r, geo, n):
         return norm * _cap(r, *geo[1:], n)
     mirror = geo[1] == 0.0
     upper = leggauss(_RULE_NODES)[0] > 0.0
-    step = max(1, _CHUNK // (_RULE_NODES if n < 3 else _RULE_NODES**2))
+    step = max(1, BLOCK_FLOATS // (_RULE_NODES if n < 3 else _RULE_NODES**2))
     phi = np.zeros(r.size)
     for start in range(0, r.size, _ROWS):
         rb = r[start : start + _ROWS]

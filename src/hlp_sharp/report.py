@@ -15,6 +15,7 @@ import json
 import math
 import os
 import stat
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,9 +54,12 @@ def compare(
     tolerance: float,
     convention_note: str = "",
     seed: Optional[int] = None,
-    runtime_ms: int = 0,
+    started: Optional[float] = None,
 ) -> VerificationReport:
-    """Build a VerificationReport from a matched pair of values."""
+    """Build a VerificationReport from a matched pair of values.  Its
+    runtime_ms is the whole milliseconds since started, a
+    time.perf_counter() reading, or 0 when started is None."""
+    runtime_ms = 0 if started is None else int(round(1000.0 * (time.perf_counter() - started)))
     closed_form = float(closed_form)
     oracle = float(oracle)
     tolerance = float(tolerance)
@@ -87,7 +91,7 @@ def compare(
         passed=passed,
         convention_note=convention_note,
         seed=seed,
-        runtime_ms=int(runtime_ms),
+        runtime_ms=runtime_ms,
     )
 
 

@@ -2,7 +2,8 @@
 only params spells out the admissibility conditions, only quad builds
 random generators, the Morrey and operator layers take nothing from quad's
 Monte Carlo section and no other module than quad names its estimator,
-every package name a demo or the benchmark imports
+only report turns a start time into a record's runtime_ms, only hgroup
+writes the block size, every package name a demo or the benchmark imports
 exists and every such call of a package function binds to its signature,
 and the fast demos and the README's Python snippets run."""
 
@@ -202,6 +203,103 @@ def test_monte_carlo_detector_flags_imports_and_attributes():
     assert sorted(_monte_carlo_uses(tree, _MC_ESTIMATOR_NAMES)) == [
         "from hlp_sharp.quad import eval_batch",
         "quad.polar_directions",
+    ]
+
+
+def _called_name(node) -> str:
+    func = node.func if isinstance(node, ast.Call) else None
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _runtime_measurements(tree: ast.Module):
+    """runtime_ms= keywords and subtractions from a perf_counter() reading:
+    report.compare is the one place that turns a start time into a
+    record's runtime_ms."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "runtime_ms":
+            yield f"line {node.value.lineno}: runtime_ms={ast.unparse(node.value)}"
+        elif (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and _called_name(node.left) == "perf_counter"
+        ):
+            yield f"line {node.lineno}: {ast.unparse(node)}"
+
+
+def test_only_report_measures_runtime():
+    offences = [
+        f"{path.name} {use}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "report.py"
+        for use in _runtime_measurements(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not offences, offences
+
+
+def test_runtime_detector_flags_keywords_and_subtractions():
+    tree = ast.parse(
+        "compare('x', 1.0, 1.0, 0.0, runtime_ms=ms)\n"
+        "ms = int(round(1000 * (time.perf_counter() - t0)))\n"
+        "dt = perf_counter() - start\n"
+        "t0 = time.perf_counter()\n"
+        "compare('x', 1.0, 1.0, 0.0, started=t0)\n"
+        "left = budget - time.perf_counter()\n"
+    )
+    assert sorted(_runtime_measurements(tree)) == [
+        "line 1: runtime_ms=ms",
+        "line 2: time.perf_counter() - t0",
+        "line 3: perf_counter() - start",
+    ]
+
+
+_BLOCK_SIZE = 8192
+
+
+def _block_size_literals(tree: ast.Module):
+    """The block size written as an integer literal, or as an operation on
+    two integer literals (1 << 13): hgroup.BLOCK_FLOATS is its one home."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            value = node.value
+        elif (
+            isinstance(node, ast.BinOp)
+            and all(isinstance(x, ast.Constant) and type(x.value) is int for x in (node.left, node.right))
+        ):
+            value = eval(compile(ast.Expression(node), "<literal>", "eval"))
+        else:
+            continue
+        if value == _BLOCK_SIZE:
+            yield f"line {node.lineno}: {ast.unparse(node)}"
+
+
+def test_the_block_size_is_written_only_in_hgroup():
+    found = {
+        path.name: list(_block_size_literals(ast.parse(path.read_text(), filename=str(path))))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    home = found.pop("hgroup.py")
+    offences = [f"{name} {use}" for name, uses in found.items() for use in uses]
+    assert not offences, offences
+    assert len(home) == 1, home
+
+
+def test_block_size_detector_flags_literals_and_shifts():
+    tree = ast.parse(
+        "a = 8192\n"
+        "b = 1 << 13\n"
+        "c = 8_192 // d\n"
+        "e = 2 * 4096\n"
+        "f = 8191 + x\n"
+        "g = '8192'\n"
+        "h = 8192.0\n"
+    )
+    assert sorted(_block_size_literals(tree)) == [
+        "line 1: 8192",
+        "line 2: 1 << 13",
+        "line 3: 8192",
+        "line 4: 2 * 4096",
     ]
 
 

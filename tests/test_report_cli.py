@@ -8,6 +8,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,21 @@ def test_compare_basic_pass_and_fail():
     assert rep.abs_err == pytest.approx(1e-9, rel=1e-6)
     rep = compare("x", 1.0, 1.1, 1e-6)
     assert not rep.passed
+    rep = compare("x", 1.5, 1.0, 0.5 / 1.5)
+    assert rep.rel_err == rep.tolerance and rep.passed
 
     with pytest.raises(ValueError):
         compare("x", 1.0, 1.0, -1e-6)
+
+
+def test_compare_runtime_is_whole_milliseconds_since_started(monkeypatch):
+    monkeypatch.setattr(time, "perf_counter", lambda: 7.0)
+    rep = compare("x", 1.0, 1.0, 0.0, started=7.0 - 0.0126)
+    assert type(rep.runtime_ms) is int and rep.runtime_ms == 13
+    assert '"runtime_ms": 13,' in to_json_line(rep)
+    assert compare("x", 1.0, 1.0, 0.0, started=7.0 - 0.0124).runtime_ms == 12
+    assert compare("x", 1.0, 1.0, 0.0, started=7.0).runtime_ms == 0
+    assert compare("x", 1.0, 1.0, 0.0).runtime_ms == 0
 
 
 def test_compare_zero_semantics():
@@ -48,6 +61,8 @@ def test_compare_zero_semantics():
 
     rep = compare("x", 0.0, 1e-13, 1e-12)
     assert rep.passed and math.isinf(rep.rel_err)
+    rep = compare("x", 0.0, 0.25, 0.25)
+    assert rep.abs_err == rep.tolerance and rep.passed
 
     rep = compare("x", 0.0, 1e-3, 1e-12)
     assert not rep.passed and math.isinf(rep.rel_err)
@@ -1015,7 +1030,7 @@ def test_group_check_blocks_give_the_whole_array_deviations(n, extra, planted, m
     # a triple count that is no multiple of the block rows, so the last
     # block is short; the planted row is the last, the first, or the first
     # of the second block
-    rows = cli._BLOCK_FLOATS // (2 * n + 1)
+    rows = hgroup.BLOCK_FLOATS // (2 * n + 1)
     N = 2 * rows + extra
     row = {"last": N - 1, "first": 0, "seam": rows}[planted]
     keyed = cli.keyed_rng
